@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .spectrum import (
 RESOLVERS = ("square", "triangular", "chain", "computed")
 
 # phi_d whose down-triangle phase makes the butterfly inversion symmetric
-# and reproduces the reference shifted-window coloring (see README).
+# and reproduces the reference shifted-window coloring (see notes/decisions.md).
 PHI_D_SYMMETRIC = -math.pi / 2.0
 
 
@@ -102,7 +101,10 @@ class ButterflyConfig:
             2.0 * (self.t1 + self.t2 + self.t3)
 
     def config_hash(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        """Hash of the fields that decide the records (not out, jobs)."""
+        fields = {k: v for k, v in dataclasses.asdict(self).items()
+                  if k not in ("out", "jobs")}
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -171,21 +173,11 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
     return out
 
 
-try:
-    from threadpoolctl import threadpool_limits as _threadpool_limits
-except ImportError:  # pragma: no cover - soft dependency
-    _threadpool_limits = None
-
-
 def _compute_flux(args):
-    """Worker: full per-flux pipeline returning JSON-ready dicts.
-
-    BLAS pools are pinned to one thread so jobs=1 and jobs=N sweeps run
-    the identical kernels and produce byte-identical output.
-    """
+    """Worker: full per-flux pipeline returning JSON-ready dicts.  BLAS
+    threads are not pinned; test_determinism_across_jobs checks jobs=N."""
     (p, q, cfg) = args
     model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
-    limiter = _threadpool_limits(limits=1) if _threadpool_limits else None
     try:
         try:
             spectrum = compute_bands(model)
@@ -196,9 +188,6 @@ def _compute_flux(args):
         return [gap_to_dict(r) for r in records], None
     except Exception as exc:  # record, never abort the sweep
         return [], (p, q, f"{type(exc).__name__}: {exc}")
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
@@ -211,8 +200,6 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     fluxes = enumerate_fluxes(config.q_max)
     tasks = [(f.p, f.q, config) for f in fluxes]
     if config.jobs > 1:
-        # big-q fluxes dominate; keep the BLAS pools single-threaded
-        os.environ.setdefault("OMP_NUM_THREADS", "1")
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunk = max(1, len(tasks) // (config.jobs * 64))
             for i, res in enumerate(pool.map(_compute_flux, tasks, chunksize=chunk)):
@@ -259,11 +246,6 @@ class InconsistentPair:
 
     rec_a: GapRecord
     rec_b: GapRecord
-
-
-def _farey_adjacent(a: tuple, b: tuple) -> bool:
-    (p1, q1), (p2, q2) = a, b
-    return abs(p1 * q2 - p2 * q1) == 1
 
 
 def _adjacent_flux_pairs(fluxes: list[tuple], q_max: int):

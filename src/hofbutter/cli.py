@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -233,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hofstadter spectra, gap Chern numbers and colored butterflies")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = dict(fromfile_prefix_chars=None)
 
     sp = sub.add_parser("spectrum", help="band intervals and gaps of one flux")
     _add_model_flags(sp)

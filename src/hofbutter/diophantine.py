@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .magnetic_algebra import Flux
@@ -201,13 +200,3 @@ def fragmentation_report(computed: dict[int, int], q: int) -> FragmentationRepor
     return FragmentationReport(
         q=q, values=tuple(values), contiguous=contiguous,
         window=(lo, hi) if contiguous else None, struck=struck, span=(lo, hi))
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    """Per-gap resolution outcome for one flux: chosen values with their
-    source tags, plus (j, reason) entries the strategy could not color."""
-
-    assignments: dict
-    sources: dict
-    violations: tuple

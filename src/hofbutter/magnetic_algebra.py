@@ -16,10 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
-INVERSION_TOL = 1e-10
-
 
 def modular_inverse(p: int, q: int) -> int:
     """Return s in [1, q] with s*p = 1 (mod q).

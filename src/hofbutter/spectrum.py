@@ -2,13 +2,14 @@
 
 The characteristic polynomial splits as det(H(k) - x) = P(x) + det H(k)
 with P independent of k, so every band edge is attained where det H(k)
-is extremal.  For the isotropic model at phi_d = +/-pi/2 those momenta
-are known in closed form; elsewhere a dense scan with local refinement
-finds them.
+is extremal (Chambers, Phys. Rev. 140, A135, 1965).  Closed forms give
+those momenta for the square limit and the isotropic model at phi_d =
++/-pi/2; elsewhere a 1-D search over the k-dependent part finds them.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -27,9 +28,13 @@ from .magnetic_algebra import (
 )
 
 CHAMBERS_REL_TOL = 1e-9
-BAND_TOUCH_TOL = 1e-10
 BAND_OVERLAP_TOL = 1e-8
 GAP_EPS_DEFAULT = 1e-8
+CONTAINMENT_REL_TOL = 1e-9
+EDGE_GRID = 256  # samples of y = q k2 that locate the peaks before bisection
+# (k1s, k2s) of two generic momenta at which compute_bands checks searched
+# edges; plain literals, as an rng here would import numpy.random
+_PROBE_K = ((-1.5146502, -0.9436313), (-1.1435780, -2.6196691))
 
 
 class ChambersMismatch(Exception):
@@ -38,6 +43,10 @@ class ChambersMismatch(Exception):
 
 class BandOverlapError(Exception):
     """Raised when band intervals assembled from edge k-points overlap."""
+
+
+class BandContainmentError(BandOverlapError):
+    """Raised when a probe eigenvalue falls outside searched band edges."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,27 @@ def chambers_polynomial(model: HofstadterModel, check_points: int = 3) -> Chambe
     return ChambersData(coeffs, float(h_offset), dev / scale)
 
 
-def _oscillatory(model: HofstadterModel, k1, k2):
-    """The k-dependent part of det H(k) for the isotropic model."""
+def _chambers_terms(model: HofstadterModel):
+    """(a, b, c, scale): the k-dependent part of det H(k) is
+    (-1)^(q+1) 2 scale Re(a e^{ix} + b e^{iy} + c e^{i(x+y)}) with
+    x = q k1, y = q k2 and scale = max(t)^q, so |a|, |b|, |c| <= 1."""
     q = model.q
+    t_max = max(model.t1, model.t2, model.t3)
+    a = (model.t2 / t_max) ** q
+    b = (model.t1 / t_max) ** q
+    c = complex((-1.0) ** (q - 1) * (model.t3 / t_max) ** q * model.omega_u ** q)
+    return a, b, c, t_max ** q
+
+
+def _oscillatory(model: HofstadterModel, k1, k2):
+    """The k-dependent part of det H(k), for any hoppings."""
+    q = model.q
+    a, b, c, scale = _chambers_terms(model)
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
-    wuq = model.omega_u ** q
-    inner = (np.exp(1j * q * k1) + np.exp(1j * q * k2)
-             + (-1.0) ** (q - 1) * wuq * np.exp(1j * q * (k1 + k2)))
-    return (-1.0) ** (q + 1) * 2.0 * np.real(inner)
+    inner = (a * np.exp(1j * q * k1) + b * np.exp(1j * q * k2)
+             + c * np.exp(1j * q * (k1 + k2)))
+    return (-1.0) ** (q + 1) * 2.0 * scale * np.real(inner)
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,11 +135,6 @@ def det_closed_form(model: HofstadterModel, k) -> float:
     return h + float(_oscillatory(model, k1, k2))
 
 
-def _det_direct(model: HofstadterModel, k1, k2):
-    H = hamiltonian_batch(model, k1, k2)
-    return np.real(np.linalg.det(H))
-
-
 def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7):
     """Shrinking-grid search around k0; returns (k, value)."""
     k1, k2 = k0
@@ -135,23 +151,37 @@ def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7):
     return (float(k1), float(k2)), float(best)
 
 
-def _extremize_det(model: HofstadterModel, coarse: int = 64):
-    """Global min/max momenta of det H(k) over one 2*pi/q periodicity cell."""
+def _extremize_det(model: HofstadterModel) -> list[BlochMomentum]:
+    """Global min and max momenta of det H(k), from its k-dependent part:
+    with z = a + c e^{iy}, g = Re(e^{ix} z) + b cos y is extremal over x at
+    -arg z (max) and pi - arg z (min); each grid peak of the rest,
+    F = |z| +/- b cos y, is bisected on F' (see notes/decisions.md)."""
     q = model.q
-    if model.is_isotropic:
-        h = det_offset(model)
-        f = lambda a, b: h + _oscillatory(model, a, b)
-    else:
-        f = lambda a, b: _det_direct(model, a, b)
-    step = 2.0 * math.pi / q / coarse
-    grid = (np.arange(coarse) + 0.5) * step - math.pi / q
-    A, B = np.meshgrid(grid, grid, indexing="ij")
-    vals = f(A.ravel(), B.ravel())
-    imin = int(np.argmin(vals))
-    imax = int(np.argmax(vals))
-    kmin, _ = _refine_extremum(f, (A.ravel()[imin], B.ravel()[imin]), step, True)
-    kmax, _ = _refine_extremum(f, (A.ravel()[imax], B.ravel()[imax]), step, False)
-    return [BlochMomentum(*kmin), BlochMomentum(*kmax)]
+    a, b, c, _ = _chambers_terms(model)
+    step = 2.0 * math.pi / EDGE_GRID
+    grid = np.arange(EDGE_GRID) * step
+    out = []
+    for s, x0 in ((-1.0, math.pi), (1.0, 0.0)):  # min of g, then max
+        vals = np.abs(a + c * np.exp(1j * grid)) + s * b * np.cos(grid)
+        ys = [float(grid[np.argmax(vals)])]  # the grid's best stays a candidate
+        for y in grid[(vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1))].tolist():
+            lo, mid, hi = y - step, y, y + step
+            while lo < mid < hi:  # on the sign of F' |z|, defined at z = 0 too
+                e = c * cmath.exp(1j * mid)
+                z = a + e
+                rising = (1j * e * z.conjugate()).real > s * b * math.sin(mid) * abs(z)
+                lo, hi = (mid, hi) if rising else (lo, mid)
+                mid = 0.5 * (lo + hi)
+            ys.append(mid)
+        y = max(ys, key=lambda y: abs(a + c * cmath.exp(1j * y)) + s * b * math.cos(y))
+        x = x0 - cmath.phase(a + c * cmath.exp(1j * y))
+        out.append(BlochMomentum(x / q, y / q))
+    return out
+
+
+def _edges_in_closed_form(model: HofstadterModel) -> bool:
+    """Whether band_edge_kpoints knows this model's edge momenta exactly."""
+    return model.t3 == 0.0 or (model.is_isotropic and _is_half_pi(model.phi_d))
 
 
 def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
@@ -159,28 +189,27 @@ def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
 
     Closed-form families exist for the square limit (t3 = 0) and for
     the isotropic model at phi_d = +/-pi/2; note the even-q family
-    splits on q mod 4.  Any other model falls back to a dense scan of
-    det H over the 2*pi/q cell with local refinement.
+    splits on q mod 4.  Any other model gets the global min and max
+    momenta of det H from the 1-D search of _extremize_det.
     """
+    if not _edges_in_closed_form(model):
+        return _extremize_det(model)
     q = model.q
     if model.t3 == 0.0:
         # square/rectangular limit: det depends on cos(q k1), cos(q k2)
         pts = [(0.0, 0.0), (math.pi / q, 0.0),
                (0.0, math.pi / q), (math.pi / q, math.pi / q)]
-    elif model.is_isotropic and _is_half_pi(model.phi_d):
-        if q % 2 == 1:
-            base = [(math.pi / 6, math.pi / 6), (5 * math.pi / 6, 5 * math.pi / 6)]
-            pts = [(x / q, y / q) for x, y in base]
-            pts += [(-x, -y) for x, y in pts]
-        elif q % 4 == 2:
-            x = 2 * math.pi / (3 * q)
-            pts = [(0.0, 0.0), (x, x), (-x, -x)]
-        else:
-            x = math.pi / (3 * q)
-            y = math.pi / q
-            pts = [(x, x), (-x, -x), (y, y), (-y, -y)]
+    elif q % 2 == 1:
+        base = [(math.pi / 6, math.pi / 6), (5 * math.pi / 6, 5 * math.pi / 6)]
+        pts = [(x / q, y / q) for x, y in base]
+        pts += [(-x, -y) for x, y in pts]
+    elif q % 4 == 2:
+        x = 2 * math.pi / (3 * q)
+        pts = [(0.0, 0.0), (x, x), (-x, -x)]
     else:
-        return _extremize_det(model)
+        x = math.pi / (3 * q)
+        y = math.pi / q
+        pts = [(x, x), (-x, -x), (y, y), (-y, -y)]
     return [BlochMomentum(*k) for k in pts]
 
 
@@ -232,7 +261,8 @@ def compute_bands(model: HofstadterModel) -> BandSpectrum:
 
     Raises BandOverlapError if the assembled intervals overlap by more
     than 1e-8, the signature of a band-edge k-point failure; callers
-    should then retry with compute_bands_dense.
+    should then retry with compute_bands_dense.  Searched edges must also
+    contain the spectrum at two probe momenta, else BandContainmentError.
     """
     pts = band_edge_kpoints(model)
     evs = np.stack([np.linalg.eigvalsh(build_hamiltonian(model, k)) for k in pts])
@@ -242,6 +272,12 @@ def compute_bands(model: HofstadterModel) -> BandSpectrum:
         if his[n] > los[n + 1] + BAND_OVERLAP_TOL:
             raise BandOverlapError(
                 f"bands {n + 1} and {n + 2} overlap by {his[n] - los[n + 1]:.3e}")
+    if not _edges_in_closed_form(model):
+        probe = np.linalg.eigvalsh(hamiltonian_batch(model, *_PROBE_K))
+        outside = np.maximum(los - probe, probe - his)
+        if (outside > CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))).any():
+            raise BandContainmentError(
+                f"probe eigenvalues up to {outside.max():.3e} outside their bands")
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(los, his))
     return BandSpectrum(model, bands, tuple(pts))
 

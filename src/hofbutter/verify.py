@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,12 +23,10 @@ from .chern import (
     gap_chern_table,
 )
 from .diophantine import (
-    StredaOutcome,
     chain_assign,
     resolve_in_window,
     solve_residue,
     square_window,
-    streda_check,
     triangular_window,
 )
 from .magnetic_algebra import (
@@ -144,10 +141,12 @@ def suite_chambers() -> list[CheckResult]:
 
     worst = 0.0
     for q in [3, 4, 5, 7, 8]:
-        model = HofstadterModel(Flux(1, q), PHI_D_SYMMETRIC)
-        fast = np.array(compute_bands(model).bands)
-        dense = np.array(compute_bands_dense(model, grid=64).bands)
-        worst = max(worst, float(np.abs(fast - dense).max()))
+        for phi_d, t in [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)), (0.3, (1.0, 1.0, 1.0)),
+                         (0.3, (1.0, 0.8, 0.6))]:
+            model = HofstadterModel(Flux(1, q), phi_d, *t)
+            fast = np.array(compute_bands(model).bands)
+            dense = np.array(compute_bands_dense(model, grid=64).bands)
+            worst = max(worst, float(np.abs(fast - dense).max()))
     checks.append(CheckResult("band edges vs dense scan", worst <= 1e-6,
                               f"max deviation {worst:.2e}"))
 

@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Ground truth lives at the inversion-symmetric down-triangle phase
-phi_d = -pi/2 (see README on the sign convention).  Three reference
-rows of the published Chern table are internally inconsistent with the
-model's exact inversion symmetry and are carried as strict xfails with
-the corrected fluxes asserted alongside; notes/decisions.md has the
-analysis.
+phi_d = -pi/2 (see notes/decisions.md on the sign convention).  Three
+reference rows of the published Chern table are internally inconsistent
+with the model's exact inversion symmetry and are carried as strict
+xfails with the corrected fluxes asserted alongside; notes/decisions.md
+has the analysis.
 """
 
 import math

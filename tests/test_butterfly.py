@@ -53,6 +53,9 @@ class TestConfig:
         a, b = ButterflyConfig(q_max=5), ButterflyConfig(q_max=5)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != ButterflyConfig(q_max=6).config_hash()
+        # where the records go and how many workers write them do not count
+        assert a.config_hash() == ButterflyConfig(q_max=5, jobs=3).config_hash()
+        assert a.config_hash() == ButterflyConfig(q_max=5, out="x").config_hash()
 
 
 class TestBuildDiagram:

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofbutter import (
+    BlochMomentum,
+    ButterflyConfig,
     Flux,
     HofstadterModel,
     PHI_D_SYMMETRIC,
@@ -18,13 +22,31 @@ from hofbutter import (
     gaps_to_csv,
     spectrum_to_json,
 )
-from hofbutter.spectrum import det_offset, gap_from_dict, gap_to_dict
+from hofbutter import butterfly, spectrum
+from hofbutter.magnetic_algebra import hamiltonian_batch
+from hofbutter.spectrum import (
+    BandContainmentError,
+    _oscillatory,
+    det_offset,
+    gap_from_dict,
+    gap_to_dict,
+)
 
 PI = math.pi
 
 
 def direct_det(model, k):
     return float(np.real(np.linalg.det(build_hamiltonian(model, k))))
+
+
+def containment_excess(model, n=16, seed=0):
+    """Largest relative distance of an eigenvalue at n seeded random
+    momenta outside its band; <= 0 when every one lies inside."""
+    bands = np.array(compute_bands(model).bands)
+    k = np.random.default_rng(seed).uniform(-PI, PI, (2, n))
+    evs = np.linalg.eigvalsh(hamiltonian_batch(model, k[0], k[1]))
+    outside = np.maximum(bands[:, 0] - evs, evs - bands[:, 1])
+    return float((outside / np.maximum(1.0, np.abs(evs))).max())
 
 
 class TestClosedFormDeterminant:
@@ -44,6 +66,21 @@ class TestClosedFormDeterminant:
     def test_rejects_anisotropic(self):
         with pytest.raises(ValueError):
             det_closed_form(HofstadterModel(Flux(1, 3), t3=0.0), (0.0, 0.0))
+
+    def test_anisotropic_chambers_form_matches_direct(self):
+        # only differences are compared: the constant part is not closed-form
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(30):
+            q = int(rng.integers(1, 12))
+            p = int(rng.choice([x for x in range(1, q + 1) if math.gcd(x, q) == 1]))
+            model = HofstadterModel(Flux(p, q), float(rng.uniform(-PI, PI)),
+                                    *rng.uniform(0.2, 1.8, 3))
+            k0, k = rng.uniform(-PI, PI, (2, 2))
+            d0, d = direct_det(model, k0), direct_det(model, k)
+            form = _oscillatory(model, *k) - _oscillatory(model, *k0)
+            worst = max(worst, abs(form - (d - d0)) / max(1.0, abs(d), abs(d0)))
+        assert worst <= 1e-9
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_even_q_oscillatory_structure(self, q):
@@ -99,6 +136,31 @@ class TestBandEdgeKpoints:
         assert min(dets) <= min(grid) + 1e-6
         assert max(dets) >= max(grid) - 1e-6
 
+    @pytest.mark.parametrize("p,q", [(9, 89), (11, 127), (17, 35)])
+    def test_generic_phi_large_q_contains_spectrum(self, p, q):
+        # a search over det H with its ~2^q constant kept lost the
+        # k-dependence in float64 and returned wrong edges for these fluxes
+        assert containment_excess(HofstadterModel(Flux(p, q), 0.3)) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 256), st.integers(0, 10**6), st.floats(-PI, PI),
+           st.floats(0.2, 1.8), st.floats(0.2, 1.8), st.floats(0.2, 1.8))
+    def test_searched_edges_contain_spectrum(self, q, i, phi_d, t1, t2, t3):
+        ps = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
+        model = HofstadterModel(Flux(ps[i % len(ps)], q), phi_d, t1, t2, t3)
+        assert containment_excess(model, n=8, seed=i) <= 1e-9
+
+    def test_bad_edge_momenta_raise_and_fall_back(self, monkeypatch):
+        model = HofstadterModel(Flux(2, 7), 0.3)
+        monkeypatch.setattr(spectrum, "_extremize_det",
+                            lambda m: [BlochMomentum(0.0, 0.0)] * 2)
+        with pytest.raises(BandContainmentError):
+            compute_bands(model)
+        # the sweep's BandOverlapError handler retries with the dense scan
+        cfg = ButterflyConfig(phi_d=0.3, computed_q_max=0)
+        dicts, failure = butterfly._compute_flux((2, 7, cfg))
+        assert failure is None and len(dicts) == 8
+
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
         fast = np.array(compute_bands(model).bands)
@@ -121,6 +183,15 @@ class TestComputeBands:
 
     def test_13_matches_dense(self):
         model = HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC)
+        fast = np.array(compute_bands(model).bands)
+        dense = np.array(compute_bands_dense(model, grid=64).bands)
+        assert np.abs(fast - dense).max() <= 1e-6
+
+    @pytest.mark.parametrize("p,q,t", [(1, 5, (1.0, 1.0, 1.0)),
+                                       (2, 7, (1.0, 0.8, 0.6)),
+                                       (3, 8, (0.5, 1.6, 1.1))])
+    def test_searched_edges_match_dense(self, p, q, t):
+        model = HofstadterModel(Flux(p, q), 0.3, *t)
         fast = np.array(compute_bands(model).bands)
         dense = np.array(compute_bands_dense(model, grid=64).bands)
         assert np.abs(fast - dense).max() <= 1e-6
