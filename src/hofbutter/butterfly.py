@@ -29,11 +29,11 @@ from .diophantine import (
 )
 from .magnetic_algebra import Flux, HofstadterModel
 from .spectrum import (
-    BandOverlapError,
     GAP_EPS_DEFAULT,
     GapRecord,
     compute_bands,
     compute_bands_dense,
+    compute_bands_or_dense,
     compute_gaps,
     gap_from_dict,
     gap_to_dict,
@@ -121,8 +121,12 @@ class ButterflyDiagram:
 
 
 def _window_for(strategy: str, q: int, exclusions: bool):
+    """The window of a window strategy, else None.  Odd q has no
+    established triangular window: with exclusions those gaps defer."""
     if strategy == "square":
         return square_window(q)
+    if strategy != "triangular" or (exclusions and q % 2 == 1):
+        return None
     w = triangular_window(q)
     if not exclusions:
         w = dataclasses.replace(w, excluded=frozenset())
@@ -145,6 +149,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                 computed[j] = res.value
         return computed
 
+    window = _window_for(strategy, q, cfg.exclusions)
     out = []
     for rec in records:
         if rec.j in (0, q) or rec.closed:
@@ -156,12 +161,8 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
             sigma = computed_table().get(rec.j)
         elif strategy == "chain":
             sigma = chain_assign(rec.j, model.flux)
-        else:
-            window = _window_for(strategy, q, cfg.exclusions)
-            if strategy == "triangular" and cfg.exclusions and q % 2 == 1:
-                sigma = None  # no established odd-q window; defer
-            else:
-                sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
+        elif window is not None:
+            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
         if sigma is None and strategy != "computed" and q <= cfg.computed_q_max:
             if computed_table().get(rec.j) is not None:
                 sigma = computed[rec.j]
@@ -179,10 +180,7 @@ def _compute_flux(args):
     (p, q, cfg) = args
     model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
     try:
-        try:
-            spectrum = compute_bands(model)
-        except BandOverlapError:
-            spectrum = compute_bands_dense(model)
+        spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
         records = compute_gaps(spectrum, cfg.eps_gap)
         records = _resolve_flux(records, model, cfg)
         return [gap_to_dict(r) for r in records], None

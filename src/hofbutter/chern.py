@@ -25,7 +25,7 @@ from .magnetic_algebra import (
     hamiltonian_batch,
     hamiltonian_derivatives,
 )
-from .spectrum import GAP_EPS_DEFAULT, compute_bands, compute_gaps
+from .spectrum import GAP_EPS_DEFAULT, compute_bands, compute_bands_or_dense, compute_gaps
 
 DEGENERACY_TOL = 1e-10
 QUANTIZATION_TOL = 0.05
@@ -240,7 +240,7 @@ def gap_chern_table(model: HofstadterModel, grid: int = GRID_DEFAULT,
     grid), as are closed gaps.
     """
     q = model.q
-    spec = compute_bands(model)
+    spec = compute_bands_or_dense(model, compute_bands)
     gaps = compute_gaps(spec, eps_gap)
     open_js = [r.j for r in gaps if 0 < r.j < q and not r.closed]
     out: dict[int, ChernResult] = {}
@@ -297,7 +297,7 @@ def gap_chern(model: HofstadterModel, j: int, method: str = "fhs",
                          "use gap_residue_transport")
     if method != "fhs":
         raise ValueError(f"unknown method {method!r}")
-    spec = compute_bands(model)
+    spec = compute_bands_or_dense(model, compute_bands)
     rec = compute_gaps(spec, eps_gap)[j]
     if rec.closed:
         raise GapClosed(f"gap {j} of {model.flux.p}/{q} has width {rec.width:.3e}")

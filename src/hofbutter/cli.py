@@ -29,9 +29,7 @@ from .chern import (
 from .diophantine import chain_assign, resolve_in_window, solve_residue, square_window, triangular_window
 from .magnetic_algebra import Flux, HofstadterModel
 from .spectrum import (
-    BandOverlapError,
-    compute_bands,
-    compute_bands_dense,
+    compute_bands_or_dense,
     compute_gaps,
     gaps_to_csv,
     spectrum_to_json,
@@ -91,10 +89,7 @@ def _write_out(text: str, out):
 
 def cmd_spectrum(args) -> int:
     model = _model_from(args)
-    try:
-        spec = compute_bands(model)
-    except BandOverlapError:
-        spec = compute_bands_dense(model)
+    spec = compute_bands_or_dense(model)
     gaps = compute_gaps(spec, args.eps_gap)
     if args.format == "csv":
         _write_out(gaps_to_csv(gaps), args.out)
@@ -199,7 +194,7 @@ def cmd_butterfly(args) -> int:
     if args.format == "ppm":
         ppm_path = jsonl_path.rsplit(".", 1)[0] + ".ppm"
         with open(ppm_path, "wb") as fh:
-            fh.write(render_jsonl(jsonl_path, cfg))  # renders re-read the stream
+            fh.write(render_jsonl(jsonl_path, cfg))  # streams the file in one pass
         print(f"wrote {ppm_path}", file=sys.stderr)
     if args.check:
         diagram = ButterflyDiagram(cfg, tuple(read_records_jsonl(jsonl_path)),

@@ -90,15 +90,16 @@ def triangular_window(q: int) -> Window:
 
 def resolve_in_window(rc: ResidueClass, window: Window) -> Optional[int]:
     """The unique window member congruent to rc, or None if the window
-    cannot color this class (the wing-miscoloring failure mode)."""
+    cannot color this class (the wing-miscoloring failure mode).  The
+    first candidate is lo + (r - lo) mod q; an excluded one yields to the
+    next, q higher."""
     if rc.modulus != window.modulus:
         raise ValueError(
             f"residue modulus {rc.modulus} != window modulus {window.modulus}")
-    r = rc.residue % window.modulus
-    for v in window.members():
-        if v % window.modulus == r:
-            return v
-    return None
+    v = window.lo + (rc.residue - window.lo) % window.modulus
+    while v in window.excluded:
+        v += window.modulus
+    return v if v <= window.hi else None
 
 
 def chain_assign(j: int, flux: Flux, cutoff: Optional[int] = None) -> Optional[int]:

@@ -12,18 +12,20 @@ pixel-exact in the image.
 from __future__ import annotations
 
 import colorsys
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .butterfly import ButterflyConfig
-from .spectrum import GapRecord
+from .spectrum import gap_from_dict
 
 NEUTRAL = (245, 245, 245)   # sigma = 0
 SENTINEL = (128, 128, 128)  # unresolved
 SATURATION = 0.88
 VALUE = 0.95
+LUT_ROWS = 64  # rows per palette lookup; bounds its intp index temporary
 
 
 def chern_color(sigma, period: int) -> tuple:
@@ -40,13 +42,6 @@ def chern_color(sigma, period: int) -> tuple:
     hue = (0.5 + sigma / period) % 1.0
     r, g, b = colorsys.hsv_to_rgb(hue, SATURATION, VALUE)
     return (round(255 * r), round(255 * g), round(255 * b))
-
-
-def _palette_period(records, override=None) -> int:
-    if override:
-        return override
-    biggest = max((abs(r.chern) for r in records if r.chern), default=1)
-    return 2 * biggest + 1
 
 
 def _row_bounds(p: int, q: int, height: int, thickness: Fraction):
@@ -66,88 +61,59 @@ def _row_bounds(p: int, q: int, height: int, thickness: Fraction):
     return spans
 
 
-class _Painter:
-    """One-pass rasterizer: a per-pixel owner-q buffer makes low-q rows
-    win every contested pixel, independent of record order (rows of
-    equal q never overlap)."""
-
-    def __init__(self, config: ButterflyConfig, period: int):
-        self.config = config
-        self.period = period
-        emax = config.energy_clamp
-        self.emax = emax
-        self.canvas = np.zeros((config.height, config.mu_bins, 3), dtype=np.uint8)
-        self.owner = np.full((config.height, config.mu_bins), np.iinfo(np.int32).max,
-                             dtype=np.int32)
-        self.centers = -emax + (np.arange(config.mu_bins) + 0.5) \
-            * (2.0 * emax / config.mu_bins)
-        self._spans = {}
-
-    def spans_for(self, p: int, q: int):
-        key = (p, q)
-        if key not in self._spans:
-            thickness = Fraction(self.config.row_scale * self.config.height) \
-                .limit_denominator(10**6) / (q * self.config.q_max)
-            self._spans[key] = _row_bounds(p, q, self.config.height,
-                                           max(thickness, Fraction(1)))
-        return self._spans[key]
-
-    def paint(self, rec: GapRecord):
-        if rec.closed:
-            return  # closed gaps stay canvas-black like the bands
-        lo = max(rec.lo, -self.emax)
-        hi = min(rec.hi, self.emax)
-        cols = (self.centers >= lo) & (self.centers <= hi)
-        if not cols.any():
-            return
-        color = chern_color(rec.chern, self.period)
-        for y0, y1 in self.spans_for(rec.p, rec.q):
-            claim = self.owner[y0:y1 + 1, cols] >= rec.q
-            block = self.canvas[y0:y1 + 1, cols]
-            block[claim] = color
-            self.canvas[y0:y1 + 1, cols] = block
-            strip = self.owner[y0:y1 + 1, cols]
-            strip[claim] = rec.q
-            self.owner[y0:y1 + 1, cols] = strip
-
-    def image(self) -> bytes:
-        return write_ppm(self.canvas)
-
-
 def render(records, config: ButterflyConfig) -> bytes:
-    """Rasterize gap records into PPM (P6) bytes.
+    """Rasterize gap records into PPM (P6) bytes in one pass.
 
     Low-q rows win contested pixels, so the wide low-denominator wings
-    dominate visually; deterministic for fixed records and config.
+    dominate visually; deterministic for fixed records and config.  A
+    per-pixel owner-q buffer enforces this independent of record order;
+    equal q overwrites (rows of equal q never overlap).  Each pixel
+    holds a palette code: 0 while unpainted, then one code per distinct
+    Chern value in order of first use (None included).  The palette
+    period depends on the largest |sigma| of all records, painted or
+    not, so colors are assigned only after the last record.
     """
-    records = list(records)
-    painter = _Painter(config, _palette_period(records, config.colormap_period))
+    height, width, emax = config.height, config.mu_bins, config.energy_clamp
+    owner = np.full((height, width), np.iinfo(np.int32).max, dtype=np.int32)
+    labels = np.zeros((height, width), dtype=np.uint16)
+    # sorted, so the columns inside [lo, hi] are one searchsorted slice
+    centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
+    scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
+    codes, spans, biggest = {}, {}, 1  # chern -> code, (p, q) -> row spans
     for rec in records:
-        painter.paint(rec)
-    return painter.image()
+        if rec.chern:
+            biggest = max(biggest, abs(rec.chern))
+        if rec.closed:
+            continue  # closed gaps stay canvas-black like the bands
+        c0 = int(centers.searchsorted(max(rec.lo, -emax), "left"))
+        c1 = int(centers.searchsorted(min(rec.hi, emax), "right"))
+        if c0 >= c1:
+            continue
+        code = codes.setdefault(rec.chern, len(codes) + 1)
+        key = (rec.p, rec.q)
+        if key not in spans:
+            spans[key] = _row_bounds(rec.p, rec.q, height, max(scale / rec.q, Fraction(1)))
+        for y0, y1 in spans[key]:  # a named view of owner would outlive del owner
+            claim = owner[y0:y1 + 1, c0:c1] >= rec.q
+            owner[y0:y1 + 1, c0:c1][claim] = rec.q
+            labels[y0:y1 + 1, c0:c1][claim] = code
+    del owner  # each big buffer goes before the next is made: peak owner + labels
+    period = config.colormap_period or 2 * biggest + 1
+    lut = np.zeros((len(codes) + 1, 3), dtype=np.uint8)
+    for sigma, code in codes.items():
+        lut[code] = chern_color(sigma, period)
+    pixels = np.empty((height, width, 3), dtype=np.uint8)
+    for y in range(0, height, LUT_ROWS):
+        pixels[y:y + LUT_ROWS] = lut[labels[y:y + LUT_ROWS]]
+    del labels
+    return write_ppm(pixels)
 
 
 def render_jsonl(path: str, config: ButterflyConfig) -> bytes:
     """Stream a JSON-lines record file into an image without
-    materializing the records (one prepass sizes the palette)."""
-    import json
-
-    from .spectrum import gap_from_dict
-
-    period = config.colormap_period
-    if not period:
-        biggest = 1
-        with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if rec["chern"]:
-                    biggest = max(biggest, abs(rec["chern"]))
-        period = 2 * biggest + 1
-    painter = _Painter(config, period)
+    materializing the records; each line is decoded once."""
     with open(path) as fh:
-        for line in fh:
-            painter.paint(gap_from_dict(json.loads(line)))
-    return painter.image()
+        return render((gap_from_dict(json.loads(line)) for line in fh), config)
 
 
 def write_ppm(pixels: np.ndarray) -> bytes:
@@ -155,7 +121,8 @@ def write_ppm(pixels: np.ndarray) -> bytes:
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError("expected an (H, W, 3) uint8 array")
     h, w = pixels.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
+    # a memoryview avoids the extra image-sized copy tobytes() would make
+    return b"P6\n%d %d\n255\n" % (w, h) + memoryview(np.ascontiguousarray(pixels))
 
 
 def read_ppm(data: bytes) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -106,6 +107,19 @@ class TestResolveInWindow:
                 for sigma in w.members():
                     j = (p * sigma) % q
                     assert resolve_in_window(solve_residue(j, flux), w) == sigma
+
+    def test_arithmetic_matches_member_scan(self):
+        def scan(r, w):
+            return next((v for v in w.members() if v % w.modulus == r), None)
+
+        windows = [Window(0, 5, 5, frozenset({0}))]  # wider than q: 5 stands for 0
+        for q in range(1, 65):
+            tri = triangular_window(q)
+            windows += [square_window(q), tri,
+                        dataclasses.replace(tri, excluded=frozenset())]
+        for w in windows:
+            for r in range(w.modulus):
+                assert resolve_in_window(ResidueClass(r, w.modulus), w) == scan(r, w)
 
 
 class TestChainAssign:

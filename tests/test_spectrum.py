@@ -19,6 +19,7 @@ from hofbutter import (
     compute_bands_dense,
     compute_gaps,
     det_closed_form,
+    gap_chern,
     gaps_to_csv,
     spectrum_to_json,
 )
@@ -156,10 +157,22 @@ class TestBandEdgeKpoints:
                             lambda m: [BlochMomentum(0.0, 0.0)] * 2)
         with pytest.raises(BandContainmentError):
             compute_bands(model)
-        # the sweep's BandOverlapError handler retries with the dense scan
+        # compute_bands_or_dense retries with the dense scan
         cfg = ButterflyConfig(phi_d=0.3, computed_q_max=0)
         dicts, failure = butterfly._compute_flux((2, 7, cfg))
         assert failure is None and len(dicts) == 8
+
+    def test_bad_edge_momenta_fall_back_on_fhs_path(self, monkeypatch):
+        cfg = ButterflyConfig(phi_d=0.3)  # odd q <= computed_q_max: FHS colors
+        good, _ = butterfly._compute_flux((2, 7, cfg))
+        monkeypatch.setattr(spectrum, "_extremize_det",
+                            lambda m: [BlochMomentum(0.0, 0.0)] * 2)
+        dicts, failure = butterfly._compute_flux((2, 7, cfg))
+        assert failure is None
+        interior = [d for d in dicts if 0 < d["j"] < 7 and not d["closed"]]
+        assert interior and all(d["source"] == "computed_fhs" for d in interior)
+        assert [d["chern"] for d in dicts] == [d["chern"] for d in good]
+        assert gap_chern(HofstadterModel(Flux(2, 7), 0.3), 1) == dicts[1]["chern"]
 
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
