@@ -135,55 +135,54 @@ def _window_for(strategy: str, q: int, exclusions: bool):
 
 def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                   cfg: ButterflyConfig) -> list[GapRecord]:
-    """Assign Chern numbers to the open interior gaps of one flux."""
+    """Assign Chern numbers to the open interior gaps of one flux.
+
+    The strategy colors what it can.  Under the computed strategy, or
+    at q <= computed_q_max, the open gaps still gray go to FHS in one
+    ``gap_chern_table`` call.
+    """
     q = model.q
     strategy = cfg.resolver
-    computed: dict[int, int] = {}
-    source_tag = {"square": "window_square", "triangular": "window_triangular",
-                  "chain": "chain", "computed": "computed_fhs"}[strategy]
-
-    def computed_table():
-        if not computed and q > 1:
-            from .chern import gap_chern_table
-            for j, res in gap_chern_table(model, cfg.fhs_grid, cfg.eps_gap).items():
-                computed[j] = res.value
-        return computed
-
+    tag = {"square": "window_square", "triangular": "window_triangular",
+           "chain": "chain", "computed": "computed_fhs"}[strategy]
     window = _window_for(strategy, q, cfg.exclusions)
     out = []
     for rec in records:
-        if rec.j in (0, q) or rec.closed:
-            out.append(rec)
-            continue
         sigma = None
-        tag = source_tag
-        if strategy == "computed":
-            sigma = computed_table().get(rec.j)
-        elif strategy == "chain":
-            sigma = chain_assign(rec.j, model.flux)
-        elif window is not None:
-            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
-        if sigma is None and strategy != "computed" and q <= cfg.computed_q_max:
-            if computed_table().get(rec.j) is not None:
-                sigma = computed[rec.j]
-                tag = "computed_fhs"
-        if sigma is None:
-            out.append(replace(rec, chern=None, chern_source="unresolved"))
-        else:
-            out.append(replace(rec, chern=sigma, chern_source=tag))
+        if 0 < rec.j < q and not rec.closed:
+            if strategy == "chain":
+                sigma = chain_assign(rec.j, model.flux)
+            elif window is not None:
+                sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
+        out.append(rec if sigma is None else replace(rec, chern=sigma, chern_source=tag))
+    gray = [rec for rec in out if rec.chern is None and not rec.closed]
+    if gray and (strategy == "computed" or q <= cfg.computed_q_max):
+        # looked up at call time, so a wrapper on chern.gap_chern_table sees it
+        from .chern import gap_chern_table
+        table = gap_chern_table(model, gray, cfg.fhs_grid)
+        out = [replace(rec, chern=table[rec.j].value, chern_source="computed_fhs")
+               if rec.j in table else rec for rec in out]
     return out
 
 
+def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
+    """The gap records of flux p/q, colored by the configured resolver.
+
+    Every sweep and ``hofbutter dioph`` turn a flux into records here:
+    band edges (dense scan if the searched edges fail), gaps, then
+    ``_resolve_flux``.
+    """
+    model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
+    spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
+    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg)
+
+
 def _compute_flux(args):
-    """Worker: full per-flux pipeline returning JSON-ready dicts.  BLAS
+    """Worker: ``flux_records`` as JSON-ready dicts, or the failure.  BLAS
     threads are not pinned; test_determinism_across_jobs checks jobs=N."""
     (p, q, cfg) = args
-    model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
     try:
-        spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
-        records = compute_gaps(spectrum, cfg.eps_gap)
-        records = _resolve_flux(records, model, cfg)
-        return [gap_to_dict(r) for r in records], None
+        return [gap_to_dict(r) for r in flux_records(p, q, cfg)], None
     except Exception as exc:  # record, never abort the sweep
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
@@ -230,9 +229,8 @@ def sweep_to_jsonl(config: ButterflyConfig, path: str, progress=None):
     with open(path, "w") as fh:
         for dicts, failure in iter_flux_results(config, progress):
             for d in dicts:
-                fh.write(json.dumps(d, sort_keys=True))
-                fh.write("\n")
-                n += 1
+                _write_line(fh, d)
+            n += len(dicts)
             if failure:
                 failures.append(failure)
     return n, failures
@@ -293,19 +291,25 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
     return bad
 
 
+def _write_line(fh, record_dict: dict) -> None:
+    fh.write(json.dumps(record_dict, sort_keys=True))
+    fh.write("\n")
+
+
 def write_records_jsonl(records, path: str) -> None:
     """Stream gap records to JSON lines, one record per line."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(gap_to_dict(rec), sort_keys=True))
-            fh.write("\n")
+            _write_line(fh, gap_to_dict(rec))
+
+
+def decode_records(lines):
+    """Gap records of JSON lines, lazily; blank lines are skipped."""
+    for line in lines:
+        if line.strip():
+            yield gap_from_dict(json.loads(line))
 
 
 def read_records_jsonl(path: str) -> list[GapRecord]:
-    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(gap_from_dict(json.loads(line)))
-    return records
+        return list(decode_records(fh))

@@ -230,24 +230,21 @@ def _gap_chern_from_links(u1, u2, j):
     return _field_strength(u1j, u2j)
 
 
-def gap_chern_table(model: HofstadterModel, grid: int = GRID_DEFAULT,
-                    eps_gap: float = GAP_EPS_DEFAULT) -> dict[int, ChernResult]:
-    """FHS Chern numbers of every open interior gap in one sweep.
+def gap_chern_table(model: HofstadterModel, gaps,
+                    grid: int = GRID_DEFAULT) -> dict[int, ChernResult]:
+    """FHS Chern numbers of the open interior gaps among ``gaps``.
 
-    Shares a single grid eigendecomposition across gaps; rank-j
+    ``gaps`` are gap records of this model's flux; whether a gap is
+    open is their ``closed`` flag, so no spectrum is computed here.
+    One grid eigendecomposition is shared across the gaps; rank-j
     projector overlaps keep gaps below the target irrelevant.  Gaps
     whose grid separation collapses are skipped (unresolvable at this
-    grid), as are closed gaps.
+    grid).
     """
     q = model.q
-    spec = compute_bands_or_dense(model, compute_bands)
-    gaps = compute_gaps(spec, eps_gap)
-    open_js = [r.j for r in gaps if 0 < r.j < q and not r.closed]
+    remaining = {r.j for r in gaps if 0 < r.j < q and not r.closed}
     out: dict[int, ChernResult] = {}
-    if not open_js:
-        return out
     g = grid
-    remaining = set(open_js)
     prev: dict[int, int] = {}
     while remaining and g <= GRID_CAP:
         evs, vecs, _ = _grid_eigensystem(model, g)
@@ -278,6 +275,26 @@ def gap_chern_table(model: HofstadterModel, grid: int = GRID_DEFAULT,
     return out
 
 
+def certify_gap(model: HofstadterModel, j: int, grid: int = GRID_DEFAULT,
+                eps_gap: float = GAP_EPS_DEFAULT) -> ChernResult:
+    """FHS Chern number of gap j, with the grid and residual that
+    certified it.  Only gap j must be open (GapClosed otherwise) and
+    only gap j is certified; the outer gaps j = 0, q are 0 at grid 0."""
+    q = model.q
+    if not 0 <= j <= q:
+        raise ValueError(f"gap index {j} outside 0..{q}")
+    if j in (0, q):
+        return ChernResult(j, 0, "fhs", 0, 0.0)
+    spec = compute_bands_or_dense(model, compute_bands)
+    rec = compute_gaps(spec, eps_gap)[j]
+    if rec.closed:
+        raise GapClosed(f"gap {j} of {model.flux.p}/{q} has width {rec.width:.3e}")
+    table = gap_chern_table(model, [rec], grid)
+    if j not in table:
+        raise QuantizationFailure(f"gap {j}: no admissible grid up to {GRID_CAP}")
+    return table[j]
+
+
 def gap_chern(model: HofstadterModel, j: int, method: str = "fhs",
               grid: int = GRID_DEFAULT, eps_gap: float = GAP_EPS_DEFAULT) -> int:
     """Chern number of gap j: the summed Chern of all bands below it.
@@ -287,24 +304,10 @@ def gap_chern(model: HofstadterModel, j: int, method: str = "fhs",
     Raises GapClosed otherwise.  Transport certifies residues only;
     see gap_residue_transport.
     """
-    q = model.q
-    if not 0 <= j <= q:
-        raise ValueError(f"gap index {j} outside 0..{q}")
-    if j in (0, q):
-        return 0
-    if method == "transport":
-        raise ValueError("transport certifies only mod-q residues; "
-                         "use gap_residue_transport")
     if method != "fhs":
-        raise ValueError(f"unknown method {method!r}")
-    spec = compute_bands_or_dense(model, compute_bands)
-    rec = compute_gaps(spec, eps_gap)[j]
-    if rec.closed:
-        raise GapClosed(f"gap {j} of {model.flux.p}/{q} has width {rec.width:.3e}")
-    table = gap_chern_table(model, grid, eps_gap)
-    if j not in table:
-        raise QuantizationFailure(f"gap {j}: no admissible grid up to {GRID_CAP}")
-    return table[j].value
+        raise ValueError(f"method {method!r}: only 'fhs' gives gap Chern numbers; "
+                         "transport certifies mod-q residues (gap_residue_transport)")
+    return certify_gap(model, j, grid, eps_gap).value
 
 
 def band_chern_transport(model: HofstadterModel, n: int,

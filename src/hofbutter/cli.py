@@ -1,5 +1,10 @@
 """Command-line interface: spectrum | chern | dioph | butterfly | verify.
 
+``dioph`` is a view of one flux of a sweep: per gap it prints the
+residue s*j mod q and the sigma, source and violation of the record
+``butterfly.flux_records`` writes under the chosen resolver, with no
+FHS fallback (computed_q_max = 0).
+
 Every flag can also be supplied through a ``key = value`` config file
 (``--config``); explicit command-line flags win over file values.
 """
@@ -14,19 +19,22 @@ import time
 from . import __version__
 from .butterfly import (
     PHI_D_SYMMETRIC,
+    RESOLVERS,
     ButterflyConfig,
     ButterflyDiagram,
     detect_coloring_errors,
+    flux_records,
     read_records_jsonl,
     sweep_to_jsonl,
 )
 from .chern import (
     GapClosed,
+    band_chern_fhs,
     band_chern_transport,
-    gap_chern,
+    certify_gap,
     gap_residue_transport,
 )
-from .diophantine import chain_assign, resolve_in_window, solve_residue, square_window, triangular_window
+from .diophantine import solve_residue
 from .magnetic_algebra import Flux, HofstadterModel
 from .spectrum import (
     compute_bands_or_dense,
@@ -100,32 +108,27 @@ def cmd_spectrum(args) -> int:
 
 def cmd_chern(args) -> int:
     model = _model_from(args)
-    if args.band is not None:
-        res = band_chern_transport(model, args.band, args.steps) \
-            if args.method == "transport" else None
-        if res is not None:
-            payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
-                       "holonomy": res.holonomy_phase, "method": "transport",
-                       "grid": res.steps, "residual": res.phase_residual}
-        else:
-            from .chern import band_chern_fhs
-            r = band_chern_fhs(model, args.band, args.grid)
-            payload = {"band": args.band, "chern": r.value, "method": "fhs",
-                       "grid": r.grid, "residual": r.residual}
+    if args.band is not None and args.method == "transport":
+        res = band_chern_transport(model, args.band, args.steps)
+        payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
+                   "holonomy": res.holonomy_phase, "method": "transport",
+                   "grid": res.steps, "residual": res.phase_residual}
+    elif args.band is not None:
+        r = band_chern_fhs(model, args.band, args.grid)
+        payload = {"band": args.band, "chern": r.value, "method": "fhs",
+                   "grid": r.grid, "residual": r.residual}
+    elif args.method == "transport":
+        payload = {"j": args.gap, "chern": None,
+                   "chern_mod_q": gap_residue_transport(model, args.gap, args.steps),
+                   "method": "transport", "grid": args.steps, "residual": 0.0}
     else:
-        j = args.gap
-        if args.method == "transport":
-            payload = {"j": j, "chern": None,
-                       "chern_mod_q": gap_residue_transport(model, j, args.steps),
-                       "method": "transport", "grid": args.steps, "residual": 0.0}
-        else:
-            try:
-                value = gap_chern(model, j, "fhs", args.grid, args.eps_gap)
-            except GapClosed as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            payload = {"j": j, "chern": value, "method": "fhs",
-                       "grid": args.grid, "residual": 0.0}
+        try:
+            r = certify_gap(model, args.gap, args.grid, args.eps_gap)
+        except GapClosed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        payload = {"j": args.gap, "chern": r.value, "method": "fhs",
+                   "grid": r.grid, "residual": r.residual}
     if args.json or args.format == "json":
         _write_out(json.dumps(payload), args.out)
     else:
@@ -135,31 +138,21 @@ def cmd_chern(args) -> int:
 
 def cmd_dioph(args) -> int:
     flux = Flux(args.p, args.q)
-    q = flux.q
-    js = [args.j] if args.j is not None else list(range(q + 1))
-    computed = {}
-    if args.strategy == "computed":
-        from .chern import gap_chern_table
-        model = _model_from(args)
-        computed = {j: r.value for j, r in gap_chern_table(model, args.grid).items()}
+    if args.j is not None and not 0 <= args.j <= flux.q:
+        print(f"error: gap index {args.j} outside 0..{flux.q}", file=sys.stderr)
+        return 2
+    cfg = ButterflyConfig(phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
+                          resolver=args.strategy, computed_q_max=0,
+                          fhs_grid=args.grid)
+    records = flux_records(flux.p, flux.q, cfg)
     lines = []
-    for j in js:
-        rc = solve_residue(j, flux)
-        entry = {"p": flux.p, "q": q, "j": j, "residue": rc.residue,
-                 "strategy": args.strategy, "sigma": None}
-        if j in (0, q):
-            entry["sigma"] = 0
-        elif args.strategy == "square":
-            entry["sigma"] = resolve_in_window(rc, square_window(q))
-        elif args.strategy == "triangular":
-            entry["sigma"] = resolve_in_window(rc, triangular_window(q))
-        elif args.strategy == "chain":
-            entry["sigma"] = chain_assign(j, flux)
-        else:
-            entry["sigma"] = computed.get(j)
-        if entry["sigma"] is None:
-            entry["violation"] = "no window representative" \
-                if args.strategy in ("square", "triangular") else "unresolved"
+    for rec in records if args.j is None else [records[args.j]]:
+        entry = {"p": flux.p, "q": flux.q, "j": rec.j,
+                 "residue": solve_residue(rec.j, flux).residue,
+                 "strategy": args.strategy, "sigma": rec.chern,
+                 "source": rec.chern_source}
+        if rec.chern is None:
+            entry["violation"] = "closed" if rec.closed else "unresolved"
         lines.append(json.dumps(entry))
     _write_out("\n".join(lines), args.out)
     return 0
@@ -248,16 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_chern)
 
-    sp = sub.add_parser("dioph", help="Diophantine residues and window choices")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp = sub.add_parser("dioph", help="Diophantine residues and the sweep's choices")
+    _add_model_flags(sp)
     sp.add_argument("--j", type=int, help="single gap index (default: all)")
-    sp.add_argument("--strategy", choices=["square", "triangular", "chain", "computed"],
-                    default="square")
-    sp.add_argument("--phi-d", type=float, default=PHI_D_SYMMETRIC)
-    sp.add_argument("--t1", type=float, default=1.0)
-    sp.add_argument("--t2", type=float, default=1.0)
-    sp.add_argument("--t3", type=float, default=1.0)
+    sp.add_argument("--strategy", choices=RESOLVERS, default="square")
     sp.add_argument("--grid", type=int, default=32)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dioph)
@@ -268,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t1", type=float, default=1.0)
     sp.add_argument("--t2", type=float, default=1.0)
     sp.add_argument("--t3", type=float, default=1.0)
-    sp.add_argument("--resolver", choices=["square", "triangular", "chain", "computed"],
-                    default="triangular")
+    sp.add_argument("--resolver", choices=RESOLVERS, default="triangular")
     sp.add_argument("--no-exclusions", action="store_true",
                     help="force windows everywhere (reproduces wing miscolorings)")
     sp.add_argument("--computed-qmax", type=int, default=16)

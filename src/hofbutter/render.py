@@ -12,14 +12,12 @@ pixel-exact in the image.
 from __future__ import annotations
 
 import colorsys
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .butterfly import ButterflyConfig
-from .spectrum import gap_from_dict
+from .butterfly import ButterflyConfig, decode_records
 
 NEUTRAL = (245, 245, 245)   # sigma = 0
 SENTINEL = (128, 128, 128)  # unresolved
@@ -113,7 +111,7 @@ def render_jsonl(path: str, config: ButterflyConfig) -> bytes:
     """Stream a JSON-lines record file into an image without
     materializing the records; each line is decoded once."""
     with open(path) as fh:
-        return render((gap_from_dict(json.loads(line)) for line in fh), config)
+        return render(decode_records(fh), config)
 
 
 def write_ppm(pixels: np.ndarray) -> bytes:

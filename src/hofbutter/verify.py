@@ -192,8 +192,8 @@ def suite_chern() -> list[CheckResult]:
     detail = ""
     for p, q in [(1, 3), (2, 5), (3, 7), (4, 9)]:
         model = HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)
-        table = gap_chern_table(model)
         gaps = compute_gaps(compute_bands(model))
+        table = gap_chern_table(model, gaps)
         s = Flux(p, q).s
         for j, res in table.items():
             if (res.value - s * j) % q != 0:

@@ -50,6 +50,6 @@ def square_tables():
     for p, q in SQUARE_PAIRS:
         model = HofstadterModel(Flux(p, q), t3=0.0)
         gaps = compute_gaps(compute_bands(model))
-        cherns = {j: r.value for j, r in gap_chern_table(model).items()} if q > 1 else {}
+        cherns = {j: r.value for j, r in gap_chern_table(model, gaps).items()}
         tables[(p, q)] = SimpleNamespace(model=model, gaps=gaps, cherns=cherns)
     return tables

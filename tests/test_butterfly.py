@@ -14,6 +14,7 @@ from hofbutter import (
     read_records_jsonl,
     write_records_jsonl,
 )
+from hofbutter import butterfly, chern
 from hofbutter.render import read_ppm, render
 
 
@@ -100,6 +101,28 @@ class TestBuildDiagram:
         write_records_jsonl(d2.records, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert render(d1.records, cfg1) == render(d2.records, cfg2)
+
+    @pytest.mark.parametrize("resolver", ["computed", "triangular"])
+    def test_one_fhs_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
+        calls = {"table": 0, "spectrum": 0}
+        compute_bands = butterfly.compute_bands
+
+        def certifies_nothing(model, gaps, grid):
+            calls["table"] += 1
+            return {}
+
+        def counted(model):
+            calls["spectrum"] += 1
+            return compute_bands(model)
+
+        monkeypatch.setattr(chern, "gap_chern_table", certifies_nothing)
+        for module in (butterfly, chern):
+            monkeypatch.setattr(module, "compute_bands", counted)
+        cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
+        dicts, failure = butterfly._compute_flux((3, 7, cfg))
+        assert failure is None
+        assert calls == {"table": 1, "spectrum": 1}
+        assert all(d["chern"] is None for d in dicts if 0 < d["j"] < 7)
 
     def test_resolver_tags(self):
         diagram = build_diagram(ButterflyConfig(q_max=4, resolver="triangular",

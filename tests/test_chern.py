@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hofbutter import chern
 from hofbutter import (
     Flux,
     GapClosed,
@@ -13,6 +14,8 @@ from hofbutter import (
     band_chern_transport,
     berry_curvature,
     chern_bound,
+    compute_bands,
+    compute_gaps,
     curvature_field,
     gap_chern,
     gap_chern_table,
@@ -98,8 +101,22 @@ class TestGapChern:
     @pytest.mark.parametrize("pq", sorted(TRIANGULAR_TABLES))
     def test_frozen_tables(self, pq):
         model = HofstadterModel(Flux(*pq), PHI_D_SYMMETRIC)
-        table = {j: r.value for j, r in gap_chern_table(model).items()}
+        gaps = compute_gaps(compute_bands(model))
+        table = {j: r.value for j, r in gap_chern_table(model, gaps).items()}
         assert table == TRIANGULAR_TABLES[pq]
+
+    def test_only_gap_j_certified(self, monkeypatch):
+        handed = []
+        table = chern.gap_chern_table
+
+        def spy(model, gaps, grid):
+            handed.append([r.j for r in gaps])
+            return table(model, gaps, grid)
+
+        monkeypatch.setattr(chern, "gap_chern_table", spy)
+        res = chern.certify_gap(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1)
+        assert handed == [[1]]
+        assert (res.value, res.grid) == (-2, 64)
 
     def test_closed_gap_refused(self):
         model = HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC)
@@ -149,7 +166,6 @@ class TestChernBound:
             chern_bound(2, 5, 0.0)
 
     def test_bound_holds_on_frozen_tables(self):
-        from hofbutter import compute_bands, compute_gaps
         for (p, q), table in TRIANGULAR_TABLES.items():
             gaps = compute_gaps(compute_bands(
                 HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)))
@@ -181,6 +197,7 @@ class TestCrossChecks:
         for (p, q) in [(2, 5), (4, 9)]:
             a = TRIANGULAR_TABLES.get((p, q))
             model_b = HofstadterModel(Flux(q - p, q), PHI_D_SYMMETRIC)
-            b = {j: r.value for j, r in gap_chern_table(model_b).items()}
+            gaps_b = compute_gaps(compute_bands(model_b))
+            b = {j: r.value for j, r in gap_chern_table(model_b, gaps_b).items()}
             for j, sigma in a.items():
                 assert b[q - j] == sigma

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig
+from hofbutter.butterfly import RESOLVERS, _compute_flux
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
 
@@ -41,8 +43,9 @@ class TestChern:
                         capsys)
         assert code == 0
         payload = json.loads(out)
+        # j = 1 of 2/5 certifies at grid 64, stable after grid 32
         assert payload == {"j": 1, "chern": -2, "method": "fhs",
-                           "grid": 32, "residual": 0.0}
+                           "grid": 64, "residual": pytest.approx(0.0, abs=1e-12)}
 
     def test_gap_transport_residue(self, capsys):
         code, out = run(["chern", "--p", "2", "--q", "5", "--gap", "2",
@@ -90,6 +93,34 @@ class TestDioph:
         code, out = run(["dioph", "--p", "2", "--q", "5", "--j", "1",
                          "--strategy", "computed"], capsys)
         assert json.loads(out)["sigma"] == -2
+
+    def test_gap_out_of_range(self, capsys):
+        assert main(["dioph", "--p", "2", "--q", "5", "--j", "6"]) != 0
+        assert "outside 0..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", RESOLVERS)
+    @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
+    def test_sigma_is_the_sweep_record(self, capsys, strategy, phi_d):
+        # dioph is a view of the sweep without the FHS fallback; at 3/7 the
+        # triangular strategy defers every gap
+        cfg = ButterflyConfig(phi_d=phi_d, resolver=strategy, computed_q_max=0)
+        for p, q in [(1, 4), (2, 5), (3, 7), (4, 9)]:
+            dicts, failure = _compute_flux((p, q, cfg))
+            assert failure is None
+            code, out = run(["dioph", "--p", str(p), "--q", str(q),
+                             f"--phi-d={phi_d!r}", "--strategy", strategy], capsys)
+            lines = [json.loads(line) for line in out.strip().split("\n")]
+            assert code == 0
+            assert [e["sigma"] for e in lines] == [d["chern"] for d in dicts]
+            assert [e["source"] for e in lines] == [d["source"] for d in dicts]
+
+    def test_closed_gap_has_no_sigma(self, capsys):
+        # gap 2 of 1/3 is closed at phi_d = -pi/2; the square window has a
+        # representative of its class, but a closed gap carries no sigma
+        code, out = run(["dioph", "--p", "1", "--q", "3", "--j", "2"], capsys)
+        entry = json.loads(out)
+        assert entry["sigma"] is None
+        assert entry["violation"] == "closed"
 
 
 class TestButterfly:

@@ -148,3 +148,12 @@ class TestMatchesMaskRasterizer:
         path = str(tmp_path / "records.jsonl")
         write_records_jsonl(records, path)
         assert render_jsonl(path, cfg) == expected
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # read_records_jsonl skips blank lines; render_jsonl decodes the same way
+        cfg = ButterflyConfig(q_max=3, mu_bins=16, height=12)
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(HAND_RECORDS, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
+        assert render_jsonl(str(path), cfg) == render(HAND_RECORDS, cfg)
