@@ -10,7 +10,6 @@ comparisons between Farey-adjacent fluxes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -82,9 +81,7 @@ class ButterflyConfig:
     mu_bins: int = 1024              # horizontal (chemical potential) pixels
     height: int = 1024               # vertical (flux) pixels
     row_scale: float = 2.0           # row thickness = row_scale*H/(q*q_max)
-    energy_max: Optional[float] = None  # clamp for semi-infinite gaps
     colormap_period: Optional[int] = None
-    out: Optional[str] = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -97,15 +94,9 @@ class ButterflyConfig:
 
     @property
     def energy_clamp(self) -> float:
-        return self.energy_max if self.energy_max is not None else \
-            2.0 * (self.t1 + self.t2 + self.t3)
-
-    def config_hash(self) -> str:
-        """Hash of the fields that decide the records (not out, jobs)."""
-        fields = {k: v for k, v in dataclasses.asdict(self).items()
-                  if k not in ("out", "jobs")}
-        payload = json.dumps(fields, sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """Energy at which semi-infinite gaps are clipped: the spectral
+        bound 2(t1 + t2 + t3)."""
+        return 2.0 * (self.t1 + self.t2 + self.t3)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Command-line interface: spectrum | chern | dioph | butterfly | verify.
+"""Command-line interface: spectrum | chern | dioph | butterfly.
 
 ``dioph`` is a view of one flux of a sweep: per gap it prints the
 residue s*j mod q and the sigma, source and violation of the record
@@ -43,7 +43,6 @@ from .spectrum import (
     spectrum_to_json,
 )
 from .render import render_jsonl
-from .verify import SUITES, run_suites
 
 
 def _load_config_file(path: str) -> dict:
@@ -129,7 +128,7 @@ def cmd_chern(args) -> int:
             return 2
         payload = {"j": args.gap, "chern": r.value, "method": "fhs",
                    "grid": r.grid, "residual": r.residual}
-    if args.json or args.format == "json":
+    if args.format == "json":
         _write_out(json.dumps(payload), args.out)
     else:
         _write_out(" ".join(f"{k}={v}" for k, v in payload.items()), args.out)
@@ -165,7 +164,7 @@ def cmd_butterfly(args) -> int:
         computed_q_max=args.computed_qmax, fhs_grid=args.grid,
         eps_gap=args.eps_gap, mu_bins=args.mu_bins, height=args.height,
         row_scale=args.row_scale, colormap_period=args.colormap_period,
-        out=args.out, jobs=args.jobs)
+        jobs=args.jobs)
     t0 = time.time()
 
     def progress(done, total):
@@ -203,17 +202,6 @@ def cmd_butterfly(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    results, ok = run_suites(names)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        detail = f"  [{r.detail}]" if r.detail else ""
-        print(f"{status}  {r.name}{detail}")
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hofbutter",
@@ -230,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chern", help="Chern number of a gap or band")
     _add_model_flags(sp)
-    sp.add_argument("--gap", type=int, help="gap index j in [0, q]")
-    sp.add_argument("--band", type=int, help="band index in [1, q]")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--gap", type=int, help="gap index j in [0, q]")
+    target.add_argument("--band", type=int, help="band index in [1, q]")
     sp.add_argument("--method", choices=["fhs", "transport"], default="fhs")
     sp.add_argument("--grid", type=int, default=32)
     sp.add_argument("--steps", type=int, default=256)
     sp.add_argument("--eps-gap", type=float, default=1e-8)
-    sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_chern)
@@ -272,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--out", help="output path base")
     sp.set_defaults(func=cmd_butterfly)
-
-    sp = sub.add_parser("verify", help="run invariant suites")
-    sp.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    sp.set_defaults(func=cmd_verify)
     return parser
 
 

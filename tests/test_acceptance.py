@@ -155,13 +155,16 @@ def test_criterion_05_square_window(square_tables):
 
 def test_criterion_06_chambers_k_independence():
     rng = np.random.default_rng(2024)
+    hoppings = np.random.default_rng(2025)
     worst = 0.0
     for _ in range(20):
         q = int(rng.integers(2, 14))
         p = int(rng.choice([x for x in range(1, q) if math.gcd(x, q) == 1]))
-        model = HofstadterModel(Flux(p, q), float(rng.uniform(-PI, PI)))
-        dev = chambers_polynomial(model, check_points=5).max_rel_dev
-        worst = max(worst, dev)
+        phi_d = float(rng.uniform(-PI, PI))
+        for t in [(1.0, 1.0, 1.0), hoppings.uniform(0.2, 1.8, 3)]:
+            model = HofstadterModel(Flux(p, q), phi_d, *t)
+            dev = chambers_polynomial(model, check_points=5).max_rel_dev
+            worst = max(worst, dev)
     assert worst <= 1e-9
     report(6, True, f"max rel dev {worst:.2e}")
 
@@ -170,7 +173,7 @@ def test_criterion_07_closed_form_determinant():
     rng = np.random.default_rng(4096)
     worst = 0.0
     for phi_d in (PI / 2, -PI / 2):
-        for _ in range(50):
+        for _ in range(100):
             q = int(rng.integers(1, 14))
             p = int(rng.choice([x for x in range(1, q + 1) if math.gcd(x, q) == 1]))
             model = HofstadterModel(Flux(p, q), phi_d)

@@ -175,11 +175,12 @@ class TestChernBound:
 
 class TestCrossChecks:
     def test_method_agreement(self):
-        for p, q in [(1, 4), (2, 5), (3, 7)]:
-            model = HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)
-            for n in range(1, q + 1):
+        models = [SQUARE_13] + [HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)
+                                for p, q in [(1, 4), (2, 5), (3, 7)]]
+        for model in models:
+            for n in range(1, model.q + 1):
                 fhs = band_chern_fhs(model, n).value
-                assert band_chern_transport(model, n).chern_mod_q == fhs % q
+                assert band_chern_transport(model, n).chern_mod_q == fhs % model.q
 
     def test_band_cherns_sum_to_zero(self):
         for p, q in [(1, 4), (2, 5), (3, 7)]:

@@ -39,8 +39,8 @@ class TestSpectrum:
 
 class TestChern:
     def test_gap_fhs_json(self, capsys):
-        code, out = run(["chern", "--p", "2", "--q", "5", "--gap", "1", "--json"],
-                        capsys)
+        code, out = run(["chern", "--p", "2", "--q", "5", "--gap", "1",
+                         "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
         # j = 1 of 2/5 certifies at grid 64, stable after grid 32
@@ -49,7 +49,7 @@ class TestChern:
 
     def test_gap_transport_residue(self, capsys):
         code, out = run(["chern", "--p", "2", "--q", "5", "--gap", "2",
-                         "--method", "transport", "--json"], capsys)
+                         "--method", "transport", "--format", "json"], capsys)
         payload = json.loads(out)
         assert code == 0
         assert payload["chern"] is None
@@ -57,13 +57,24 @@ class TestChern:
 
     def test_band_transport(self, capsys):
         code, out = run(["chern", "--p", "1", "--q", "3", "--band", "1",
-                         "--t3", "0", "--method", "transport", "--json"], capsys)
+                         "--t3", "0", "--method", "transport", "--format", "json"],
+                        capsys)
         payload = json.loads(out)
         assert payload["chern_mod_q"] == 1
 
     def test_closed_gap_errors(self, capsys):
         code = main(["chern", "--p", "1", "--q", "3", "--gap", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("target", [[], ["--gap", "1", "--band", "1"]])
+    def test_needs_exactly_one_of_gap_and_band(self, capsys, target):
+        with pytest.raises(SystemExit) as exc:
+            main(["chern", "--p", "2", "--q", "5", *target])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hofbutter chern")
+        error = err.strip().splitlines()[-1]
+        assert error.startswith("hofbutter chern: error:") and "--band" in error
 
 
 class TestDioph:
@@ -144,13 +155,6 @@ class TestButterfly:
                          "--out", str(base)], capsys)
         assert code == 0
         assert "inconsistent" in out
-
-
-class TestVerify:
-    def test_diophantine_suite_passes(self, capsys):
-        code, out = run(["verify", "--suite", "diophantine"], capsys)
-        assert code == 0
-        assert "FAIL" not in out
 
 
 class TestConfigFile:

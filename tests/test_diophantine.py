@@ -242,6 +242,10 @@ def test_distinct_sigma_per_flux(triangular_tables):
 
 
 def test_conjecture_bound(triangular_tables):
-    # tested, not proved: every computed sigma satisfies -q <= sigma <= q
+    # tested, not proved: the mod-q ambiguity is a sign ambiguity, so every
+    # computed sigma is r or r - q with r = s*j mod q
     for (p, q), entry in triangular_tables.items():
-        assert all(-q <= v <= q for v in entry.cherns.values())
+        s = Flux(p, q).s
+        for j, sigma in entry.cherns.items():
+            r = s * j % q
+            assert sigma in (r, r - q), f"{p}/{q} gap {j}: {sigma}"

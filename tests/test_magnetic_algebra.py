@@ -84,8 +84,8 @@ class TestClockShift:
         assert np.allclose(S, np.diag([-1.0, 1.0]))
         assert np.allclose(T, [[0.0, 1.0], [1.0, 0.0]])
 
-    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 5), (3, 7),
-                                     (5, 13), (7, 32), (63, 64)])
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 3), (2, 5), (3, 7), (3, 8),
+                                     (5, 13), (8, 21), (13, 34), (7, 32), (63, 64)])
     def test_algebra(self, p, q):
         flux = Flux(p, q)
         S, T = clock_shift(flux)
@@ -151,6 +151,18 @@ class TestMagneticSymmetry:
             r1, r2 = magnetic_symmetry_residual(model, rng.uniform(-PI, PI, 2))
             assert max(r1, r2) <= 1e-12
 
+    def test_random_models(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            q = int(rng.integers(2, 14))
+            p = int(rng.choice([x for x in range(1, q) if math.gcd(x, q) == 1]))
+            phi_d = float(rng.uniform(-PI, PI))
+            for t in [(1.0, 1.0, 1.0), rng.uniform(0.0, 2.0, 3)]:
+                model = HofstadterModel(Flux(p, q), phi_d, *t)
+                for _ in range(5):
+                    r1, r2 = magnetic_symmetry_residual(model, rng.uniform(-PI, PI, 2))
+                    assert max(r1, r2) <= 1e-12
+
 
 class TestInversion:
     def test_q1_zero(self):
@@ -167,7 +179,7 @@ class TestInversion:
 
 
 def test_square_limit_ignores_phi_d():
-    for p, q in [(1, 3), (1, 4), (2, 5), (3, 7)]:
+    for p, q in [(1, 3), (1, 4), (2, 5), (3, 7), (4, 9)]:
         a = compute_bands(HofstadterModel(Flux(p, q), 0.9, t3=0.0)).bands
         b = compute_bands(HofstadterModel(Flux(p, q), -2.2, t3=0.0)).bands
         assert np.abs(np.array(a) - np.array(b)).max() <= 1e-10

@@ -202,7 +202,9 @@ class TestComputeBands:
 
     @pytest.mark.parametrize("p,q,t", [(1, 5, (1.0, 1.0, 1.0)),
                                        (2, 7, (1.0, 0.8, 0.6)),
-                                       (3, 8, (0.5, 1.6, 1.1))])
+                                       (3, 8, (0.5, 1.6, 1.1))] +
+                             [(1, q, (1.0, 1.0, 1.0)) for q in (3, 4, 7, 8)] +
+                             [(1, q, (1.0, 0.8, 0.6)) for q in (3, 4, 5, 7, 8)])
     def test_searched_edges_match_dense(self, p, q, t):
         model = HofstadterModel(Flux(p, q), 0.3, *t)
         fast = np.array(compute_bands(model).bands)
@@ -233,9 +235,13 @@ class TestComputeGaps:
         assert [g.j for g in gaps if g.closed] == [1]
 
     def test_record_count_and_widths(self):
-        for p, q in [(1, 2), (2, 5), (5, 13)]:
-            gaps = compute_gaps(compute_bands(HofstadterModel(Flux(p, q), PI / 2)))
-            assert len(gaps) == q + 1
+        rng = np.random.default_rng(23)
+        models = [HofstadterModel(Flux(p, q), PI / 2) for p, q in [(1, 2), (2, 5), (5, 13)]]
+        models += [HofstadterModel(Flux(p, q), float(rng.uniform(-PI, PI)))
+                   for q in range(2, 14) for p in range(1, q) if math.gcd(p, q) == 1]
+        for model in models:
+            gaps = compute_gaps(compute_bands(model))
+            assert len(gaps) == model.q + 1
             assert all(g.width >= 0 for g in gaps)
             assert math.isinf(gaps[0].width) and math.isinf(gaps[-1].width)
 
