@@ -31,7 +31,6 @@ from .spectrum import (
 )
 from .chern import (
     ChernResult,
-    CurvatureField,
     GapClosed,
     GridDegeneracy,
     QuantizationFailure,
@@ -39,9 +38,8 @@ from .chern import (
     band_chern_fhs,
     band_chern_transport,
     berry_curvature,
+    certify_gap,
     chern_bound,
-    curvature_field,
-    gap_chern,
     gap_chern_table,
     gap_residue_transport,
 )

@@ -9,7 +9,6 @@ comparisons between Farey-adjacent fluxes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +73,7 @@ class ButterflyConfig:
     t2: float = 1.0
     t3: float = 1.0
     resolver: str = "triangular"
-    exclusions: bool = True          # honor the known-bad window slots
+    exclusions: bool = True          # defer odd q, which has no triangular window
     computed_q_max: int = 16         # direct-Chern fallback threshold
     fhs_grid: int = 32
     eps_gap: float = GAP_EPS_DEFAULT
@@ -118,10 +117,7 @@ def _window_for(strategy: str, q: int, exclusions: bool):
         return square_window(q)
     if strategy != "triangular" or (exclusions and q % 2 == 1):
         return None
-    w = triangular_window(q)
-    if not exclusions:
-        w = dataclasses.replace(w, excluded=frozenset())
-    return w
+    return triangular_window(q)
 
 
 def _resolve_flux(records: list[GapRecord], model: HofstadterModel,

@@ -1,14 +1,17 @@
 """Band and gap Chern numbers.
 
-Two independent routes are implemented.  The workhorse is a
-gauge-invariant plaquette (link-variable) discretization of the Berry
-curvature over the magnetic Brillouin zone, computed from rank-j
-projector overlap determinants so that only the target gap needs to be
-open.  The oracle is discrete Kato parallel transport around the
-2*pi/q reduced cell, whose holonomy fixes every band's Chern residue
-mod q.  Orientation is chosen so that the two agree and the square
-model reproduces its known window; with it the curvature quadrature of
-``berry_curvature`` integrates to the same integers.
+Two independent routes are implemented.  The workhorse is the
+Fukui-Hatsugai-Suzuki plaquette (link-variable) discretization of the
+Berry curvature over the magnetic Brillouin zone, taken from overlap
+determinants of an eigenvector block (a, b), the bands a+1..b.  Band n
+is the block (n-1, n); the bands below gap j are the block (0, j).
+Only the block's bounding gaps a and b need to be open, so touchings
+inside the block do not matter.  One certifier, ``_certify``, serves
+bands and gaps alike.  The oracle is discrete Kato parallel transport
+around the 2*pi/q reduced cell, whose holonomy fixes every band's
+Chern residue mod q.  Orientation is chosen so that the two agree and
+the square model reproduces its known window; with it the curvature
+quadrature of ``berry_curvature`` integrates to the same integers.
 """
 
 from __future__ import annotations
@@ -79,19 +82,6 @@ class TransportResult:
     steps: int
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Per-plaquette Berry field strength on an n1 x n2 grid."""
-
-    n1: int
-    n2: int
-    values: np.ndarray
-
-    def total(self) -> float:
-        """Sum over plaquettes / 2*pi; near-integer for an isolated band."""
-        return float(self.values.sum() / (2.0 * math.pi))
-
-
 def berry_curvature(model: HofstadterModel, n: int, k, gap_tol: float = DEGENERACY_TOL) -> float:
     """Adiabatic curvature of band n (1-based) at momentum k.
 
@@ -126,9 +116,7 @@ def _grid_eigensystem(model: HofstadterModel, n_grid: int):
     k1 = -math.pi + (np.arange(n_grid) + 0.5) * (2.0 * math.pi / n_grid)
     k2 = -math.pi / q + (np.arange(n_grid) + 0.5) * (2.0 * math.pi / (q * n_grid))
     K1, K2 = np.meshgrid(k1, k2, indexing="ij")
-    H = hamiltonian_batch(model, K1, K2)
-    evs, vecs = np.linalg.eigh(H)
-    return evs, vecs, (K1, K2)
+    return np.linalg.eigh(hamiltonian_batch(model, K1, K2))
 
 
 def _overlap_links(model: HofstadterModel, vecs: np.ndarray):
@@ -162,72 +150,86 @@ def _field_strength(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.angle(plaq)
 
 
-def _band_isolation(evs: np.ndarray, n: int):
-    """Min distance of band n (1-based) to its neighbors over the grid."""
-    i = n - 1
-    dist = math.inf
-    where = None
-    if i > 0:
-        d = evs[..., i] - evs[..., i - 1]
-        j = np.unravel_index(int(np.argmin(d)), d.shape)
-        if d[j] < dist:
-            dist, where = float(d[j]), j
-    if i < evs.shape[-1] - 1:
-        d = evs[..., i + 1] - evs[..., i]
-        j = np.unravel_index(int(np.argmin(d)), d.shape)
-        if d[j] < dist:
-            dist, where = float(d[j]), j
-    return dist, where
+def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, ChernResult]:
+    """FHS Chern numbers of eigenvector blocks, keyed as ``blocks``.
 
-
-def curvature_field(model: HofstadterModel, n: int, grid: int = GRID_DEFAULT) -> CurvatureField:
-    """Plaquette field strength of band n on the magnetic-BZ grid."""
-    q = model.q
-    if not 1 <= n <= q:
-        raise ValueError(f"band index {n} outside 1..{q}")
-    evs, vecs, (K1, K2) = _grid_eigensystem(model, grid)
-    if q > 1:
-        dist, where = _band_isolation(evs, n)
-        if dist < DEGENERACY_TOL:
-            raise GridDegeneracy(
-                f"band {n} degenerate on grid (gap {dist:.2e})",
-                k=(float(K1[where]), float(K2[where])))
-    u_full1, u_full2 = _overlap_links(model, vecs)
-    u1 = u_full1[..., n - 1, n - 1]
-    u2 = u_full2[..., n - 1, n - 1]
-    return CurvatureField(grid, grid, _field_strength(u1, u2))
-
-
-def band_chern_fhs(model: HofstadterModel, n: int, grid: int = GRID_DEFAULT) -> ChernResult:
-    """Integer Chern number of an isolated band by plaquette sums.
+    ``blocks`` maps a result index to a block (a, b), the bands
+    a+1..b.  Each grid level takes one eigendecomposition and one pair
+    of overlap links for all blocks.  A block skips a grid where its
+    bounding level a or b touches the level below, or where an overlap
+    determinant vanishes.
 
     The lattice sum is an exact integer at any grid, so a small
     quantization residual alone cannot certify convergence; narrow
     features can alias a plaquette by a full turn.  A value is accepted
-    only when admissible (no plaquette angle near +/-pi) and stable
-    under grid doubling, up to the grid cap.
+    only when admissible (no plaquette angle near +/-pi) and equal at
+    two successive grids, up to the grid cap.  Blocks that never pass
+    are absent from the result.
     """
+    q = model.q
+    remaining = dict(blocks)
+    out: dict[int, ChernResult] = {}
+    prev: dict[int, int] = {}
     g = grid
-    prev = None
-    while g <= GRID_CAP:
-        fld = curvature_field(model, n, g)
-        total = fld.total()
-        residual = abs(total - round(total))
-        value = int(round(total))
-        admissible = (residual <= QUANTIZATION_TOL
-                      and np.abs(fld.values).max() < ADMISSIBILITY)
-        if admissible and prev == value:
-            return ChernResult(n, value, "fhs", g, residual)
-        prev = value if admissible else None
+    while remaining and g <= GRID_CAP:
+        evs, vecs = _grid_eigensystem(model, g)
+        u1, u2 = _overlap_links(model, vecs)
+        for key, (a, b) in sorted(remaining.items()):
+            if any(0 < e < q and (evs[..., e] - evs[..., e - 1]).min() < DEGENERACY_TOL
+                   for e in (a, b)):
+                continue
+            try:
+                field = _field_strength(np.linalg.det(u1[..., a:b, a:b]),
+                                        np.linalg.det(u2[..., a:b, a:b]))
+            except GridDegeneracy:
+                continue
+            total = field.sum() / (2.0 * math.pi)
+            residual = abs(total - round(total))
+            value = int(round(total))
+            admissible = (residual <= QUANTIZATION_TOL
+                          and np.abs(field).max() < ADMISSIBILITY)
+            if admissible and prev.get(key) == value:
+                out[key] = ChernResult(key, value, "fhs", g, float(residual))
+                del remaining[key]
+            elif admissible:
+                prev[key] = value
+            else:
+                prev.pop(key, None)
         g *= 2
-    raise QuantizationFailure(
-        f"band {n}: no stable admissible field strength up to grid {GRID_CAP}")
+    return out
 
 
-def _gap_chern_from_links(u1, u2, j):
-    u1j = np.linalg.det(u1[..., :j, :j])
-    u2j = np.linalg.det(u2[..., :j, :j])
-    return _field_strength(u1j, u2j)
+def _certify_block(model: HofstadterModel, index: int, a: int, b: int,
+                   grid: int, eps_gap: float) -> ChernResult:
+    """Certify the one block (a, b) as result ``index``.
+
+    Computes the spectrum once and raises GapClosed unless both
+    bounding gaps a and b are open; QuantizationFailure if no grid up
+    to the cap certifies the block.
+    """
+    gaps = compute_gaps(compute_bands_or_dense(model, compute_bands), eps_gap)
+    for rec in (gaps[a], gaps[b]):
+        if rec.closed:
+            raise GapClosed(
+                f"gap {rec.j} of {model.flux.p}/{model.q} has width {rec.width:.3e}")
+    table = _certify(model, {index: (a, b)}, grid)
+    if index not in table:
+        raise QuantizationFailure(f"bands {a + 1}..{b} of {model.flux.p}/{model.q}: no stable "
+                                  f"admissible field strength up to grid {GRID_CAP}")
+    return table[index]
+
+
+def band_chern_fhs(model: HofstadterModel, n: int, grid: int = GRID_DEFAULT,
+                   eps_gap: float = GAP_EPS_DEFAULT) -> ChernResult:
+    """Integer Chern number of band n, the block (n-1, n).
+
+    The band must be isolated: gaps n-1 and n open (GapClosed
+    otherwise).
+    """
+    q = model.q
+    if not 1 <= n <= q:
+        raise ValueError(f"band index {n} outside 1..{q}")
+    return _certify_block(model, n, n - 1, n, grid, eps_gap)
 
 
 def gap_chern_table(model: HofstadterModel, gaps,
@@ -236,78 +238,28 @@ def gap_chern_table(model: HofstadterModel, gaps,
 
     ``gaps`` are gap records of this model's flux; whether a gap is
     open is their ``closed`` flag, so no spectrum is computed here.
-    One grid eigendecomposition is shared across the gaps; rank-j
-    projector overlaps keep gaps below the target irrelevant.  Gaps
-    whose grid separation collapses are skipped (unresolvable at this
-    grid).
+    Gap j is the block (0, j) of all bands below it, so band touchings
+    below the gap do not matter.  Gaps that no grid certifies are
+    absent from the table.
     """
     q = model.q
-    remaining = {r.j for r in gaps if 0 < r.j < q and not r.closed}
-    out: dict[int, ChernResult] = {}
-    g = grid
-    prev: dict[int, int] = {}
-    while remaining and g <= GRID_CAP:
-        evs, vecs, _ = _grid_eigensystem(model, g)
-        u1, u2 = _overlap_links(model, vecs)
-        for j in sorted(remaining):
-            sep = float((evs[..., j] - evs[..., j - 1]).min())
-            if sep < DEGENERACY_TOL:
-                continue
-            try:
-                field = _gap_chern_from_links(u1, u2, j)
-            except GridDegeneracy:
-                continue
-            total = field.sum() / (2.0 * math.pi)
-            residual = abs(total - round(total))
-            value = int(round(total))
-            admissible = (residual <= QUANTIZATION_TOL
-                          and np.abs(field).max() < ADMISSIBILITY)
-            # the exact-integer lattice sum certifies only once it is
-            # stable under grid doubling
-            if admissible and prev.get(j) == value:
-                out[j] = ChernResult(j, value, "fhs", g, float(residual))
-            elif admissible:
-                prev[j] = value
-            else:
-                prev.pop(j, None)
-        remaining -= set(out)
-        g *= 2
-    return out
+    return _certify(model, {r.j: (0, r.j) for r in gaps if 0 < r.j < q and not r.closed},
+                    grid)
 
 
 def certify_gap(model: HofstadterModel, j: int, grid: int = GRID_DEFAULT,
                 eps_gap: float = GAP_EPS_DEFAULT) -> ChernResult:
-    """FHS Chern number of gap j, with the grid and residual that
-    certified it.  Only gap j must be open (GapClosed otherwise) and
-    only gap j is certified; the outer gaps j = 0, q are 0 at grid 0."""
+    """FHS Chern number of gap j, the summed Chern of all bands below
+    it, with the grid and residual that certified it.  Only gap j must
+    be open (GapClosed otherwise); the outer gaps j = 0, q are 0 at
+    grid 0.  Transport certifies residues only; see
+    gap_residue_transport."""
     q = model.q
     if not 0 <= j <= q:
         raise ValueError(f"gap index {j} outside 0..{q}")
     if j in (0, q):
         return ChernResult(j, 0, "fhs", 0, 0.0)
-    spec = compute_bands_or_dense(model, compute_bands)
-    rec = compute_gaps(spec, eps_gap)[j]
-    if rec.closed:
-        raise GapClosed(f"gap {j} of {model.flux.p}/{q} has width {rec.width:.3e}")
-    table = gap_chern_table(model, [rec], grid)
-    if j not in table:
-        raise QuantizationFailure(f"gap {j}: no admissible grid up to {GRID_CAP}")
-    return table[j]
-
-
-def gap_chern(model: HofstadterModel, j: int, method: str = "fhs",
-              grid: int = GRID_DEFAULT, eps_gap: float = GAP_EPS_DEFAULT) -> int:
-    """Chern number of gap j: the summed Chern of all bands below it.
-
-    Computed from rank-j projector overlaps, which stay smooth across
-    band touchings below the gap; only gap j itself must be open.
-    Raises GapClosed otherwise.  Transport certifies residues only;
-    see gap_residue_transport.
-    """
-    if method != "fhs":
-        raise ValueError(f"method {method!r}: only 'fhs' gives gap Chern numbers; "
-                         "transport certifies mod-q residues (gap_residue_transport)")
-    return certify_gap(model, j, grid, eps_gap).value
+    return _certify_block(model, j, 0, j, grid, eps_gap)
 
 
 def band_chern_transport(model: HofstadterModel, n: int,

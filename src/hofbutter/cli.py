@@ -60,15 +60,28 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(parser_defaults, key, raw):
-    ref = parser_defaults.get(key)
-    if isinstance(ref, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(ref, int):
-        return int(raw)
-    if isinstance(ref, float):
-        return float(raw)
-    return raw
+def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) -> list:
+    """argv with config-file values inserted as flags right after the
+    subcommand, so the parser types and checks them and the explicit
+    flags that follow win.  A boolean flag is passed when its value is
+    1, true, yes or on; keys the subcommand does not define are ignored.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    at = next((i for i, a in enumerate(argv) if a in sub.choices), None)
+    if at is None:
+        return argv
+    actions = sub.choices[argv[at]]._option_string_actions
+    flags = []
+    for key, raw in values.items():
+        flag = "--" + key.replace("_", "-")
+        action = actions.get(flag)
+        if action is None or isinstance(action, argparse._HelpAction):
+            continue
+        if action.nargs != 0:
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 def _model_from(args) -> HofstadterModel:
@@ -112,21 +125,21 @@ def cmd_chern(args) -> int:
         payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
                    "holonomy": res.holonomy_phase, "method": "transport",
                    "grid": res.steps, "residual": res.phase_residual}
-    elif args.band is not None:
-        r = band_chern_fhs(model, args.band, args.grid)
-        payload = {"band": args.band, "chern": r.value, "method": "fhs",
-                   "grid": r.grid, "residual": r.residual}
     elif args.method == "transport":
         payload = {"j": args.gap, "chern": None,
                    "chern_mod_q": gap_residue_transport(model, args.gap, args.steps),
                    "method": "transport", "grid": args.steps, "residual": 0.0}
     else:
         try:
-            r = certify_gap(model, args.gap, args.grid, args.eps_gap)
+            if args.band is not None:
+                r = band_chern_fhs(model, args.band, args.grid, args.eps_gap)
+            else:
+                r = certify_gap(model, args.gap, args.grid, args.eps_gap)
         except GapClosed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        payload = {"j": args.gap, "chern": r.value, "method": "fhs",
+        key = "band" if args.band is not None else "j"
+        payload = {key: r.index, "chern": r.value, "method": "fhs",
                    "grid": r.grid, "residual": r.residual}
     if args.format == "json":
         _write_out(json.dumps(payload), args.out)
@@ -265,25 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config FILE provides defaults; explicit flags override
+    parser = build_parser()
     if "--config" in argv:
         i = argv.index("--config")
-        path = argv[i + 1]
+        values = _load_config_file(argv[i + 1])
         del argv[i:i + 2]
-        file_values = _load_config_file(path)
-    else:
-        file_values = {}
-    parser = build_parser()
+        argv = _with_file_flags(parser, argv, values)
     args = parser.parse_args(argv)
-    if file_values:
-        defaults = vars(args)
-        for key, raw in file_values.items():
-            if key in defaults:
-                provided = any(
-                    a == f"--{key.replace('_', '-')}" or
-                    a.startswith(f"--{key.replace('_', '-')}=") for a in argv)
-                if not provided:
-                    setattr(args, key, _coerce(defaults, key, raw))
     return args.func(args)
 
 

@@ -32,31 +32,26 @@ def solve_residue(j: int, flux: Flux) -> ResidueClass:
 
 @dataclass(frozen=True)
 class Window:
-    """An integer interval [lo, hi] minus exclusions, holding at most
-    one representative of every residue class mod ``modulus``."""
+    """An integer interval [lo, hi] holding at most one representative
+    of every residue class mod ``modulus``."""
 
     lo: int
     hi: int
     modulus: int
-    excluded: frozenset = frozenset()
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        members = [v for v in range(self.lo, self.hi + 1) if v not in self.excluded]
-        seen = {}
-        for v in members:
-            r = v % self.modulus
-            if r in seen:
-                raise ValueError(
-                    f"window [{self.lo},{self.hi}] holds two representatives "
-                    f"({seen[r]}, {v}) of class {r} mod {self.modulus}")
-            seen[r] = v
+        if self.hi - self.lo >= self.modulus:
+            raise ValueError(
+                f"window [{self.lo},{self.hi}] holds two representatives "
+                f"({self.lo}, {self.lo + self.modulus}) of class "
+                f"{self.lo % self.modulus} mod {self.modulus}")
 
     def members(self) -> list[int]:
-        return [v for v in range(self.lo, self.hi + 1) if v not in self.excluded]
+        return list(range(self.lo, self.hi + 1))
 
 
 def square_window(q: int) -> Window:
@@ -74,31 +69,26 @@ def triangular_window(q: int) -> Window:
     """The shifted window [1-q/2, q/2] for even q.
 
     No odd-q form is established; the naive symmetric interval is
-    returned with the two boundary classes (the +/-(q-1)/2 slots whose
-    alternative representative has comparable size) marked excluded,
-    since resolving those classes by window is exactly what produces
-    wing-coloring errors.
+    returned.  The sweep defers odd q instead of using it unless window
+    exclusions are switched off, since resolving the boundary classes
+    +/-(q-1)/2 by window is exactly what produces wing-coloring errors.
     """
     if q < 1:
         raise ValueError("q must be positive")
     if q % 2 == 0:
         return Window(1 - q // 2, q // 2, q)
     b = (q - 1) // 2
-    excluded = frozenset({-b, b}) if q > 1 else frozenset()
-    return Window(-b, b, q, excluded)
+    return Window(-b, b, q)
 
 
 def resolve_in_window(rc: ResidueClass, window: Window) -> Optional[int]:
-    """The unique window member congruent to rc, or None if the window
-    cannot color this class (the wing-miscoloring failure mode).  The
-    first candidate is lo + (r - lo) mod q; an excluded one yields to the
-    next, q higher."""
+    """The unique window member congruent to rc, lo + (r - lo) mod q,
+    or None if the window cannot color this class (the
+    wing-miscoloring failure mode)."""
     if rc.modulus != window.modulus:
         raise ValueError(
             f"residue modulus {rc.modulus} != window modulus {window.modulus}")
     v = window.lo + (rc.residue - window.lo) % window.modulus
-    while v in window.excluded:
-        v += window.modulus
     return v if v <= window.hi else None
 
 

@@ -13,11 +13,10 @@ from hofbutter import (
     band_chern_fhs,
     band_chern_transport,
     berry_curvature,
+    certify_gap,
     chern_bound,
     compute_bands,
     compute_gaps,
-    curvature_field,
-    gap_chern,
     gap_chern_table,
     gap_residue_transport,
 )
@@ -82,21 +81,40 @@ class TestBandChernFHS:
         assert res.method == "fhs"
         assert res.grid >= 16
         assert res.residual <= 0.05
+        res = band_chern_fhs(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1, grid=32)
+        assert res.grid >= 32
+        assert res.residual <= 1e-6
 
-    def test_curvature_field_total_near_integer(self):
-        fld = curvature_field(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1, 32)
-        assert abs(fld.total() - round(fld.total())) <= 1e-6
+    @pytest.mark.parametrize("model, n", [
+        (HofstadterModel(Flux(1, 12), t3=0.0), 6),
+        (HofstadterModel(Flux(1, 12), t3=0.0), 7),
+        (HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC), 2),
+    ], ids=["square-1-12-band6", "square-1-12-band7", "1-3-band2"])
+    def test_touching_band_refused(self, model, n):
+        # square 1/12 bands 6 and 7 touch at E = 0 between the grid points,
+        # where each band's own field strength sums to -11 at grid 64
+        with pytest.raises(GapClosed):
+            band_chern_fhs(model, n)
+
+    @pytest.mark.parametrize("model, sigma", [(SQUARE_13, {1: 1, 2: -1})] + [
+        (HofstadterModel(Flux(*pq), PHI_D_SYMMETRIC), table)
+        for pq, table in sorted(TRIANGULAR_TABLES.items())],
+        ids=["square-1-3"] + [f"{p}-{q}" for p, q in sorted(TRIANGULAR_TABLES)])
+    def test_band_is_difference_of_gaps(self, model, sigma):
+        sigma = {0: 0, **sigma, model.q: 0}
+        for n in range(1, model.q + 1):
+            assert band_chern_fhs(model, n).value == sigma[n] - sigma[n - 1]
 
 
 class TestGapChern:
     def test_trivial_gaps(self):
         model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
-        assert gap_chern(model, 0) == 0
-        assert gap_chern(model, 5) == 0
+        assert certify_gap(model, 0).value == 0
+        assert certify_gap(model, 5).value == 0
 
     def test_square_13_gaps(self):
-        assert gap_chern(SQUARE_13, 1) == 1
-        assert gap_chern(SQUARE_13, 2) == -1
+        assert certify_gap(SQUARE_13, 1).value == 1
+        assert certify_gap(SQUARE_13, 2).value == -1
 
     @pytest.mark.parametrize("pq", sorted(TRIANGULAR_TABLES))
     def test_frozen_tables(self, pq):
@@ -107,25 +125,25 @@ class TestGapChern:
 
     def test_only_gap_j_certified(self, monkeypatch):
         handed = []
-        table = chern.gap_chern_table
+        certify = chern._certify
 
-        def spy(model, gaps, grid):
-            handed.append([r.j for r in gaps])
-            return table(model, gaps, grid)
+        def spy(model, blocks, grid):
+            handed.append(blocks)
+            return certify(model, blocks, grid)
 
-        monkeypatch.setattr(chern, "gap_chern_table", spy)
-        res = chern.certify_gap(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1)
-        assert handed == [[1]]
+        monkeypatch.setattr(chern, "_certify", spy)
+        res = certify_gap(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1)
+        assert handed == [{1: (0, 1)}]
         assert (res.value, res.grid) == (-2, 64)
 
     def test_closed_gap_refused(self):
         model = HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC)
         with pytest.raises(GapClosed):
-            gap_chern(model, 2)
+            certify_gap(model, 2)
 
     def test_transport_method_refused(self):
-        with pytest.raises(ValueError):
-            gap_chern(SQUARE_13, 1, method="transport")
+        # transport pins only the residue mod q; the integer is FHS's
+        assert gap_residue_transport(SQUARE_13, 1) == certify_gap(SQUARE_13, 1).value % 3
 
 
 class TestTransport:

@@ -66,6 +66,14 @@ class TestChern:
         code = main(["chern", "--p", "1", "--q", "3", "--gap", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", [["--q", "12", "--band", "6"],
+                                        ["--q", "3", "--band", "1", "--eps-gap", "10"]])
+    def test_band_not_isolated_errors(self, capsys, target):
+        # square 1/12 band 6 touches band 7; --eps-gap 10 closes every gap of 1/3
+        code = main(["chern", "--p", "1", "--t3", "0", *target])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: gap ")
+
     @pytest.mark.parametrize("target", [[], ["--gap", "1", "--band", "1"]])
     def test_needs_exactly_one_of_gap_and_band(self, capsys, target):
         with pytest.raises(SystemExit) as exc:
@@ -170,3 +178,16 @@ class TestConfigFile:
         qs = {json.loads(line)["q"] for line in lines}
         assert qs == {1, 2}  # CLI --qmax 2 beat the file's 3
         assert not (tmp_path / "out.ppm").exists()  # file format=json applied
+
+    def test_file_values_take_the_parser_types(self, tmp_path, capsys):
+        # --colormap-period and --j default to None, so no default gives their type
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qmax = 3\nmu-bins = 16\nheight = 8\ncolormap-period = 2\n")
+        assert main(["butterfly", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["butterfly", "--qmax", "3", "--mu-bins", "16", "--height", "8",
+                     "--colormap-period", "2", "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+        cfg.write_text("j = 1\nqmax = 3\n")  # dioph has no --qmax: ignored
+        code, out = run(["dioph", "--config", str(cfg), "--p", "2", "--q", "5"], capsys)
+        assert code == 0
+        assert json.loads(out)["j"] == 1

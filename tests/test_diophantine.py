@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -54,11 +53,6 @@ class TestWindows:
         assert (triangular_window(2).lo, triangular_window(2).hi) == (0, 1)
         assert (triangular_window(4).lo, triangular_window(4).hi) == (-1, 2)
 
-    def test_triangular_odd_q_excludes_boundary(self):
-        w = triangular_window(5)
-        assert w.excluded == frozenset({-2, 2})
-        assert set(w.members()) == {-1, 0, 1}
-
     def test_window_sizes(self):
         for q in range(1, 30):
             assert len(square_window(q).members()) == q - (q % 2 == 0)
@@ -68,8 +62,6 @@ class TestWindows:
     def test_double_representative_rejected(self):
         with pytest.raises(ValueError):
             Window(0, 5, 5)
-        # with one duplicate excluded the same span is fine
-        Window(0, 5, 5, excluded=frozenset({5}))
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -90,10 +82,6 @@ class TestResolveInWindow:
         w = square_window(4)  # middle class q/2 unrepresented
         assert resolve_in_window(ResidueClass(2, 4), w) is None
 
-    def test_exclusions_respected(self):
-        w = triangular_window(5)
-        assert resolve_in_window(ResidueClass(3, 5), w) is None  # -2 excluded
-
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             resolve_in_window(ResidueClass(1, 3), square_window(5))
@@ -112,11 +100,9 @@ class TestResolveInWindow:
         def scan(r, w):
             return next((v for v in w.members() if v % w.modulus == r), None)
 
-        windows = [Window(0, 5, 5, frozenset({0}))]  # wider than q: 5 stands for 0
+        windows = []
         for q in range(1, 65):
-            tri = triangular_window(q)
-            windows += [square_window(q), tri,
-                        dataclasses.replace(tri, excluded=frozenset())]
+            windows += [square_window(q), triangular_window(q)]
         for w in windows:
             for r in range(w.modulus):
                 assert resolve_in_window(ResidueClass(r, w.modulus), w) == scan(r, w)

@@ -14,12 +14,12 @@ from hofbutter import (
     PHI_D_SYMMETRIC,
     band_edge_kpoints,
     build_hamiltonian,
+    certify_gap,
     chambers_polynomial,
     compute_bands,
     compute_bands_dense,
     compute_gaps,
     det_closed_form,
-    gap_chern,
     gaps_to_csv,
     spectrum_to_json,
 )
@@ -172,7 +172,7 @@ class TestBandEdgeKpoints:
         interior = [d for d in dicts if 0 < d["j"] < 7 and not d["closed"]]
         assert interior and all(d["source"] == "computed_fhs" for d in interior)
         assert [d["chern"] for d in dicts] == [d["chern"] for d in good]
-        assert gap_chern(HofstadterModel(Flux(2, 7), 0.3), 1) == dicts[1]["chern"]
+        assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == dicts[1]["chern"]
 
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
