@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -25,7 +26,7 @@ from .diophantine import (
     streda_check,
     triangular_window,
 )
-from .magnetic_algebra import Flux, HofstadterModel
+from .magnetic_algebra import Flux, HofstadterModel, _is_half_pi
 from .spectrum import (
     GAP_EPS_DEFAULT,
     GapRecord,
@@ -121,11 +122,13 @@ def _window_for(strategy: str, q: int, exclusions: bool):
 
 
 def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
-                  cfg: ButterflyConfig) -> list[GapRecord]:
+                  cfg: ButterflyConfig, known=None) -> list[GapRecord]:
     """Assign Chern numbers to the open interior gaps of one flux.
 
     The strategy colors what it can.  Under the computed strategy, or
-    at q <= computed_q_max, the open gaps still gray go to FHS in one
+    at q <= computed_q_max, the open gaps still gray take their value
+    from ``known`` ({j: sigma}, FHS values mirrored from the inversion
+    partner), and those it does not cover go to FHS in one
     ``gap_chern_table`` call.
     """
     q = model.q
@@ -142,34 +145,39 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
             elif window is not None:
                 sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
         out.append(rec if sigma is None else replace(rec, chern=sigma, chern_source=tag))
-    gray = [rec for rec in out if rec.chern is None and not rec.closed]
+    gray = {rec.j for rec in out if rec.chern is None and not rec.closed}
     if gray and (strategy == "computed" or q <= cfg.computed_q_max):
-        # looked up at call time, so a wrapper on chern.gap_chern_table sees it
-        from .chern import gap_chern_table
-        table = gap_chern_table(model, gray, cfg.fhs_grid)
-        out = [replace(rec, chern=table[rec.j].value, chern_source="computed_fhs")
-               if rec.j in table else rec for rec in out]
+        fhs = {j: v for j, v in (known or {}).items() if j in gray}
+        rest = [rec for rec in out if rec.j in gray and rec.j not in fhs]
+        if rest:
+            # looked up at call time, so a wrapper on chern.gap_chern_table sees it
+            from .chern import gap_chern_table
+            table = gap_chern_table(model, rest, cfg.fhs_grid)
+            fhs.update((j, res.value) for j, res in table.items())
+        out = [replace(rec, chern=fhs[rec.j], chern_source="computed_fhs")
+               if rec.j in fhs else rec for rec in out]
     return out
 
 
-def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
+def flux_records(p: int, q: int, cfg: ButterflyConfig, known=None) -> list[GapRecord]:
     """The gap records of flux p/q, colored by the configured resolver.
 
     Every sweep and ``hofbutter dioph`` turn a flux into records here:
     band edges (dense scan if the searched edges fail), gaps, then
-    ``_resolve_flux``.
+    ``_resolve_flux``, which takes ``known`` as the FHS values of gray
+    gaps it already has.
     """
     model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
     spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
-    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg)
+    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg, known)
 
 
 def _compute_flux(args):
-    """Worker: ``flux_records`` as JSON-ready dicts, or the failure.  BLAS
-    threads are not pinned; test_determinism_across_jobs checks jobs=N."""
-    (p, q, cfg) = args
+    """Worker: ``flux_records(*args)`` as JSON-ready dicts, or the failure.
+    BLAS threads are not pinned; test_determinism_across_jobs checks jobs=N."""
+    (p, q) = args[:2]
     try:
-        return [gap_to_dict(r) for r in flux_records(p, q, cfg)], None
+        return [gap_to_dict(r) for r in flux_records(*args)], None
     except Exception as exc:  # record, never abort the sweep
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
@@ -180,22 +188,35 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     The lazy backbone of every sweep: giant diagrams stream through
     without materializing.  Deterministic for a fixed config regardless
     of the parallelism degree.
+
+    At phi_d = +/-pi/2 flux (q-p)/q is the antiunitary image of p/q, so
+    sigma_j((q-p)/q) = sigma_(q-j)(p/q) (notes/decisions.md).  The
+    fluxes <= 1/2, which lead the Farey order, run first; each one's
+    FHS values go, mirrored j -> q-j, to its partner above 1/2, which
+    certifies only the gray gaps they do not cover.
     """
     fluxes = enumerate_fluxes(config.q_max)
-    tasks = [(f.p, f.q, config) for f in fluxes]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunk = max(1, len(tasks) // (config.jobs * 64))
-            for i, res in enumerate(pool.map(_compute_flux, tasks, chunksize=chunk)):
+    mirrored = _is_half_pi(config.phi_d)
+    split = sum(2 * f.p <= f.q for f in fluxes) if mirrored else len(fluxes)
+    pool = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
+    with pool or nullcontext():
+        mirrors = {}  # partner (p, q) -> {j: sigma}, popped when used
+        done = 0
+        for half in (fluxes[:split], fluxes[split:]):
+            tasks = [(f.p, f.q, config, mirrors.pop((f.p, f.q), None)) for f in half]
+            results = (pool.map(_compute_flux, tasks,
+                                chunksize=max(1, len(tasks) // (config.jobs * 64)))
+                       if pool else map(_compute_flux, tasks))
+            for (p, q, _, _), res in zip(tasks, results):
+                if mirrored and 2 * p < q:
+                    mirror = {q - d["j"]: d["chern"] for d in res[0]
+                              if d["source"] == "computed_fhs"}
+                    if mirror:
+                        mirrors[(q - p, q)] = mirror
+                done += 1
                 if progress:
-                    progress(i + 1, len(tasks))
+                    progress(done, len(fluxes))
                 yield res
-    else:
-        for i, task in enumerate(tasks):
-            res = _compute_flux(task)
-            if progress:
-                progress(i + 1, len(tasks))
-            yield res
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:

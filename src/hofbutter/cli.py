@@ -29,6 +29,7 @@ from .butterfly import (
 )
 from .chern import (
     GapClosed,
+    QuantizationFailure,
     band_chern_fhs,
     band_chern_transport,
     certify_gap,
@@ -138,6 +139,9 @@ def cmd_chern(args) -> int:
         except GapClosed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except QuantizationFailure as exc:  # open, but no grid certifies it
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         key = "band" if args.band is not None else "j"
         payload = {key: r.index, "chern": r.value, "method": "fhs",
                    "grid": r.grid, "residual": r.residual}

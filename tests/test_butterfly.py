@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hofbutter import (
     ButterflyConfig,
     Flux,
+    HofstadterModel,
     PHI_D_SYMMETRIC,
     build_diagram,
     detect_coloring_errors,
@@ -85,14 +87,18 @@ class TestBuildDiagram:
                    for r in interior)
 
     def test_determinism_across_jobs(self, tmp_path):
-        cfg1 = ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6, jobs=1)
-        cfg2 = ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6, jobs=2)
-        d1, d2 = build_diagram(cfg1), build_diagram(cfg2)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_records_jsonl(d1.records, p1)
-        write_records_jsonl(d2.records, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert render(d1.records, cfg1) == render(d2.records, cfg2)
+        # the +pi/2 anisotropic sweep runs the pool in two phases: the
+        # fluxes <= 1/2, then their inversion partners with mirrored values
+        for model in [{}, {"phi_d": math.pi / 2, "t2": 0.8, "t3": 0.6}]:
+            cfg1 = ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6,
+                                   jobs=1, **model)
+            cfg2 = replace(cfg1, jobs=2)
+            d1, d2 = build_diagram(cfg1), build_diagram(cfg2)
+            p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+            write_records_jsonl(d1.records, p1)
+            write_records_jsonl(d2.records, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert render(d1.records, cfg1) == render(d2.records, cfg2)
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
     def test_one_fhs_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
@@ -126,22 +132,55 @@ class TestBuildDiagram:
 
 class TestDiagramSymmetry:
     def test_inversion_maps_records(self):
-        # (E, sigma, j) -> (-E, sigma, q - j) between fluxes p/q and (q-p)/q
-        diagram = build_diagram(ButterflyConfig(
-            q_max=5, resolver="computed", computed_q_max=5))
-        for (p, q) in [(1, 5), (2, 5), (1, 4), (1, 3)]:
-            recs = {r.j: r for r in diagram.records_for(p, q)}
-            partner = {r.j: r for r in diagram.records_for(q - p, q)}
-            for j, r in recs.items():
-                mate = partner[q - j]
-                assert mate.closed == r.closed
-                if not r.closed:
-                    assert mate.chern == r.chern
-                for x, y in [(r.lo, -mate.hi), (r.hi, -mate.lo)]:
-                    if math.isinf(x):
-                        assert math.isinf(y)
-                    else:
-                        assert abs(x - y) <= 1e-10
+        # (E, sigma, j) -> (-E, sigma, q - j) between fluxes p/q and (q-p)/q.
+        # The sweep mirrors the sigmas of p/q < 1/2 onto (q-p)/q, so those of
+        # (q-p)/q are checked against FHS run on (q-p)/q itself.
+        for phi_d, t in [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                         (math.pi / 2, (1.0, 0.8, 0.6))]:
+            diagram = build_diagram(ButterflyConfig(
+                q_max=7, phi_d=phi_d, t1=t[0], t2=t[1], t3=t[2],
+                resolver="computed", computed_q_max=7))
+            for f in enumerate_fluxes(7):
+                p, q = f.p, f.q
+                if 2 * p >= q:
+                    continue
+                recs = {r.j: r for r in diagram.records_for(p, q)}
+                partner = {r.j: r for r in diagram.records_for(q - p, q)}
+                for j, r in recs.items():
+                    mate = partner[q - j]
+                    assert mate.closed == r.closed
+                    if not r.closed:
+                        assert mate.chern == r.chern
+                    for x, y in [(r.lo, -mate.hi), (r.hi, -mate.lo)]:
+                        if math.isinf(x):
+                            assert math.isinf(y)
+                        else:
+                            assert abs(x - y) <= 1e-10
+                model = HofstadterModel(Flux(q - p, q), phi_d, *t)
+                direct = chern.gap_chern_table(model, list(partner.values()))
+                assert {j: r.chern for j, r in partner.items()
+                        if 0 < j < q and r.chern is not None} == \
+                    {j: res.value for j, res in direct.items()}
+
+    @pytest.mark.parametrize("phi_d,expected", [
+        # one call per inversion pair, from its flux <= 1/2; 1/2 is its own partner
+        (PHI_D_SYMMETRIC, [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2)]),
+        # no inversion symmetry: one call per flux with interior gaps
+        (0.3, [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5)]),
+    ])
+    def test_one_fhs_call_per_inversion_pair(self, monkeypatch, phi_d, expected):
+        calls = []
+        gap_chern_table = chern.gap_chern_table
+
+        def spy(model, gaps, grid):
+            calls.append((model.flux.p, model.q))
+            return gap_chern_table(model, gaps, grid)
+
+        monkeypatch.setattr(chern, "gap_chern_table", spy)
+        diagram = build_diagram(ButterflyConfig(q_max=5, phi_d=phi_d, resolver="computed",
+                                                computed_q_max=5))
+        assert calls == expected
+        assert all(r.chern is not None for r in diagram.records if not r.closed)
 
 
 class TestColoringErrors:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig
+from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, chern
 from hofbutter.butterfly import RESOLVERS, _compute_flux
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
@@ -73,6 +73,16 @@ class TestChern:
         code = main(["chern", "--p", "1", "--t3", "0", *target])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: gap ")
+
+    @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "2"]])
+    def test_uncertified_errors(self, capsys, monkeypatch, target):
+        # an open gap or band that no grid certifies: one error line, exit 1
+        monkeypatch.setattr(chern, "_certify", lambda model, blocks, grid: {})
+        code = main(["chern", "--p", "2", "--q", "5", *target])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bands ") and "grid 256" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("target", [[], ["--gap", "1", "--band", "1"]])
     def test_needs_exactly_one_of_gap_and_band(self, capsys, target):

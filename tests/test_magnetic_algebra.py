@@ -177,6 +177,25 @@ class TestInversion:
         with pytest.raises(ValueError):
             inversion_check(HofstadterModel(Flux(1, 3), 0.3))
 
+    def test_partner_is_the_antiunitary_image(self):
+        # H_{(q-p)/q}(-k) = -conj H_{p/q}(k + (pi, pi)) at phi_d = +-pi/2 for
+        # any hoppings, the identity behind sigma_j((q-p)/q) = sigma_(q-j)(p/q);
+        # at phi_d = 0.3 the t3 term breaks it
+        rng = np.random.default_rng(20)
+        for p, q in [(1, 4), (2, 5), (3, 8), (4, 9), (5, 12), (5, 13)]:
+            t = rng.uniform(0.2, 1.8, 3)
+            ks = rng.uniform(-PI, PI, (5, 2))
+            for phi_d in (PI / 2, -PI / 2, 0.3):
+                a = HofstadterModel(Flux(p, q), phi_d, *t)
+                b = HofstadterModel(Flux(q - p, q), phi_d, *t)
+                worst = max(np.abs(build_hamiltonian(b, -k)
+                                   + build_hamiltonian(a, k + PI).conj()).max()
+                            for k in ks)
+                if phi_d == 0.3:
+                    assert worst > 0.1
+                else:
+                    assert worst <= 1e-13
+
 
 def test_square_limit_ignores_phi_d():
     for p, q in [(1, 3), (1, 4), (2, 5), (3, 7), (4, 9)]:
