@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -182,6 +182,17 @@ def _compute_flux(args):
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
 
+def _compute_fluxes(tasks):
+    """Worker: ``_compute_flux`` of a run of tasks, sent as one pool call."""
+    return [_compute_flux(args) for args in tasks]
+
+
+def _mirror(q: int, result) -> dict:
+    """{q - j: sigma} of the FHS-certified gaps in the result of a flux
+    with denominator q."""
+    return {q - d["j"]: d["chern"] for d in result[0] if d["source"] == "computed_fhs"}
+
+
 def iter_flux_results(config: ButterflyConfig, progress=None):
     """Yield (record_dicts, failure) per flux in flux order.
 
@@ -190,33 +201,83 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     of the parallelism degree.
 
     At phi_d = +/-pi/2 flux (q-p)/q is the antiunitary image of p/q, so
-    sigma_j((q-p)/q) = sigma_(q-j)(p/q) (notes/decisions.md).  The
-    fluxes <= 1/2, which lead the Farey order, run first; each one's
-    FHS values go, mirrored j -> q-j, to its partner above 1/2, which
-    certifies only the gray gaps they do not cover.
+    sigma_j((q-p)/q) = sigma_(q-j)(p/q) (notes/decisions.md).  Each flux
+    below 1/2, which comes first in Farey order, hands its FHS values,
+    mirrored j -> q-j, to its partner above 1/2, which certifies only
+    the gray gaps they do not cover.
     """
     fluxes = enumerate_fluxes(config.q_max)
     mirrored = _is_half_pi(config.phi_d)
-    split = sum(2 * f.p <= f.q for f in fluxes) if mirrored else len(fluxes)
-    pool = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    with pool or nullcontext():
-        mirrors = {}  # partner (p, q) -> {j: sigma}, popped when used
-        done = 0
-        for half in (fluxes[:split], fluxes[split:]):
-            tasks = [(f.p, f.q, config, mirrors.pop((f.p, f.q), None)) for f in half]
-            results = (pool.map(_compute_flux, tasks,
-                                chunksize=max(1, len(tasks) // (config.jobs * 64)))
-                       if pool else map(_compute_flux, tasks))
-            for (p, q, _, _), res in zip(tasks, results):
-                if mirrored and 2 * p < q:
-                    mirror = {q - d["j"]: d["chern"] for d in res[0]
-                              if d["source"] == "computed_fhs"}
-                    if mirror:
-                        mirrors[(q - p, q)] = mirror
-                done += 1
-                if progress:
-                    progress(done, len(fluxes))
-                yield res
+    results = (_pooled_results(fluxes, config, mirrored) if config.jobs > 1
+               else _serial_results(fluxes, config, mirrored))
+    for done, res in enumerate(results, 1):
+        if progress:
+            progress(done, len(fluxes))
+        yield res
+
+
+def _serial_results(fluxes, config: ButterflyConfig, mirrored: bool):
+    """The result of each flux in turn, in flux order."""
+    mirrors = {}  # partner (p, q) -> {j: sigma}, popped when used
+    for f in fluxes:
+        res = _compute_flux((f.p, f.q, config, mirrors.pop((f.p, f.q), None)))
+        if mirrored and 2 * f.p < f.q:
+            mirror = _mirror(f.q, res)
+            if mirror:
+                mirrors[(f.q - f.p, f.q)] = mirror
+        yield res
+
+
+def _pooled_results(fluxes, config: ButterflyConfig, mirrored: bool):
+    """The results of ``_serial_results``, computed by a process pool.
+
+    The fluxes that can reach FHS go out first, one per call and largest
+    q first, since they cost the most; the rest follow in flux order, in
+    runs of consecutive fluxes.  A flux above 1/2 that takes its
+    partner's table goes out as soon as that table is in, ahead of the
+    queue.  At most two calls per worker are in flight, so such a flux
+    never waits behind the rest of the sweep, and results that arrive
+    early are held until their turn.
+    """
+    n = len(fluxes)
+    index = {(f.p, f.q): i for i, f in enumerate(fluxes)}
+    fhs_q_max = config.q_max if config.resolver == "computed" else config.computed_q_max
+    waiter = {index[(f.q - f.p, f.q)]: i for i, f in enumerate(fluxes)
+              if mirrored and f.p < f.q < 2 * f.p and f.q <= fhs_q_max}
+    waiting = set(waiter.values())
+    chunk = max(1, n // (config.jobs * 64))
+    costly = [i for i in range(n) if fluxes[i].q <= fhs_q_max and i not in waiting]
+    queue = deque([i] for i in sorted(costly, key=lambda i: -fluxes[i].q))
+    runs = []
+    for i in range(n):
+        if fluxes[i].q > fhs_q_max:
+            if runs and runs[-1][-1] == i - 1 and len(runs[-1]) < chunk:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+    queue.extend(runs)
+    ready = deque()     # waiting fluxes whose partner's table is in
+    mirrors = {}        # flux index -> {j: sigma}
+    results = {}        # flux index -> result, until yielded
+    running = {}        # future -> flux indices
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        for nxt in range(n):
+            while True:
+                for fut in [f for f in running if f.done()]:
+                    for i, res in zip(running.pop(fut), fut.result()):
+                        results[i] = res
+                        if i in waiter:
+                            mirrors[waiter[i]] = _mirror(fluxes[i].q, res) or None
+                            ready.append(waiter[i])
+                while len(running) < 2 * config.jobs and (ready or queue):
+                    idx = [ready.popleft()] if ready else queue.popleft()
+                    tasks = [(fluxes[i].p, fluxes[i].q, config, mirrors.pop(i, None))
+                             for i in idx]
+                    running[pool.submit(_compute_fluxes, tasks)] = idx
+                if nxt in results:
+                    break
+                wait(running, return_when=FIRST_COMPLETED)
+            yield results.pop(nxt)
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:

@@ -7,11 +7,15 @@ determinants of an eigenvector block (a, b), the bands a+1..b.  Band n
 is the block (n-1, n); the bands below gap j are the block (0, j).
 Only the block's bounding gaps a and b need to be open, so touchings
 inside the block do not matter.  One certifier, ``_certify``, serves
-bands and gaps alike.  The oracle is discrete Kato parallel transport
-around the 2*pi/q reduced cell, whose holonomy fixes every band's
-Chern residue mod q.  Orientation is chosen so that the two agree and
-the square model reproduces its known window; with it the curvature
-quadrature of ``berry_curvature`` integrates to the same integers.
+bands and gaps alike.  A block's overlap determinant is a leading
+principal minor of the overlap matrix cut at a, so one batched
+elimination per grid level and direction (``_leading_minors``) gives
+the determinants of every block that starts at a.  The oracle is
+discrete Kato parallel transport around the 2*pi/q reduced cell, whose
+holonomy fixes every band's Chern residue mod q.  Orientation is
+chosen so that the two agree and the square model reproduces its known
+window; with it the curvature quadrature of ``berry_curvature``
+integrates to the same integers.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ GRID_CAP = 256
 TRANSPORT_STEPS_DEFAULT = 256
 TRANSPORT_STEPS_CAP = 16384
 TRANSPORT_PHASE_TOL = 1e-8
+PIVOT_FLOOR = 1e-6  # smaller elimination pivots hand their grid points to np.linalg.det
+MINOR_CHUNK = 1024  # grid points per leading-minor elimination pass
 
 
 class GapClosed(Exception):
@@ -150,6 +156,41 @@ def _field_strength(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.angle(plaq)
 
 
+def _leading_minors(u: np.ndarray, m: int) -> np.ndarray:
+    """det u[..., :j, :j] for j = 1..m, stacked along a new first axis.
+
+    One Gaussian elimination without pivoting gives them all: the j-th
+    leading minor is the product of the first j pivots.  The work array
+    is grid-last, (m, m, points), so each step is a few whole-array
+    operations; it takes MINOR_CHUNK grid points at a time, which keeps
+    it small.  Where a pivot that is divided by (k < m) is below
+    PIVOT_FLOOR, 1 stands in for it and the minors of those grid points
+    come from np.linalg.det instead.
+    """
+    flat = u.reshape((-1,) + u.shape[-2:])
+    minors = np.empty((m, flat.shape[0]), dtype=flat.dtype)
+    guarded = np.zeros(flat.shape[0], dtype=bool)
+    for start in range(0, flat.shape[0], MINOR_CHUNK):
+        part = slice(start, start + MINOR_CHUNK)
+        w = np.ascontiguousarray(np.moveaxis(flat[part, :m, :m], 0, -1))
+        out = minors[:, part]
+        for k in range(m):
+            pivot = w[k, k]
+            out[k] = out[k - 1] * pivot if k else pivot
+            if k == m - 1:
+                break
+            tiny = np.abs(pivot) < PIVOT_FLOOR
+            if tiny.any():
+                guarded[part] |= tiny
+                pivot = np.where(tiny, 1.0, pivot)
+            w[k + 1:, k + 1:] -= (w[k + 1:, k] / pivot)[:, None] * w[k, k + 1:]
+    if guarded.any():
+        sub = flat[guarded]
+        for j in range(1, m + 1):
+            minors[j - 1, guarded] = np.linalg.det(sub[:, :j, :j])
+    return minors.reshape((m,) + u.shape[:-2])
+
+
 def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, ChernResult]:
     """FHS Chern numbers of eigenvector blocks, keyed as ``blocks``.
 
@@ -157,7 +198,11 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
     a+1..b.  Each grid level takes one eigendecomposition and one pair
     of overlap links for all blocks.  A block skips a grid where its
     bounding level a or b touches the level below, or where an overlap
-    determinant vanishes.
+    determinant vanishes.  The determinant of block (a, b) is the
+    leading minor of size b - a of the overlaps cut at a, so the
+    blocks are grouped by a and each group takes one
+    ``_leading_minors`` pass per direction: gap tables (all a = 0)
+    take one, a single band or gap takes one.
 
     The lattice sum is an exact integer at any grid, so a small
     quantization residual alone cannot certify convergence; narrow
@@ -173,14 +218,20 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
     g = grid
     while remaining and g <= GRID_CAP:
         evs, vecs = _grid_eigensystem(model, g)
+        live = {key: (a, b) for key, (a, b) in sorted(remaining.items())
+                if not any(0 < e < q and (evs[..., e] - evs[..., e - 1]).min() < DEGENERACY_TOL
+                           for e in (a, b))}
+        spans: dict[int, int] = {}
+        for a, b in live.values():
+            spans[a] = max(spans.get(a, 0), b - a)
         u1, u2 = _overlap_links(model, vecs)
-        for key, (a, b) in sorted(remaining.items()):
-            if any(0 < e < q and (evs[..., e] - evs[..., e - 1]).min() < DEGENERACY_TOL
-                   for e in (a, b)):
-                continue
+        minors = {a: (_leading_minors(u1[..., a:, a:], m), _leading_minors(u2[..., a:, a:], m))
+                  for a, m in spans.items()}
+        del vecs, u1, u2  # freed before the next grid, four times larger, is built
+        for key, (a, b) in live.items():
+            d1, d2 = minors[a]
             try:
-                field = _field_strength(np.linalg.det(u1[..., a:b, a:b]),
-                                        np.linalg.det(u2[..., a:b, a:b]))
+                field = _field_strength(d1[b - a - 1], d2[b - a - 1])
             except GridDegeneracy:
                 continue
             total = field.sum() / (2.0 * math.pi)

@@ -87,8 +87,8 @@ class TestBuildDiagram:
                    for r in interior)
 
     def test_determinism_across_jobs(self, tmp_path):
-        # the +pi/2 anisotropic sweep runs the pool in two phases: the
-        # fluxes <= 1/2, then their inversion partners with mirrored values
+        # in the +pi/2 anisotropic sweep each flux above 1/2 waits in the
+        # pool for its inversion partner's mirrored values
         for model in [{}, {"phi_d": math.pi / 2, "t2": 0.8, "t3": 0.6}]:
             cfg1 = ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6,
                                    jobs=1, **model)

@@ -106,6 +106,60 @@ class TestBandChernFHS:
             assert band_chern_fhs(model, n).value == sigma[n] - sigma[n - 1]
 
 
+def _random_unitaries(rng, n, q):
+    z = rng.normal(size=(n, q, q)) + 1j * rng.normal(size=(n, q, q))
+    return np.linalg.qr(z)[0]
+
+
+def _det_minors(u, m):
+    return np.stack([np.linalg.det(u[..., :j, :j]) for j in range(1, m + 1)])
+
+
+class TestLeadingMinors:
+    @pytest.mark.parametrize("q", [1, 2, 5, 9, 14])
+    def test_equal_det(self, q):
+        # 1,500 grid points: more than one elimination pass
+        u = _random_unitaries(np.random.default_rng(100 + q), 1500, q).reshape(50, 30, q, q)
+        for m in {1, q - 1, q} - {0}:
+            minors = chern._leading_minors(u, m)
+            assert minors.shape == (m, 50, 30)
+            assert np.abs(minors - _det_minors(u, m)).max() <= 1e-13
+
+    def test_tiny_pivot_falls_back_to_det(self, monkeypatch):
+        u = _random_unitaries(np.random.default_rng(7), 1200, 6)
+        u[3, 0, 0] = 0.0
+        u[1100, 0, 0] = 1e-13
+        handed = []
+        det = np.linalg.det
+
+        def spy(a):
+            handed.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(chern.np.linalg, "det", spy)
+        with np.errstate(all="raise"):  # 1 stands in for the tiny pivots
+            minors = chern._leading_minors(u, 6)
+        # only the two guarded points reach det, once per minor size
+        assert handed == [(2, j, j) for j in range(1, 7)]
+        monkeypatch.undo()
+        assert np.isfinite(minors).all()
+        assert np.abs(minors - _det_minors(u, 6)).max() <= 1e-13
+
+    def test_last_pivot_needs_no_guard(self, monkeypatch):
+        u = _random_unitaries(np.random.default_rng(8), 20, 4)
+        u[5, 2, :3] = u[5, 0, :3] + u[5, 1, :3]  # minor 3 vanishes; its pivot is never divided by
+        monkeypatch.setattr(chern.np.linalg, "det", None)
+        minors = chern._leading_minors(u, 3)
+        monkeypatch.undo()
+        assert np.abs(minors - _det_minors(u, 3)).max() <= 1e-13
+
+    def test_non_leading_block(self):
+        u = _random_unitaries(np.random.default_rng(9), 50, 8)
+        a, b = 3, 7
+        minors = chern._leading_minors(u[..., a:, a:], b - a)
+        assert np.abs(minors[-1] - np.linalg.det(u[..., a:b, a:b])).max() <= 1e-13
+
+
 class TestGapChern:
     def test_trivial_gaps(self):
         model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
@@ -122,6 +176,17 @@ class TestGapChern:
         gaps = compute_gaps(compute_bands(model))
         table = {j: r.value for j, r in gap_chern_table(model, gaps).items()}
         assert table == TRIANGULAR_TABLES[pq]
+
+    def test_closed_gap_below_open_ones(self):
+        # square 1/4: bands 2 and 3 touch at E = 0, so gap 2 is closed and
+        # gap 3's block holds a touching; the values and grids are those
+        # that np.linalg.det of each block gives
+        model = HofstadterModel(Flux(1, 4), t3=0.0)
+        gaps = compute_gaps(compute_bands(model))
+        assert [r.j for r in gaps if r.closed] == [2]
+        table = gap_chern_table(model, gaps)
+        assert {j: (r.value, r.grid) for j, r in table.items()} == {1: (1, 64), 3: (-1, 64)}
+        assert all(r.residual <= 1e-14 for r in table.values())
 
     def test_only_gap_j_certified(self, monkeypatch):
         handed = []
