@@ -9,11 +9,13 @@ comparisons between Farey-adjacent fluxes.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +41,8 @@ from .spectrum import (
 )
 
 RESOLVERS = ("square", "triangular", "chain", "computed")
+DECODE_BLOCK = 256  # JSON lines per json.loads in decode_records
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(d, sort_keys=True), built once
 
 # phi_d whose down-triangle phase makes the butterfly inversion symmetric
 # and reproduces the reference shifted-window coloring (see notes/decisions.md).
@@ -144,7 +148,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                 sigma = chain_assign(rec.j, model.flux)
             elif window is not None:
                 sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
-        out.append(rec if sigma is None else replace(rec, chern=sigma, chern_source=tag))
+        out.append(rec if sigma is None else rec._replace(chern=sigma, chern_source=tag))
     gray = {rec.j for rec in out if rec.chern is None and not rec.closed}
     if gray and (strategy == "computed" or q <= cfg.computed_q_max):
         fhs = {j: v for j, v in (known or {}).items() if j in gray}
@@ -154,7 +158,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
             from .chern import gap_chern_table
             table = gap_chern_table(model, rest, cfg.fhs_grid)
             fhs.update((j, res.value) for j, res in table.items())
-        out = [replace(rec, chern=fhs[rec.j], chern_source="computed_fhs")
+        out = [rec._replace(chern=fhs[rec.j], chern_source="computed_fhs")
                if rec.j in fhs else rec for rec in out]
     return out
 
@@ -297,8 +301,7 @@ def sweep_to_jsonl(config: ButterflyConfig, path: str, progress=None):
     failures = []
     with open(path, "w") as fh:
         for dicts, failure in iter_flux_results(config, progress):
-            for d in dicts:
-                _write_line(fh, d)
+            _write_lines(fh, dicts)
             n += len(dicts)
             if failure:
                 failures.append(failure)
@@ -313,22 +316,33 @@ class InconsistentPair:
     rec_b: GapRecord
 
 
-def _adjacent_flux_pairs(fluxes: list[tuple], q_max: int):
-    """All unordered Farey-adjacent pairs |p1*q2 - p2*q1| = 1."""
-    present = set(fluxes)
-    pairs = set()
-    for (p, q) in fluxes:
-        for q2 in range(1, q_max + 1):
-            for delta in (1, -1):
-                num = p * q2 + delta
-                if num % q == 0:
-                    p2 = num // q
-                    if 1 <= p2 <= q2 and (p2, q2) in present:
-                        key = tuple(sorted([(p, q), (p2, q2)],
-                                           key=lambda t: Fraction(*t)))
-                        if key[0] != key[1]:
-                            pairs.add(key)
-    return sorted(pairs, key=lambda ab: (Fraction(*ab[0]), Fraction(*ab[1])))
+def _flux_order(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as flux a = (p, q) lies below, at or above flux b."""
+    d = a[0] * b[1] - b[0] * a[1]
+    return (d > 0) - (d < 0)
+
+
+def _adjacent_flux_pairs(fluxes: list[tuple]):
+    """All Farey-adjacent pairs p2*q - p*q2 = 1 among ``fluxes``, each
+    (p/q, p2/q2) with p/q below p2/q2, in increasing order.
+
+    The upper neighbours of p/q have q2 = -p^-1 (mod q), so they are
+    listed by stepping q2 by q up to the largest q present.  Fluxes are
+    ordered by exact integer comparison.
+    """
+    order = sorted(set(fluxes), key=functools.cmp_to_key(_flux_order))
+    rank = {f: i for i, f in enumerate(order)}
+    q_max = max((q for _, q in order), default=1)
+    pairs = []
+    for (p, q), i in rank.items():
+        if math.gcd(p, q) != 1:
+            continue  # p2*q - p*q2 = 1 has no solution
+        for q2 in range(-pow(p, -1, q) % q or q, q_max + 1, q):
+            p2 = (p * q2 + 1) // q
+            k = rank.get((p2, q2))
+            if k is not None:
+                pairs.append((i, k))
+    return [(order[i], order[k]) for i, k in sorted(pairs)]
 
 
 def detect_coloring_errors(diagram: ButterflyDiagram,
@@ -347,10 +361,8 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
             by_flux.setdefault((rec.p, rec.q), []).append(rec)
     for recs in by_flux.values():
         recs.sort(key=lambda r: r.lo)
-    q_max = max((q for (_, q) in by_flux), default=1)
     bad = []
-    for fa, fb in _adjacent_flux_pairs(sorted(by_flux, key=lambda t: Fraction(*t)),
-                                       q_max):
+    for fa, fb in _adjacent_flux_pairs(list(by_flux)):
         for ra in by_flux[fa]:
             for rb in by_flux[fb]:
                 if rb.lo >= ra.hi:  # sorted; nothing further can overlap
@@ -360,23 +372,47 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
     return bad
 
 
-def _write_line(fh, record_dict: dict) -> None:
-    fh.write(json.dumps(record_dict, sort_keys=True))
-    fh.write("\n")
+def _write_lines(fh, record_dicts) -> None:
+    """One JSON line per record dict, keys sorted, in one write."""
+    fh.write("".join([_ENCODER.encode(d) + "\n" for d in record_dicts]))
 
 
 def write_records_jsonl(records, path: str) -> None:
-    """Stream gap records to JSON lines, one record per line."""
+    """Stream gap records to JSON lines, one record per line and one
+    write per flux."""
     with open(path, "w") as fh:
-        for rec in records:
-            _write_line(fh, gap_to_dict(rec))
+        for _, recs in itertools.groupby(records, key=lambda r: (r.p, r.q)):
+            _write_lines(fh, map(gap_to_dict, recs))
+
+
+def _decode_block(lines: list) -> list:
+    """The records of non-blank JSON lines, from one json.loads of their
+    joined array.  On a parse error or an item count other than the
+    line count, each line is decoded alone, so malformed input raises
+    the JSONDecodeError of its first bad line."""
+    try:
+        dicts = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        dicts = None
+    if dicts is None or len(dicts) != len(lines):
+        dicts = [json.loads(line) for line in lines]
+    return [gap_from_dict(d) for d in dicts]
 
 
 def decode_records(lines):
-    """Gap records of JSON lines, lazily; blank lines are skipped."""
+    """Gap records of JSON lines, lazily; blank lines are skipped.
+
+    ``lines`` is read one line at a time and decoded DECODE_BLOCK
+    non-blank lines per ``_decode_block``."""
+    block = []
     for line in lines:
         if line.strip():
-            yield gap_from_dict(json.loads(line))
+            block.append(line)
+            if len(block) == DECODE_BLOCK:
+                yield from _decode_block(block)
+                block = []
+    if block:
+        yield from _decode_block(block)
 
 
 def read_records_jsonl(path: str) -> list[GapRecord]:

@@ -130,14 +130,18 @@ def _overlap_links(model: HofstadterModel, vecs: np.ndarray):
 
     The k1 direction wraps with the true 2*pi period of H; the k2 seam
     uses the magnetic identification psi(k2 + 2*pi/q) = S^s psi(k2).
+    Built one k1 row at a time, so no whole-grid temporary sits next to
+    the eigenvectors and the two results.
     """
     n = vecs.shape[0]
     _, Ss = _symmetry_unitaries(model.flux)
-    vd = vecs.conj().swapaxes(-1, -2)
-    o1 = vd @ vecs[np.r_[1:n, 0]]
-    o2 = np.empty_like(o1)
-    o2[:, : n - 1] = vd[:, : n - 1] @ vecs[:, 1:]
-    o2[:, n - 1] = vd[:, n - 1] @ (Ss @ vecs[:, 0])
+    o1 = np.empty_like(vecs)
+    o2 = np.empty_like(vecs)
+    for i in range(n):
+        vd = vecs[i].conj().swapaxes(-1, -2)
+        np.matmul(vd, vecs[(i + 1) % n], out=o1[i])
+        np.matmul(vd[: n - 1], vecs[i, 1:], out=o2[i, : n - 1])
+        np.matmul(vd[n - 1], Ss @ vecs[i, 0], out=o2[i, n - 1])
     return o1, o2
 
 

@@ -121,6 +121,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_chern(args) -> int:
     model = _model_from(args)
+    q = model.q
+    if args.band is not None and not 1 <= args.band <= q:
+        print(f"error: band index {args.band} outside 1..{q}", file=sys.stderr)
+        return 2
+    if args.gap is not None and not 0 <= args.gap <= q:
+        print(f"error: gap index {args.gap} outside 0..{q}", file=sys.stderr)
+        return 2
     if args.band is not None and args.method == "transport":
         res = band_chern_transport(model, args.band, args.steps)
         payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,

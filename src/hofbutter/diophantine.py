@@ -4,7 +4,7 @@ The gap Chern number satisfies sigma_j = s*j (mod q), which determines
 it only up to a multiple of q.  The strategies here pick a concrete
 representative: a fixed integer window (square or shifted), a two-sided
 chain walk from the trivial gaps, or deference to a directly computed
-value.  A cross-flux Streda consistency check in exact rational
+value.  A cross-flux Streda consistency check in exact integer
 arithmetic exposes wrong choices.
 """
 
@@ -125,10 +125,6 @@ class StredaOutcome(enum.Enum):
     NOT_COMPARABLE = "not_comparable"
 
 
-def _intervals_overlap(a: GapRecord, b: GapRecord, tol: float = 0.0) -> bool:
-    return min(a.hi, b.hi) - max(a.lo, b.lo) > tol
-
-
 def streda_check(rec_a: GapRecord, rec_b: GapRecord,
                  overlap_tol: float = 0.0) -> StredaOutcome:
     """Do two gap records lie consistently on one butterfly wing?
@@ -136,23 +132,23 @@ def streda_check(rec_a: GapRecord, rec_b: GapRecord,
     Records whose energy intervals are disjoint (or that lack a Chern
     value or are closed) are NOT_COMPARABLE.  Among overlapping pairs,
     a record claims the other's slot as its wing's continuation when
-    delta-rho = sigma * delta-Phi/2pi holds exactly in rational
-    arithmetic for its own sigma; a claimed pair must then agree on
-    sigma.  Overlapping records claimed by neither side belong to
-    different wings that merely cross in energy (common at coarse flux
-    spacing) and are NOT_COMPARABLE.
+    delta-rho = sigma * delta-Phi/2pi holds exactly for its own sigma;
+    a claimed pair must then agree on sigma.  Both sides are compared
+    times q_a q_b, in integers: delta-rho q_a q_b = j_b q_a - j_a q_b
+    and delta-Phi/2pi q_a q_b = p_b q_a - p_a q_b.  Overlapping records
+    claimed by neither side belong to different wings that merely
+    cross in energy (common at coarse flux spacing) and are
+    NOT_COMPARABLE.
     """
     if rec_a.closed or rec_b.closed:
         return StredaOutcome.NOT_COMPARABLE
     if rec_a.chern is None or rec_b.chern is None:
         return StredaOutcome.NOT_COMPARABLE
-    if not _intervals_overlap(rec_a, rec_b, overlap_tol):
+    if not min(rec_a.hi, rec_b.hi) - max(rec_a.lo, rec_b.lo) > overlap_tol:
         return StredaOutcome.NOT_COMPARABLE
-    drho = rec_b.rho - rec_a.rho
-    dphi = rec_b.flux_fraction - rec_a.flux_fraction
-    claims_a = drho == rec_a.chern * dphi
-    claims_b = drho == rec_b.chern * dphi
-    if not (claims_a or claims_b):
+    drho = rec_b.j * rec_a.q - rec_a.j * rec_b.q
+    dphi = rec_b.p * rec_a.q - rec_a.p * rec_b.q
+    if drho != rec_a.chern * dphi and drho != rec_b.chern * dphi:
         return StredaOutcome.NOT_COMPARABLE
     if rec_a.chern == rec_b.chern:
         return StredaOutcome.CONSISTENT

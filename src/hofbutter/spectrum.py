@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -226,14 +226,15 @@ class BandSpectrum:
         return self.model.q
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     """One spectral gap: index, interval, width and Chern bookkeeping.
 
     Gap j sits between bands j and j+1; j = 0 and j = q are the
     semi-infinite gaps below/above the spectrum with sigma = 0.  The
     density is the rational j/q.  ``chern_source`` records how the
-    Chern number was resolved.
+    Chern number was resolved.  A plain tuple underneath, so a sweep
+    builds, compares and hashes its records cheaply; ``_replace``
+    returns a changed copy.
     """
 
     p: int
@@ -257,7 +258,8 @@ class GapRecord:
 
 
 def compute_bands(model: HofstadterModel) -> BandSpectrum:
-    """Band intervals from eigensolves at the band-edge momenta only.
+    """Band intervals from one batched eigensolve at the band-edge
+    momenta, plus the two probe momenta when the edges were searched.
 
     Raises BandOverlapError if the assembled intervals overlap by more
     than 1e-8, the signature of a band-edge k-point failure; callers
@@ -266,15 +268,19 @@ def compute_bands(model: HofstadterModel) -> BandSpectrum:
     momenta, else BandContainmentError.
     """
     pts = band_edge_kpoints(model)
-    evs = np.stack([np.linalg.eigvalsh(build_hamiltonian(model, k)) for k in pts])
-    los = evs.min(axis=0)
-    his = evs.max(axis=0)
+    probed = not _edges_in_closed_form(model)
+    k1s, k2s = zip(*pts)
+    if probed:
+        k1s, k2s = k1s + _PROBE_K[0], k2s + _PROBE_K[1]
+    evs = np.linalg.eigvalsh(hamiltonian_batch(model, k1s, k2s))
+    los = evs[:len(pts)].min(axis=0)
+    his = evs[:len(pts)].max(axis=0)
     for n in range(model.q - 1):
         if his[n] > los[n + 1] + BAND_OVERLAP_TOL:
             raise BandOverlapError(
                 f"bands {n + 1} and {n + 2} overlap by {his[n] - los[n + 1]:.3e}")
-    if not _edges_in_closed_form(model):
-        probe = np.linalg.eigvalsh(hamiltonian_batch(model, *_PROBE_K))
+    if probed:
+        probe = evs[len(pts):]
         outside = np.maximum(los - probe, probe - his)
         if (outside > CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))).any():
             raise BandContainmentError(

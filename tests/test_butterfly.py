@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hofbutter import (
     ButterflyConfig,
     Flux,
+    GapRecord,
     HofstadterModel,
     PHI_D_SYMMETRIC,
     build_diagram,
@@ -227,3 +230,130 @@ class TestPersistence:
         write_records_jsonl(diagram.records, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == len(diagram.records)
+
+
+def _synthetic_records(n_fluxes: int) -> list:
+    """Records of n_fluxes made-up fluxes with q = 7: infinite outer
+    gaps, a closed gap and gray (chern=None) gaps among them."""
+    out = []
+    for f in range(n_fluxes):
+        p, q = f % 6 + 1, 7
+        for j in range(q + 1):
+            if j in (0, q):
+                lo, hi = (-math.inf, -3.0 + f / 7) if j == 0 else (3.0 - f / 11, math.inf)
+                out.append(GapRecord(p, q, -math.pi / 2, j, lo, hi, math.inf, False, 0, "chain"))
+            else:
+                lo = -2.5 + j * 0.6 + f * 1e-3
+                width = 0.0 if j == 3 else 0.1 + j / 97
+                chern = None if j % 2 else j - f % 3
+                out.append(GapRecord(p, q, -math.pi / 2, j, lo, lo + width, width,
+                                     width < 1e-8, chern,
+                                     "unresolved" if chern is None else "window_triangular"))
+    return out
+
+
+class TestBlockDecoding:
+    def test_roundtrip_across_block_boundaries(self, tmp_path):
+        records = _synthetic_records(80)  # 640 lines: two full blocks and a partial one
+        assert len(records) > 2 * butterfly.DECODE_BLOCK
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(records, path)
+        lines = path.read_text().splitlines(keepends=True)
+        # blank and whitespace-only lines around the block edges
+        for at in (0, 255, 256, 257, 511, 513, len(lines)):
+            lines.insert(at, "\n" if at % 2 else "   \t\n")
+        decoded = list(butterfly.decode_records(lines))
+        assert decoded == records
+        assert [tuple(map(repr, r)) for r in decoded] == [tuple(map(repr, r)) for r in records]
+        path.write_text("".join(lines))
+        assert read_records_jsonl(path) == records
+        assert math.isinf(decoded[0].lo) and decoded[0].width == math.inf
+        assert any(r.chern is None for r in decoded)
+
+    def test_lazy(self):
+        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
+        consumed = []
+
+        def source():
+            for line in lines:
+                consumed.append(line)
+                yield line
+
+        first = next(butterfly.decode_records(source()))
+        assert first == butterfly.gap_from_dict(json.loads(lines[0]))
+        assert len(consumed) == butterfly.DECODE_BLOCK
+
+    @pytest.mark.parametrize("at", [0, 255, 256, 300, 639])
+    @pytest.mark.parametrize("bad", [
+        '{"p": 1, "q": 7',                       # truncated
+        '{"chern": 0, "closed": false}, {"j": 0}',  # two values on one line
+        '{"chern": 0 "closed": false}',          # missing comma
+        'NaN x',                                 # extra data
+    ])
+    def test_malformed_line_raises_the_per_line_error(self, at, bad):
+        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
+        lines[at] = bad + "\n"
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(lines[at])
+        with pytest.raises(json.JSONDecodeError) as got:
+            list(butterfly.decode_records(lines))
+        assert (got.value.msg, got.value.doc, got.value.pos) == \
+            (expected.value.msg, expected.value.doc, expected.value.pos)
+        assert str(got.value) == str(expected.value)
+
+    def test_line_split_at_a_comma_raises(self):
+        # the joined array parses, but holds one item fewer than the lines
+        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(4)]
+        head, tail = lines[5].split(", ", 1)
+        lines[5:6] = [head + "\n", tail]
+        with pytest.raises(json.JSONDecodeError) as got:
+            list(butterfly.decode_records(lines))
+        assert got.value.doc == head + "\n"
+
+    def test_one_write_per_flux(self):
+        # the eight records of one flux, as json.dumps(d, sort_keys=True) lines
+        records = _synthetic_records(1)
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        butterfly._write_lines(Sink(), map(butterfly.gap_to_dict, records))
+        assert len(writes) == 1
+        assert writes[0] == "".join(json.dumps(butterfly.gap_to_dict(r), sort_keys=True) + "\n"
+                                    for r in records)
+
+
+def _brute_force_pairs(fluxes, q_max):
+    """Farey-adjacent pairs by scanning every q2 <= q_max, ordered by Fraction."""
+    present = set(fluxes)
+    pairs = set()
+    for (p, q) in fluxes:
+        for q2 in range(1, q_max + 1):
+            for delta in (1, -1):
+                num = p * q2 + delta
+                if num % q == 0:
+                    p2 = num // q
+                    if 1 <= p2 <= q2 and (p2, q2) in present:
+                        key = tuple(sorted([(p, q), (p2, q2)], key=lambda t: Fraction(*t)))
+                        if key[0] != key[1]:
+                            pairs.add(key)
+    return sorted(pairs, key=lambda ab: (Fraction(*ab[0]), Fraction(*ab[1])))
+
+
+class TestAdjacentFluxPairs:
+    @pytest.mark.parametrize("q_max", range(1, 31))
+    def test_matches_brute_force(self, q_max):
+        fluxes = [(f.p, f.q) for f in enumerate_fluxes(q_max)]
+        rng = random.Random(q_max)
+        subset = rng.sample(fluxes, len(fluxes) // 2)  # unsorted, with gaps
+        for flux_set in (fluxes, subset, subset + [(2, 4), (3, 6)]):  # and unreduced
+            assert butterfly._adjacent_flux_pairs(flux_set) == \
+                _brute_force_pairs(flux_set, q_max + 1)
+
+    def test_neighbours_of_full_flux(self):
+        # 1/1 is the upper neighbour of every (q-1)/q
+        pairs = butterfly._adjacent_flux_pairs([(1, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+        assert [a for a, b in pairs if b == (1, 1)] == [(1, 2), (2, 3), (3, 4)]
+        assert ((1, 3), (1, 2)) in pairs

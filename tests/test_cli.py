@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, chern
+from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, chern, cli
 from hofbutter.butterfly import RESOLVERS, _compute_flux
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
@@ -83,6 +83,34 @@ class TestChern:
         err = capsys.readouterr().err
         assert err.startswith("error: bands ") and "grid 256" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("target,message", [
+        (["--band", "0"], "band index 0 outside 1..5"),
+        (["--band", "6"], "band index 6 outside 1..5"),
+        (["--gap", "9"], "gap index 9 outside 0..5"),
+        (["--gap", "-1"], "gap index -1 outside 0..5"),
+    ])
+    def test_index_out_of_range(self, capsys, monkeypatch, method, target, message):
+        # checked once, before either method runs: one error line, exit 2
+        for name in ("band_chern_fhs", "certify_gap", "band_chern_transport",
+                     "gap_residue_transport"):
+            monkeypatch.setattr(cli, name, None)
+        code = main(["chern", "--p", "2", "--q", "5", "--method", method, *target])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("target", [["--gap", "0"], ["--gap", "5"],
+                                        ["--band", "1"], ["--band", "5"]])
+    def test_end_indices_in_range(self, capsys, method, target):
+        code, out = run(["chern", "--p", "2", "--q", "5", *target,
+                         "--method", method, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["j" if target[0] == "--gap" else "band"] == int(target[1])
+        if target[0] == "--gap":
+            assert payload.get("chern_mod_q", payload["chern"]) == 0
 
     @pytest.mark.parametrize("target", [[], ["--gap", "1", "--band", "1"]])
     def test_needs_exactly_one_of_gap_and_band(self, capsys, target):

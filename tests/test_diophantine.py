@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,50 @@ class TestStredaCheck:
         assert streda_check(a, b) is StredaOutcome.CONSISTENT
         assert streda_check(b, c) is StredaOutcome.CONSISTENT
         assert streda_check(a, c) is StredaOutcome.CONSISTENT
+
+
+def _streda_by_fractions(a, b, overlap_tol=0.0):
+    """streda_check as written in rational arithmetic."""
+    if a.closed or b.closed or a.chern is None or b.chern is None:
+        return StredaOutcome.NOT_COMPARABLE
+    if not min(a.hi, b.hi) - max(a.lo, b.lo) > overlap_tol:
+        return StredaOutcome.NOT_COMPARABLE
+    drho = Fraction(b.j, b.q) - Fraction(a.j, a.q)
+    dphi = Fraction(b.p, b.q) - Fraction(a.p, a.q)
+    if drho != a.chern * dphi and drho != b.chern * dphi:
+        return StredaOutcome.NOT_COMPARABLE
+    if a.chern == b.chern:
+        return StredaOutcome.CONSISTENT
+    return StredaOutcome.INCONSISTENT
+
+
+def test_integer_streda_matches_fractions():
+    rng = random.Random(20261018)
+    fluxes = [(p, q) for q in range(1, 13) for p in coprime(q)]
+    outcomes = set()
+    for _ in range(4000):
+        (pa, qa), (pb, qb) = rng.sample(fluxes, 2)
+        ja = rng.randrange(qa + 1)
+        sa = rng.randrange(-qa, qa + 1)
+        sb = rng.randrange(-qb, qb + 1)
+        # on a claimed wing half the time: j_b = q_b (j_a/q_a + sigma_a dphi)
+        claimed = Fraction(ja, qa) + sa * (Fraction(pb, qb) - Fraction(pa, qa))
+        jb = claimed * qb
+        if rng.random() < 0.5 or jb.denominator != 1:
+            jb = rng.randrange(qb + 1)
+        if rng.random() < 0.3:
+            sb = sa
+        lo_a, lo_b = rng.uniform(-3, 2), rng.uniform(-3, 2)
+        a = GapRecord(pa, qa, PHI_D_SYMMETRIC, ja, lo_a, lo_a + rng.uniform(0, 1), 0.5,
+                      rng.random() < 0.05, None if rng.random() < 0.05 else sa, "x")
+        b = GapRecord(pb, qb, PHI_D_SYMMETRIC, int(jb), lo_b, lo_b + rng.uniform(0, 1), 0.5,
+                      rng.random() < 0.05, None if rng.random() < 0.05 else sb, "x")
+        tol = rng.choice([0.0, 0.1])
+        expected = _streda_by_fractions(a, b, tol)
+        assert streda_check(a, b, tol) is expected
+        assert streda_check(b, a, tol) is _streda_by_fractions(b, a, tol)
+        outcomes.add(expected)
+    assert outcomes == set(StredaOutcome)
 
 
 class TestFragmentation:

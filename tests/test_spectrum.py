@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hofbutter import (
     BlochMomentum,
     ButterflyConfig,
     Flux,
+    GapRecord,
     HofstadterModel,
     PHI_D_SYMMETRIC,
     band_edge_kpoints,
@@ -218,6 +220,26 @@ class TestComputeBands:
             assert all(flat[i] <= flat[i + 1] + 1e-10 for i in range(len(flat) - 1))
 
 
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1, 1, 1)), (0.0, (1, 1, 0)),
+                                         (0.3, (1, 1, 1)), (0.3, (1, 0.8, 0.6))])
+    def test_one_batched_eigensolve(self, monkeypatch, phi_d, t):
+        # every edge momentum (and probe) in one hamiltonian_batch and one
+        # eigvalsh, with the bands of one eigensolve per edge momentum
+        for p, q in [(1, 3), (2, 5), (3, 8), (5, 12)]:
+            model = HofstadterModel(Flux(p, q), phi_d, *t)
+            expected = [np.linalg.eigvalsh(build_hamiltonian(model, k))
+                        for k in band_edge_kpoints(model)]
+            calls = []
+            monkeypatch.setattr(spectrum, "hamiltonian_batch",
+                                lambda *a: calls.append(a) or hamiltonian_batch(*a))
+            monkeypatch.setattr(spectrum, "build_hamiltonian", None)
+            bands = compute_bands(model).bands
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert bands == tuple(zip(np.min(expected, axis=0).tolist(),
+                                      np.max(expected, axis=0).tolist()))
+
+
 class TestComputeGaps:
     def test_q1_two_trivial_gaps(self):
         gaps = compute_gaps(compute_bands(HofstadterModel(Flux(1, 1))))
@@ -244,6 +266,33 @@ class TestComputeGaps:
             assert len(gaps) == model.q + 1
             assert all(g.width >= 0 for g in gaps)
             assert math.isinf(gaps[0].width) and math.isinf(gaps[-1].width)
+
+
+class TestGapRecord:
+    def test_fields_and_defaults(self):
+        rec = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False)
+        assert GapRecord._fields == ("p", "q", "phi_d", "j", "lo", "hi", "width",
+                                     "closed", "chern", "chern_source")
+        assert (rec.chern, rec.chern_source) == (None, "unresolved")
+        assert rec.rho == Fraction(1, 5) and rec.flux_fraction == Fraction(2, 5)
+
+    def test_equality_and_hashing(self):
+        a = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "computed_fhs")
+        b = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "computed_fhs")
+        c = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, 3, "computed_fhs")
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+        with pytest.raises(AttributeError):
+            a.chern = 3
+
+    def test_replace(self):
+        rec = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False)
+        colored = rec._replace(chern=-2, chern_source="window_triangular")
+        assert type(colored) is GapRecord
+        assert colored[:8] == rec[:8]
+        assert (colored.chern, colored.chern_source) == (-2, "window_triangular")
+        assert (rec.chern, rec.chern_source) == (None, "unresolved")
 
 
 class TestSerialization:
