@@ -93,6 +93,8 @@ class ButterflyConfig:
             raise ValueError("q_max must be >= 1")
         if self.mu_bins < 2:
             raise ValueError("mu_bins must be >= 2")
+        if self.height < 1:
+            raise ValueError("height must be >= 1")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
 

@@ -43,7 +43,7 @@ from .spectrum import (
     gaps_to_csv,
     spectrum_to_json,
 )
-from .render import render_jsonl
+from .render import render, render_jsonl
 
 
 def _load_config_file(path: str) -> dict:
@@ -182,13 +182,17 @@ def cmd_dioph(args) -> int:
 
 
 def cmd_butterfly(args) -> int:
-    cfg = ButterflyConfig(
-        q_max=args.qmax, phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
-        resolver=args.resolver, exclusions=not args.no_exclusions,
-        computed_q_max=args.computed_qmax, fhs_grid=args.grid,
-        eps_gap=args.eps_gap, mu_bins=args.mu_bins, height=args.height,
-        row_scale=args.row_scale, colormap_period=args.colormap_period,
-        jobs=args.jobs)
+    try:
+        cfg = ButterflyConfig(
+            q_max=args.qmax, phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
+            resolver=args.resolver, exclusions=not args.no_exclusions,
+            computed_q_max=args.computed_qmax, fhs_grid=args.grid,
+            eps_gap=args.eps_gap, mu_bins=args.mu_bins, height=args.height,
+            row_scale=args.row_scale, colormap_period=args.colormap_period,
+            jobs=args.jobs)
+    except ValueError as exc:  # checked before the sweep writes anything
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.time()
 
     def progress(done, total):
@@ -202,19 +206,24 @@ def cmd_butterfly(args) -> int:
     print(f"wrote {n_records} gap records to {jsonl_path} "
           f"({time.time() - t0:.1f}s, {len(failures)} flux failures)",
           file=sys.stderr)
+    # the file is decoded once: into a list when the CSV or the audit
+    # needs one, else streamed by render_jsonl
+    records = None
+    if args.check or args.format == "csv":
+        records = read_records_jsonl(jsonl_path)
     if args.format == "csv":
         csv_path = jsonl_path.rsplit(".", 1)[0] + ".csv"
         with open(csv_path, "w") as fh:
-            fh.write(gaps_to_csv(read_records_jsonl(jsonl_path)))
+            fh.write(gaps_to_csv(records))
         print(f"wrote {csv_path}", file=sys.stderr)
     if args.format == "ppm":
         ppm_path = jsonl_path.rsplit(".", 1)[0] + ".ppm"
         with open(ppm_path, "wb") as fh:
-            fh.write(render_jsonl(jsonl_path, cfg))  # streams the file in one pass
+            fh.write(render_jsonl(jsonl_path, cfg) if records is None
+                     else render(records, cfg))
         print(f"wrote {ppm_path}", file=sys.stderr)
     if args.check:
-        diagram = ButterflyDiagram(cfg, tuple(read_records_jsonl(jsonl_path)),
-                                   tuple(failures))
+        diagram = ButterflyDiagram(cfg, tuple(records), tuple(failures))
         report = detect_coloring_errors(diagram)
         for pair in report[:50]:
             a, b = pair.rec_a, pair.rec_b

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ SENTINEL = (128, 128, 128)  # unresolved
 SATURATION = 0.88
 VALUE = 0.95
 LUT_ROWS = 64  # rows per palette lookup; bounds its intp index temporary
+PAINT_BLOCK = 1024  # records per .tolist() gather of the paint loop
 
 
 def chern_color(sigma, period: int) -> tuple:
@@ -59,68 +61,97 @@ def _row_bounds(p: int, q: int, height: int, thickness: Fraction):
     return spans
 
 
-def render(records, config: ButterflyConfig) -> bytes:
-    """Rasterize gap records into PPM (P6) bytes in one pass.
+def _paint(records, config: ButterflyConfig):
+    """Palette-code canvas of the records, the code of each Chern value
+    and the largest |sigma|.
 
-    Low-q rows win contested pixels, so the wide low-denominator wings
-    dominate visually; deterministic for fixed records and config.  A
-    per-pixel owner-q buffer enforces this independent of record order;
-    equal q overwrites (rows of equal q never overlap).  Each pixel
-    holds a palette code: 0 while unpainted, then one code per distinct
-    Chern value in order of first use (None included).  The palette
-    period depends on the largest |sigma| of all records, painted or
-    not, so colors are assigned only after the last record.
+    The records are streamed once into packed columns, then painted in
+    stable descending-q order: the last write to a pixel comes from the
+    lowest q and, among equal q, from the later record, whatever the
+    record order.  Code 0 is unpainted; the others follow first use.
     """
-    height, width, emax = config.height, config.mu_bins, config.energy_clamp
-    owner = np.full((height, width), np.iinfo(np.int32).max, dtype=np.int32)
-    labels = np.zeros((height, width), dtype=np.uint16)
-    # sorted, so the columns inside [lo, hi] are one searchsorted slice
-    centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
-    scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
-    codes, spans, biggest = {}, {}, 1  # chern -> code, (p, q) -> row spans
+    qs, ps, los, his, marks = (array("i"), array("i"), array("d"), array("d"),
+                               array("H"))
+    codes, biggest = {}, 1  # chern -> palette code
     for rec in records:
         if rec.chern:
             biggest = max(biggest, abs(rec.chern))
         if rec.closed:
             continue  # closed gaps stay canvas-black like the bands
-        c0 = int(centers.searchsorted(max(rec.lo, -emax), "left"))
-        c1 = int(centers.searchsorted(min(rec.hi, emax), "right"))
-        if c0 >= c1:
-            continue
-        code = codes.setdefault(rec.chern, len(codes) + 1)
-        key = (rec.p, rec.q)
-        if key not in spans:
-            spans[key] = _row_bounds(rec.p, rec.q, height, max(scale / rec.q, Fraction(1)))
-        for y0, y1 in spans[key]:  # a named view of owner would outlive del owner
-            claim = owner[y0:y1 + 1, c0:c1] >= rec.q
-            owner[y0:y1 + 1, c0:c1][claim] = rec.q
-            labels[y0:y1 + 1, c0:c1][claim] = code
-    del owner  # each big buffer goes before the next is made: peak owner + labels
+        qs.append(rec.q)
+        ps.append(rec.p)
+        los.append(rec.lo)
+        his.append(rec.hi)
+        marks.append(codes.setdefault(rec.chern, len(codes) + 1))
+    height, width, emax = config.height, config.mu_bins, config.energy_clamp
+    # strictly increasing and inside (-emax, emax), so the columns inside
+    # [lo, hi] are one searchsorted slice, also for ends past the clamp
+    centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
+    c0 = centers.searchsorted(np.frombuffer(los), "left")
+    c1 = centers.searchsorted(np.frombuffer(his), "right")
+    qcol = np.frombuffer(qs, dtype=np.int32)
+    painted = np.flatnonzero(c0 < c1)
+    order = painted[np.argsort(-qcol[painted], kind="stable")]
+    columns = (qcol, np.frombuffer(ps, dtype=np.int32), c0, c1,
+               np.frombuffer(marks, dtype=np.uint16))
+    labels = np.zeros((height, width), dtype=np.uint16)
+    scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
+    spans = {}  # (p, q) -> row spans
+    for start in range(0, len(order), PAINT_BLOCK):
+        block = order[start:start + PAINT_BLOCK]
+        for q, p, a, b, code in zip(*(col[block].tolist() for col in columns)):
+            if (p, q) not in spans:
+                spans[p, q] = _row_bounds(p, q, height, max(scale / q, Fraction(1)))
+            for y0, y1 in spans[p, q]:
+                labels[y0:y1 + 1, a:b] = code
+    return labels, codes, biggest
+
+
+def render(records, config: ButterflyConfig) -> bytearray:
+    """Rasterize gap records into PPM (P6) bytes in one pass.
+
+    Low-q rows win contested pixels, so the wide low-denominator wings
+    dominate visually; equal q overwrites (rows of equal q never
+    overlap in a sweep).  The result depends on the records and the
+    config, not on the record order.  The palette period depends on the
+    largest |sigma| of all records, painted or not, so colors are
+    assigned only after the last record.
+    """
+    labels, codes, biggest = _paint(records, config)
     period = config.colormap_period or 2 * biggest + 1
     lut = np.zeros((len(codes) + 1, 3), dtype=np.uint8)
     for sigma, code in codes.items():
         lut[code] = chern_color(sigma, period)
-    pixels = np.empty((height, width, 3), dtype=np.uint8)
-    for y in range(0, height, LUT_ROWS):
+    data, pixels = _ppm_buffer(*labels.shape)
+    for y in range(0, len(labels), LUT_ROWS):
         pixels[y:y + LUT_ROWS] = lut[labels[y:y + LUT_ROWS]]
-    del labels
-    return write_ppm(pixels)
+    return data
 
 
-def render_jsonl(path: str, config: ButterflyConfig) -> bytes:
+def render_jsonl(path: str, config: ButterflyConfig) -> bytearray:
     """Stream a JSON-lines record file into an image without
     materializing the records; each line is decoded once."""
     with open(path) as fh:
         return render(decode_records(fh), config)
 
 
-def write_ppm(pixels: np.ndarray) -> bytes:
+def _ppm_buffer(height: int, width: int):
+    """A zeroed binary PPM (P6), header then pixels, and a writable
+    (H, W, 3) uint8 view of its pixels."""
+    header = b"P6\n%d %d\n255\n" % (width, height)
+    data = bytearray(len(header) + height * width * 3)
+    data[:len(header)] = header
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=len(header))
+    return data, pixels.reshape(height, width, 3)
+
+
+def write_ppm(pixels: np.ndarray) -> bytearray:
     """Encode an (H, W, 3) uint8 array as binary PPM (P6)."""
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError("expected an (H, W, 3) uint8 array")
-    h, w = pixels.shape[:2]
-    # a memoryview avoids the extra image-sized copy tobytes() would make
-    return b"P6\n%d %d\n255\n" % (w, h) + memoryview(np.ascontiguousarray(pixels))
+    data, view = _ppm_buffer(*pixels.shape[:2])
+    view[...] = pixels
+    return data
 
 
 def read_ppm(data: bytes) -> np.ndarray:

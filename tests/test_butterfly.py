@@ -49,6 +49,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ButterflyConfig(mu_bins=1)
         with pytest.raises(ValueError):
+            ButterflyConfig(height=0)
+        with pytest.raises(ValueError):
             ButterflyConfig(resolver="magic")
 
     def test_energy_clamp_default(self):

@@ -1,10 +1,11 @@
+import importlib
 import json
 import math
 
 import pytest
 
-from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, chern, cli
-from hofbutter.butterfly import RESOLVERS, _compute_flux
+from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, butterfly, chern, cli
+from hofbutter.butterfly import RESOLVERS, _compute_flux, decode_records
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
 
@@ -201,6 +202,42 @@ class TestButterfly:
                          "--out", str(base)], capsys)
         assert code == 0
         assert "inconsistent" in out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--height", "-4"], "height must be >= 1"),
+        (["--height", "0"], "height must be >= 1"),
+        (["--mu-bins", "1"], "mu_bins must be >= 2"),
+        (["--qmax", "0"], "q_max must be >= 1"),
+    ])
+    def test_bad_config_rejected_before_sweep(self, tmp_path, capsys, monkeypatch,
+                                              flags, message):
+        monkeypatch.setattr(cli, "sweep_to_jsonl", None)
+        code = main(["butterfly", "--qmax", "3", *flags, "--format", "ppm",
+                     "--out", str(tmp_path / "bf")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt,check", [("ppm", True), ("ppm", False),
+                                           ("csv", True), ("csv", False)])
+    def test_jsonl_decoded_once(self, tmp_path, capsys, monkeypatch, fmt, check):
+        passes = []
+
+        def spy(lines):
+            passes.append(fmt)
+            yield from decode_records(lines)
+
+        monkeypatch.setattr(butterfly, "decode_records", spy)
+        monkeypatch.setattr(importlib.import_module("hofbutter.render"),
+                            "decode_records", spy)
+        code = main(["butterfly", "--qmax", "5", "--resolver", "triangular",
+                     "--no-exclusions", "--mu-bins", "64", "--height", "32",
+                     "--format", fmt, *(["--check"] if check else []),
+                     "--out", str(tmp_path / "bf")])
+        assert code == 0
+        assert passes == [fmt]
+        assert (tmp_path / f"bf.{fmt}").stat().st_size > 0
+        assert ("inconsistent" in capsys.readouterr().out) == check
 
 
 class TestConfigFile:

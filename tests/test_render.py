@@ -1,5 +1,6 @@
 import colorsys
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hofbutter import (
     PHI_D_SYMMETRIC,
     build_diagram,
     chern_color,
+    sweep_to_jsonl,
     write_ppm,
     write_records_jsonl,
 )
@@ -129,6 +131,21 @@ HAND_RECORDS = [
 ]
 
 
+def _stacked_records():
+    """Forty-one q = 3 gaps over the same pixels in seeded order, and a
+    q = 5 gap whose rows meet those of q = 3 and of q = 2: only a stable
+    descending-q order paints what the owner rule paints."""
+    rng = np.random.default_rng(7)
+    recs = [_gap(1, 3, j, -1.5 + 0.01 * j, 1.5 - 0.01 * j, int(rng.integers(-4, 5)))
+            for j in range(40)]
+    recs += [_gap(1, 2, 1, -0.5, 0.5, None), _gap(2, 5, 1, -3.0, 3.0, 2),
+             _gap(1, 3, 40, -0.2, 0.2, -1)]
+    return [recs[i] for i in rng.permutation(len(recs))]
+
+
+STACKED_RECORDS = _stacked_records()
+
+
 class TestMatchesMaskRasterizer:
     @pytest.mark.parametrize("records, cfg", [
         pytest.param(None, ButterflyConfig(q_max=12, computed_q_max=0,
@@ -137,8 +154,17 @@ class TestMatchesMaskRasterizer:
                                            mu_bins=512, height=256), id="period_override"),
         pytest.param(None, ButterflyConfig(q_max=5, resolver="computed", computed_q_max=5,
                                            mu_bins=256, height=128), id="computed_q5"),
+        pytest.param(None, ButterflyConfig(q_max=10, phi_d=0.3, t1=1.0, t2=0.8, t3=0.6,
+                                           computed_q_max=0, mu_bins=512, height=256),
+                     id="anisotropic_clamp"),
         pytest.param(HAND_RECORDS, ButterflyConfig(q_max=3, mu_bins=16, height=12),
                      id="hand_made"),
+        pytest.param(HAND_RECORDS[::-1], ButterflyConfig(q_max=3, mu_bins=16, height=12),
+                     id="hand_made_reversed"),
+        pytest.param(STACKED_RECORDS, ButterflyConfig(q_max=5, mu_bins=32, height=40),
+                     id="equal_q_stack"),
+        pytest.param(STACKED_RECORDS[::-1], ButterflyConfig(q_max=5, mu_bins=32, height=40),
+                     id="equal_q_stack_reversed"),
     ])
     def test_render_and_render_jsonl_bytes(self, records, cfg, tmp_path):
         if records is None:
@@ -157,3 +183,34 @@ class TestMatchesMaskRasterizer:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
         assert render_jsonl(str(path), cfg) == render(HAND_RECORDS, cfg)
+
+    @pytest.mark.parametrize("reorder", ["shuffled", "reversed"])
+    def test_record_order_does_not_matter(self, reorder):
+        # a sweep's equal-q rows never overlap, so the owner rule alone
+        # (low q wins) fixes every pixel whatever the record order
+        cfg = ButterflyConfig(q_max=12, computed_q_max=0, mu_bins=512, height=256)
+        records = build_diagram(cfg).records
+        expected = mask_render(records, cfg)
+        if reorder == "shuffled":
+            records = [records[i] for i in np.random.default_rng(11).permutation(len(records))]
+        else:
+            records = records[::-1]
+        assert render(records, cfg) == expected
+
+
+def test_render_jsonl_memory_peak(tmp_path):
+    """The Python-level peak of render_jsonl on the q_max 40 sweep at
+    phi_d = -pi/2: the 2 MB code canvas, the 3 MB PPM buffer and the
+    per-block temporaries.  An owner-sized buffer (4 MB) or a second
+    copy of the image (3 MB) would not fit under the bound."""
+    cfg = ButterflyConfig(q_max=40, phi_d=PHI_D_SYMMETRIC, computed_q_max=0)
+    path = str(tmp_path / "records.jsonl")
+    sweep_to_jsonl(cfg, path)
+    tracemalloc.start()
+    try:
+        data = render_jsonl(path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == len(b"P6\n1024 1024\n255\n") + 1024 * 1024 * 3
+    assert peak <= 5.6 * 2**20
