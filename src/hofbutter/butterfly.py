@@ -9,12 +9,12 @@ comparisons between Farey-adjacent fluxes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -95,6 +95,10 @@ class ButterflyConfig:
             raise ValueError("mu_bins must be >= 2")
         if self.height < 1:
             raise ValueError("height must be >= 1")
+        if self.fhs_grid < 1:
+            raise ValueError("fhs_grid must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
 
@@ -103,6 +107,12 @@ class ButterflyConfig:
         """Energy at which semi-infinite gaps are clipped: the spectral
         bound 2(t1 + t2 + t3)."""
         return 2.0 * (self.t1 + self.t2 + self.t3)
+
+    def reaches_fhs(self, q: int) -> bool:
+        """Whether the gaps the resolver leaves gray at denominator q go
+        to FHS: always under the computed resolver, else up to
+        computed_q_max."""
+        return self.resolver == "computed" or q <= self.computed_q_max
 
 
 @dataclass(frozen=True)
@@ -131,11 +141,10 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                   cfg: ButterflyConfig, known=None) -> list[GapRecord]:
     """Assign Chern numbers to the open interior gaps of one flux.
 
-    The strategy colors what it can.  Under the computed strategy, or
-    at q <= computed_q_max, the open gaps still gray take their value
-    from ``known`` ({j: sigma}, FHS values mirrored from the inversion
-    partner), and those it does not cover go to FHS in one
-    ``gap_chern_table`` call.
+    The strategy colors what it can.  Where ``cfg.reaches_fhs(q)``, the
+    open gaps still gray take their value from ``known`` ({j: sigma},
+    FHS values mirrored from the inversion partner), and those it does
+    not cover go to FHS in one ``gap_chern_table`` call.
     """
     q = model.q
     strategy = cfg.resolver
@@ -152,7 +161,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                 sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
         out.append(rec if sigma is None else rec._replace(chern=sigma, chern_source=tag))
     gray = {rec.j for rec in out if rec.chern is None and not rec.closed}
-    if gray and (strategy == "computed" or q <= cfg.computed_q_max):
+    if gray and cfg.reaches_fhs(q):
         fhs = {j: v for j, v in (known or {}).items() if j in gray}
         rest = [rec for rec in out if rec.j in gray and rec.j not in fhs]
         if rest:
@@ -188,102 +197,79 @@ def _compute_flux(args):
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
 
-def _compute_fluxes(tasks):
-    """Worker: ``_compute_flux`` of a run of tasks, sent as one pool call."""
-    return [_compute_flux(args) for args in tasks]
-
-
 def _mirror(q: int, result) -> dict:
     """{q - j: sigma} of the FHS-certified gaps in the result of a flux
     with denominator q."""
     return {q - d["j"]: d["chern"] for d in result[0] if d["source"] == "computed_fhs"}
 
 
+def _compute_task(config: ButterflyConfig, task) -> list:
+    """Worker: ``_compute_flux`` of each flux (p, q) of one call, in
+    order.  In a pair call the second flux, the inversion partner of the
+    first, takes the first's FHS values, mirrored j -> q-j, as ``known``."""
+    fluxes, pair = task
+    out = []
+    for p, q in fluxes:
+        known = _mirror(q, out[0]) if pair and out else None
+        out.append(_compute_flux((p, q, config, known)))
+    return out
+
+
+def _tasks(fluxes: list[Flux], config: ButterflyConfig) -> list[tuple]:
+    """The calls of a sweep, as (flux indices, pair), in the order they run.
+
+    Each flux that can reach FHS is one call, largest q first, since
+    those cost the most.  At phi_d = +/-pi/2 flux (q-p)/q is the
+    antiunitary image of p/q, so sigma_j((q-p)/q) = sigma_(q-j)(p/q)
+    (notes/decisions.md): a flux p/q < 1/2 shares its call with its
+    partner, which runs right after it (``pair`` is True).  The other
+    fluxes follow in flux order, in runs of consecutive fluxes that
+    amortise pool IPC; at jobs=1 each run is one flux.
+    """
+    mirrored = _is_half_pi(config.phi_d)
+    index = {(f.p, f.q): i for i, f in enumerate(fluxes)}
+    costly = [i for i, f in enumerate(fluxes)
+              if config.reaches_fhs(f.q) and not (mirrored and f.p < f.q < 2 * f.p)]
+    tasks = []
+    for i in sorted(costly, key=lambda i: -fluxes[i].q):
+        p, q = fluxes[i].p, fluxes[i].q
+        pair = mirrored and 2 * p < q
+        tasks.append(((i, index[(q - p, q)]) if pair else (i,), pair))
+    chunk = max(1, len(fluxes) // (config.jobs * 64)) if config.jobs > 1 else 1
+    rest = [i for i, f in enumerate(fluxes) if not config.reaches_fhs(f.q)]
+    # i minus its rank in rest is constant along consecutive fluxes
+    for _, stretch in itertools.groupby(enumerate(rest), lambda e: e[1] - e[0]):
+        run = [i for _, i in stretch]
+        tasks += [(tuple(run[k:k + chunk]), False) for k in range(0, len(run), chunk)]
+    return tasks
+
+
 def iter_flux_results(config: ButterflyConfig, progress=None):
     """Yield (record_dicts, failure) per flux in flux order.
 
     The lazy backbone of every sweep: giant diagrams stream through
-    without materializing.  Deterministic for a fixed config regardless
-    of the parallelism degree.
-
-    At phi_d = +/-pi/2 flux (q-p)/q is the antiunitary image of p/q, so
-    sigma_j((q-p)/q) = sigma_(q-j)(p/q) (notes/decisions.md).  Each flux
-    below 1/2, which comes first in Farey order, hands its FHS values,
-    mirrored j -> q-j, to its partner above 1/2, which certifies only
-    the gray gaps they do not cover.
+    without materializing.  One path at any parallelism degree:
+    ``_tasks`` lists the calls and ``_compute_task`` runs one; jobs=1
+    maps them in-process with the builtin ``map``, jobs>1 with
+    ``pool.map`` of one process pool.  Results that arrive before their
+    turn wait in one dict, so the output is deterministic for a fixed
+    config regardless of ``jobs``.
     """
     fluxes = enumerate_fluxes(config.q_max)
-    mirrored = _is_half_pi(config.phi_d)
-    results = (_pooled_results(fluxes, config, mirrored) if config.jobs > 1
-               else _serial_results(fluxes, config, mirrored))
-    for done, res in enumerate(results, 1):
-        if progress:
-            progress(done, len(fluxes))
-        yield res
-
-
-def _serial_results(fluxes, config: ButterflyConfig, mirrored: bool):
-    """The result of each flux in turn, in flux order."""
-    mirrors = {}  # partner (p, q) -> {j: sigma}, popped when used
-    for f in fluxes:
-        res = _compute_flux((f.p, f.q, config, mirrors.pop((f.p, f.q), None)))
-        if mirrored and 2 * f.p < f.q:
-            mirror = _mirror(f.q, res)
-            if mirror:
-                mirrors[(f.q - f.p, f.q)] = mirror
-        yield res
-
-
-def _pooled_results(fluxes, config: ButterflyConfig, mirrored: bool):
-    """The results of ``_serial_results``, computed by a process pool.
-
-    The fluxes that can reach FHS go out first, one per call and largest
-    q first, since they cost the most; the rest follow in flux order, in
-    runs of consecutive fluxes.  A flux above 1/2 that takes its
-    partner's table goes out as soon as that table is in, ahead of the
-    queue.  At most two calls per worker are in flight, so such a flux
-    never waits behind the rest of the sweep, and results that arrive
-    early are held until their turn.
-    """
-    n = len(fluxes)
-    index = {(f.p, f.q): i for i, f in enumerate(fluxes)}
-    fhs_q_max = config.q_max if config.resolver == "computed" else config.computed_q_max
-    waiter = {index[(f.q - f.p, f.q)]: i for i, f in enumerate(fluxes)
-              if mirrored and f.p < f.q < 2 * f.p and f.q <= fhs_q_max}
-    waiting = set(waiter.values())
-    chunk = max(1, n // (config.jobs * 64))
-    costly = [i for i in range(n) if fluxes[i].q <= fhs_q_max and i not in waiting]
-    queue = deque([i] for i in sorted(costly, key=lambda i: -fluxes[i].q))
-    runs = []
-    for i in range(n):
-        if fluxes[i].q > fhs_q_max:
-            if runs and runs[-1][-1] == i - 1 and len(runs[-1]) < chunk:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
-    queue.extend(runs)
-    ready = deque()     # waiting fluxes whose partner's table is in
-    mirrors = {}        # flux index -> {j: sigma}
-    results = {}        # flux index -> result, until yielded
-    running = {}        # future -> flux indices
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for nxt in range(n):
-            while True:
-                for fut in [f for f in running if f.done()]:
-                    for i, res in zip(running.pop(fut), fut.result()):
-                        results[i] = res
-                        if i in waiter:
-                            mirrors[waiter[i]] = _mirror(fluxes[i].q, res) or None
-                            ready.append(waiter[i])
-                while len(running) < 2 * config.jobs and (ready or queue):
-                    idx = [ready.popleft()] if ready else queue.popleft()
-                    tasks = [(fluxes[i].p, fluxes[i].q, config, mirrors.pop(i, None))
-                             for i in idx]
-                    running[pool.submit(_compute_fluxes, tasks)] = idx
-                if nxt in results:
-                    break
-                wait(running, return_when=FIRST_COMPLETED)
-            yield results.pop(nxt)
+    tasks = _tasks(fluxes, config)
+    calls = [([(fluxes[i].p, fluxes[i].q) for i in idx], pair) for idx, pair in tasks]
+    work = functools.partial(_compute_task, config)
+    held = {}  # flux index -> result, until yielded
+    done = 0
+    with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
+          else contextlib.nullcontext()) as pool:
+        for (idx, _), results in zip(tasks, (pool.map if pool else map)(work, calls)):
+            held.update(zip(idx, results))
+            while done in held:
+                done += 1
+                if progress:
+                    progress(done, len(fluxes))
+                yield held.pop(done - 1)
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:

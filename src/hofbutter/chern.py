@@ -215,6 +215,8 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
     two successive grids, up to the grid cap.  Blocks that never pass
     are absent from the result.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     q = model.q
     remaining = dict(blocks)
     out: dict[int, ChernResult] = {}
@@ -329,6 +331,8 @@ def band_chern_transport(model: HofstadterModel, n: int,
     q = model.q
     if not 1 <= n <= q:
         raise ValueError(f"band index {n} outside 1..{q}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if q == 1:
         return TransportResult(1, 0.0, 0, 0.0, steps)
 

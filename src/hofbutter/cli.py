@@ -128,6 +128,10 @@ def cmd_chern(args) -> int:
     if args.gap is not None and not 0 <= args.gap <= q:
         print(f"error: gap index {args.gap} outside 0..{q}", file=sys.stderr)
         return 2
+    for flag, value in (("--grid", args.grid), ("--steps", args.steps)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     if args.band is not None and args.method == "transport":
         res = band_chern_transport(model, args.band, args.steps)
         payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
@@ -164,9 +168,13 @@ def cmd_dioph(args) -> int:
     if args.j is not None and not 0 <= args.j <= flux.q:
         print(f"error: gap index {args.j} outside 0..{flux.q}", file=sys.stderr)
         return 2
-    cfg = ButterflyConfig(phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
-                          resolver=args.strategy, computed_q_max=0,
-                          fhs_grid=args.grid)
+    try:
+        cfg = ButterflyConfig(phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
+                              resolver=args.strategy, computed_q_max=0,
+                              fhs_grid=args.grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = flux_records(flux.p, flux.q, cfg)
     lines = []
     for rec in records if args.j is None else [records[args.j]]:

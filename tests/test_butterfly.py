@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -52,6 +53,15 @@ class TestConfig:
             ButterflyConfig(height=0)
         with pytest.raises(ValueError):
             ButterflyConfig(resolver="magic")
+        for bad in ({"fhs_grid": 0}, {"fhs_grid": -8}, {"jobs": 0}, {"jobs": -2}):
+            with pytest.raises(ValueError):
+                ButterflyConfig(**bad)
+
+    @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
+    def test_reaches_fhs(self, resolver):
+        cfg = ButterflyConfig(q_max=20, resolver=resolver, computed_q_max=5)
+        assert [q for q in range(1, 21) if cfg.reaches_fhs(q)] == \
+            (list(range(1, 21)) if resolver == "computed" else [1, 2, 3, 4, 5])
 
     def test_energy_clamp_default(self):
         assert ButterflyConfig().energy_clamp == 6.0
@@ -92,11 +102,21 @@ class TestBuildDiagram:
                    for r in interior)
 
     def test_determinism_across_jobs(self, tmp_path):
-        # in the +pi/2 anisotropic sweep each flux above 1/2 waits in the
-        # pool for its inversion partner's mirrored values
-        for model in [{}, {"phi_d": math.pi / 2, "t2": 0.8, "t3": 0.6}]:
-            cfg1 = ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6,
-                                   jobs=1, **model)
+        # jobs=1 maps the calls of _tasks in-process, jobs=2 sends them to
+        # a pool.  The all-FHS sweeps are pair calls (each flux above 1/2
+        # takes its inversion partner's mirrored values in the same call,
+        # at -pi/2 and at +pi/2 anisotropic) and single calls at phi_d =
+        # 0.3; the triangular q_max 30 sweep mixes pair calls, single FHS
+        # calls (1/2, 1/1) and runs of two fluxes at jobs=2.
+        mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
+        calls = butterfly._tasks(enumerate_fluxes(30), replace(mixed, jobs=2))
+        assert {(pair, len(idx)) for idx, pair in calls} == {(True, 2), (False, 1),
+                                                             (False, 2)}
+        for cfg1 in [ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6),
+                     ButterflyConfig(q_max=6, resolver="computed", phi_d=math.pi / 2,
+                                     t2=0.8, t3=0.6),
+                     ButterflyConfig(q_max=6, resolver="computed", phi_d=0.3),
+                     mixed]:
             cfg2 = replace(cfg1, jobs=2)
             d1, d2 = build_diagram(cfg1), build_diagram(cfg2)
             p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -104,6 +124,14 @@ class TestBuildDiagram:
             write_records_jsonl(d2.records, p2)
             assert p1.read_bytes() == p2.read_bytes()
             assert render(d1.records, cfg1) == render(d2.records, cfg2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_once_per_flux_in_order(self, jobs):
+        cfg = ButterflyConfig(q_max=9, resolver="triangular", computed_q_max=5, jobs=jobs)
+        seen = []
+        build_diagram(cfg, progress=lambda done, total: seen.append((done, total)))
+        n = len(enumerate_fluxes(9))
+        assert seen == [(i, n) for i in range(1, n + 1)]
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
     def test_one_fhs_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
@@ -184,8 +212,43 @@ class TestDiagramSymmetry:
         monkeypatch.setattr(chern, "gap_chern_table", spy)
         diagram = build_diagram(ButterflyConfig(q_max=5, phi_d=phi_d, resolver="computed",
                                                 computed_q_max=5))
-        assert calls == expected
+        # calls come largest q first; what counts is one per pair, from p/q <= 1/2
+        assert sorted(calls) == sorted(expected)
         assert all(r.chern is not None for r in diagram.records if not r.closed)
+
+
+class TestTasks:
+    """The call list of a sweep, checked without running any flux."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, math.pi / 2, 0.3])
+    def test_call_order(self, phi_d, jobs):
+        multi_flux_runs = False
+        for resolver, computed_q_max, q_max in itertools.product(
+                butterfly.RESOLVERS, [0, 5, 16], [1, 2, 3, 7, 12, 20, 64]):
+            cfg = ButterflyConfig(q_max=q_max, phi_d=phi_d, resolver=resolver,
+                                  computed_q_max=computed_q_max, jobs=jobs)
+            fluxes = enumerate_fluxes(q_max)
+            calls = butterfly._tasks(fluxes, cfg)
+            assert sorted(i for idx, _ in calls for i in idx) == list(range(len(fluxes)))
+            fhs = [c for c in calls if cfg.reaches_fhs(fluxes[c[0][0]].q)]
+            assert calls[:len(fhs)] == fhs  # FHS calls before the runs
+            qs = [fluxes[idx[0]].q for idx, _ in fhs]
+            assert qs == sorted(qs, reverse=True)
+            paired = {idx[0] for idx, pair in calls if pair}
+            for i, f in enumerate(fluxes):
+                assert (i in paired) == (phi_d != 0.3 and 2 * f.p < f.q
+                                         and cfg.reaches_fhs(f.q))
+            for idx, pair in fhs:
+                f = fluxes[idx[0]]
+                assert idx[1:] == ((fluxes.index(Flux(f.q - f.p, f.q)),) if pair else ())
+            chunk = max(1, len(fluxes) // (jobs * 64)) if jobs > 1 else 1
+            for idx, pair in calls[len(fhs):]:
+                assert not pair and 1 <= len(idx) <= chunk
+                assert list(idx) == list(range(idx[0], idx[0] + len(idx)))
+                assert not any(cfg.reaches_fhs(fluxes[i].q) for i in idx)
+                multi_flux_runs |= len(idx) > 1
+        assert multi_flux_runs == (jobs > 1)
 
 
 class TestColoringErrors:

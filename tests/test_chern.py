@@ -206,6 +206,16 @@ class TestGapChern:
         with pytest.raises(GapClosed):
             certify_gap(model, 2)
 
+    @pytest.mark.parametrize("grid", [0, -8])
+    def test_unusable_grid_refused(self, grid):
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands(model))
+        for certify in (lambda: certify_gap(model, 1, grid),
+                        lambda: band_chern_fhs(model, 1, grid),
+                        lambda: gap_chern_table(model, gaps, grid)):
+            with pytest.raises(ValueError, match="grid must be >= 1"):
+                certify()
+
     def test_transport_method_refused(self):
         # transport pins only the residue mod q; the integer is FHS's
         assert gap_residue_transport(SQUARE_13, 1) == certify_gap(SQUARE_13, 1).value % 3
@@ -228,6 +238,13 @@ class TestTransport:
         res = band_chern_transport(SQUARE_13, 1)
         assert res.chern_mod_q == 1
         assert res.chern_mod_q == band_chern_fhs(SQUARE_13, 1).value % 3
+
+    @pytest.mark.parametrize("steps", [0, -4])
+    def test_unusable_steps_refused(self, steps):
+        # steps 0 once returned residue 0 for square 1/3 band 1, whose residue is 1
+        for model in (SQUARE_13, HofstadterModel(Flux(1, 1))):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                band_chern_transport(model, 1, steps)
 
     def test_gap_residue(self):
         model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)

@@ -102,6 +102,22 @@ class TestChern:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "1"]])
+    @pytest.mark.parametrize("flag,value", [("--grid", "0"), ("--grid", "-8"),
+                                            ("--steps", "0"), ("--steps", "-4")])
+    def test_unusable_grid_or_steps(self, capsys, monkeypatch, method, target,
+                                    flag, value):
+        # at the transport method --steps 0 once printed chern_mod_q=0 for a
+        # band whose residue is 1; --grid 0 died in a ZeroDivisionError
+        for name in ("band_chern_fhs", "certify_gap", "band_chern_transport",
+                     "gap_residue_transport"):
+            monkeypatch.setattr(cli, name, None)
+        code = main(["chern", "--p", "1", "--q", "3", "--method", method, *target,
+                     flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("method", ["fhs", "transport"])
     @pytest.mark.parametrize("target", [["--gap", "0"], ["--gap", "5"],
                                         ["--band", "1"], ["--band", "5"]])
     def test_end_indices_in_range(self, capsys, method, target):
@@ -156,6 +172,14 @@ class TestDioph:
         assert main(["dioph", "--p", "2", "--q", "5", "--j", "6"]) != 0
         assert "outside 0..5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "-8"])
+    def test_unusable_grid(self, capsys, monkeypatch, grid):
+        monkeypatch.setattr(cli, "flux_records", None)
+        code = main(["dioph", "--p", "2", "--q", "5", "--strategy", "computed",
+                     "--grid", grid])
+        assert code == 2
+        assert capsys.readouterr().err == "error: fhs_grid must be >= 1\n"
+
     @pytest.mark.parametrize("strategy", RESOLVERS)
     @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
     def test_sigma_is_the_sweep_record(self, capsys, strategy, phi_d):
@@ -208,6 +232,9 @@ class TestButterfly:
         (["--height", "0"], "height must be >= 1"),
         (["--mu-bins", "1"], "mu_bins must be >= 2"),
         (["--qmax", "0"], "q_max must be >= 1"),
+        (["--grid", "0"], "fhs_grid must be >= 1"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--jobs", "-2"], "jobs must be >= 1"),
     ])
     def test_bad_config_rejected_before_sweep(self, tmp_path, capsys, monkeypatch,
                                               flags, message):
