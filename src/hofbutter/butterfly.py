@@ -28,7 +28,7 @@ from .diophantine import (
     streda_check,
     triangular_window,
 )
-from .magnetic_algebra import Flux, HofstadterModel, _is_half_pi
+from .magnetic_algebra import Flux, HofstadterModel, _is_half_pi, check_model_parameters
 from .spectrum import (
     GAP_EPS_DEFAULT,
     GapRecord,
@@ -37,12 +37,16 @@ from .spectrum import (
     compute_bands_or_dense,
     compute_gaps,
     gap_from_dict,
-    gap_to_dict,
 )
 
 RESOLVERS = ("square", "triangular", "chain", "computed")
 DECODE_BLOCK = 256  # JSON lines per json.loads in decode_records
-_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(d, sort_keys=True), built once
+
+# one JSON line: gap_to_dict's keys sorted, as json.dumps(sort_keys=True) writes them
+_LINE = ('{"chern": %s, "closed": %s, "hi": %s, "j": %s, "lo": %s, "p": %s, '
+         '"phi_d": %s, "q": %s, "source": %s, "width": %s}\n')
+_NULL_ENDS = {math.inf: "null", -math.inf: "null"}  # gap_to_dict's +/-inf -> None
+_quoted = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per tag
 
 # phi_d whose down-triangle phase makes the butterfly inversion symmetric
 # and reproduces the reference shifted-window coloring (see notes/decisions.md).
@@ -101,6 +105,7 @@ class ButterflyConfig:
             raise ValueError("jobs must be >= 1")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
+        check_model_parameters(self.phi_d, self.t1, self.t2, self.t3)
 
     @property
     def energy_clamp(self) -> float:
@@ -188,11 +193,13 @@ def flux_records(p: int, q: int, cfg: ButterflyConfig, known=None) -> list[GapRe
 
 
 def _compute_flux(args):
-    """Worker: ``flux_records(*args)`` as JSON-ready dicts, or the failure.
-    BLAS threads are not pinned; test_determinism_across_jobs checks jobs=N."""
+    """Worker: (``flux_records(*args)``, None), or ([], (p, q, reason))
+    when the flux fails.  The records stay ``GapRecord`` tuples all the
+    way to the JSONL writer, and a pool pickles them as tuples.  BLAS
+    threads are not pinned; test_determinism_across_jobs checks jobs=N."""
     (p, q) = args[:2]
     try:
-        return [gap_to_dict(r) for r in flux_records(*args)], None
+        return flux_records(*args), None
     except Exception as exc:  # record, never abort the sweep
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
@@ -200,7 +207,7 @@ def _compute_flux(args):
 def _mirror(q: int, result) -> dict:
     """{q - j: sigma} of the FHS-certified gaps in the result of a flux
     with denominator q."""
-    return {q - d["j"]: d["chern"] for d in result[0] if d["source"] == "computed_fhs"}
+    return {q - r.j: r.chern for r in result[0] if r.chern_source == "computed_fhs"}
 
 
 def _compute_task(config: ButterflyConfig, task) -> list:
@@ -245,7 +252,7 @@ def _tasks(fluxes: list[Flux], config: ButterflyConfig) -> list[tuple]:
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
-    """Yield (record_dicts, failure) per flux in flux order.
+    """Yield (records, failure) per flux in flux order.
 
     The lazy backbone of every sweep: giant diagrams stream through
     without materializing.  One path at any parallelism degree:
@@ -276,8 +283,8 @@ def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:
     """Sweep all fluxes up to q_max and resolve their gap Chern numbers."""
     records = []
     failures = []
-    for dicts, failure in iter_flux_results(config, progress):
-        records.extend(gap_from_dict(d) for d in dicts)
+    for recs, failure in iter_flux_results(config, progress):
+        records.extend(recs)
         if failure:
             failures.append(failure)
     return ButterflyDiagram(config, tuple(records), tuple(failures))
@@ -288,9 +295,9 @@ def sweep_to_jsonl(config: ButterflyConfig, path: str, progress=None):
     n = 0
     failures = []
     with open(path, "w") as fh:
-        for dicts, failure in iter_flux_results(config, progress):
-            _write_lines(fh, dicts)
-            n += len(dicts)
+        for recs, failure in iter_flux_results(config, progress):
+            _write_lines(fh, recs)
+            n += len(recs)
             if failure:
                 failures.append(failure)
     return n, failures
@@ -360,9 +367,30 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
     return bad
 
 
-def _write_lines(fh, record_dicts) -> None:
-    """One JSON line per record dict, keys sorted, in one write."""
-    fh.write("".join([_ENCODER.encode(d) + "\n" for d in record_dicts]))
+def _write_lines(fh, records) -> None:
+    """One JSON line per gap record, in one write.
+
+    Each line is ``_LINE`` filled from the record's fields, and its bytes
+    are those of ``json.dumps(gap_to_dict(r), sort_keys=True) + "\n"``:
+    ints and floats print as ``str``, which is ``int.__repr__`` and
+    ``float.__repr__`` as in ``json``; +/-inf ends print as null, a
+    missing sigma as null, ``closed`` as true or false, and each tag is
+    quoted by ``json.dumps``.  ``json`` writes NaN and an infinite phi_d
+    as NaN and Infinity, which are not JSON, so such a record raises
+    ValueError instead.
+    """
+    end = _NULL_ENDS.get
+    lines = []
+    for p, q, phi_d, j, lo, hi, width, closed, chern, source in records:
+        # x - x is 0.0 (false) for finite x and NaN (true) otherwise
+        if phi_d - phi_d or lo != lo or hi != hi or width != width:
+            raise ValueError(f"gap record {p}/{q} j={j} is not JSON: phi_d={phi_d}, "
+                             f"lo={lo}, hi={hi}, width={width}")
+        lines.append(_LINE % ("null" if chern is None else chern,
+                              "true" if closed else "false", end(hi, hi), j,
+                              end(lo, lo), p, phi_d, q, _quoted(source),
+                              end(width, width)))
+    fh.write("".join(lines))
 
 
 def write_records_jsonl(records, path: str) -> None:
@@ -370,7 +398,7 @@ def write_records_jsonl(records, path: str) -> None:
     write per flux."""
     with open(path, "w") as fh:
         for _, recs in itertools.groupby(records, key=lambda r: (r.p, r.q)):
-            _write_lines(fh, map(gap_to_dict, recs))
+            _write_lines(fh, recs)
 
 
 def _decode_block(lines: list) -> list:

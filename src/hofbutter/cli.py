@@ -85,9 +85,16 @@ def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) 
     return argv[:at + 1] + flags + argv[at + 1:]
 
 
-def _model_from(args) -> HofstadterModel:
-    return HofstadterModel(Flux(args.p, args.q), args.phi_d,
-                           args.t1, args.t2, args.t3)
+def _model_from(args) -> HofstadterModel | None:
+    """The model of the flags, or None after one error line when the
+    flux is not reduced with 1 <= p <= q, or phi_d or a hopping is not
+    usable."""
+    try:
+        return HofstadterModel(Flux(args.p, args.q), args.phi_d,
+                               args.t1, args.t2, args.t3)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _add_model_flags(sp):
@@ -110,6 +117,8 @@ def _write_out(text: str, out):
 
 def cmd_spectrum(args) -> int:
     model = _model_from(args)
+    if model is None:
+        return 2
     spec = compute_bands_or_dense(model)
     gaps = compute_gaps(spec, args.eps_gap)
     if args.format == "csv":
@@ -121,6 +130,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_chern(args) -> int:
     model = _model_from(args)
+    if model is None:
+        return 2
     q = model.q
     if args.band is not None and not 1 <= args.band <= q:
         print(f"error: band index {args.band} outside 1..{q}", file=sys.stderr)
@@ -164,7 +175,10 @@ def cmd_chern(args) -> int:
 
 
 def cmd_dioph(args) -> int:
-    flux = Flux(args.p, args.q)
+    model = _model_from(args)
+    if model is None:
+        return 2
+    flux = model.flux
     if args.j is not None and not 0 <= args.j <= flux.q:
         print(f"error: gap index {args.j} outside 0..{flux.q}", file=sys.stderr)
         return 2

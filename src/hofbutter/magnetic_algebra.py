@@ -85,6 +85,16 @@ class Flux:
         return Flux(self.q - self.p, self.q)
 
 
+def check_model_parameters(phi_d: float, t1: float, t2: float, t3: float) -> None:
+    """Raise ValueError unless phi_d is finite and the hoppings are finite
+    and nonnegative; NaN or infinite entries make every eigensolve fail."""
+    if not math.isfinite(phi_d):
+        raise ValueError(f"phi_d must be finite, got {phi_d}")
+    if not all(math.isfinite(t) and t >= 0 for t in (t1, t2, t3)):
+        raise ValueError(f"hopping amplitudes must be finite and nonnegative, "
+                         f"got t1={t1}, t2={t2}, t3={t3}")
+
+
 @dataclass(frozen=True)
 class HofstadterModel:
     """Triangular-lattice Hofstadter model at rational flux.
@@ -102,8 +112,7 @@ class HofstadterModel:
     t3: float = 1.0
 
     def __post_init__(self):
-        if min(self.t1, self.t2, self.t3) < 0:
-            raise ValueError("hopping amplitudes must be nonnegative")
+        check_model_parameters(self.phi_d, self.t1, self.t2, self.t3)
 
     @property
     def q(self) -> int:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofbutter import (
     ButterflyConfig,
@@ -22,6 +25,7 @@ from hofbutter import (
 )
 from hofbutter import butterfly, chern
 from hofbutter.render import read_ppm, render
+from hofbutter.spectrum import gap_to_dict
 
 
 class TestEnumerateFluxes:
@@ -47,6 +51,12 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ButterflyConfig(q_max=0)
+        # a negative or non-finite hopping, or a non-finite phi_d, fails
+        # every flux of a sweep, so the config refuses it
+        for bad in ({"t1": -1.0}, {"t2": -1e-9}, {"t3": math.inf}, {"t1": math.nan},
+                    {"phi_d": math.nan}, {"phi_d": math.inf}, {"phi_d": -math.inf}):
+            with pytest.raises(ValueError):
+                ButterflyConfig(**bad)
         with pytest.raises(ValueError):
             ButterflyConfig(mu_bins=1)
         with pytest.raises(ValueError):
@@ -150,10 +160,10 @@ class TestBuildDiagram:
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", counted)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
-        dicts, failure = butterfly._compute_flux((3, 7, cfg))
+        records, failure = butterfly._compute_flux((3, 7, cfg))
         assert failure is None
         assert calls == {"table": 1, "spectrum": 1}
-        assert all(d["chern"] is None for d in dicts if 0 < d["j"] < 7)
+        assert all(r.chern is None for r in records if 0 < r.j < 7)
 
     def test_resolver_tags(self):
         diagram = build_diagram(ButterflyConfig(q_max=4, resolver="triangular",
@@ -336,7 +346,7 @@ class TestBlockDecoding:
         assert any(r.chern is None for r in decoded)
 
     def test_lazy(self):
-        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
+        lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
         consumed = []
 
         def source():
@@ -356,7 +366,7 @@ class TestBlockDecoding:
         'NaN x',                                 # extra data
     ])
     def test_malformed_line_raises_the_per_line_error(self, at, bad):
-        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
+        lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
         lines[at] = bad + "\n"
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(lines[at])
@@ -368,7 +378,7 @@ class TestBlockDecoding:
 
     def test_line_split_at_a_comma_raises(self):
         # the joined array parses, but holds one item fewer than the lines
-        lines = [json.dumps(butterfly.gap_to_dict(r)) + "\n" for r in _synthetic_records(4)]
+        lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(4)]
         head, tail = lines[5].split(", ", 1)
         lines[5:6] = [head + "\n", tail]
         with pytest.raises(json.JSONDecodeError) as got:
@@ -384,10 +394,91 @@ class TestBlockDecoding:
             def write(self, text):
                 writes.append(text)
 
-        butterfly._write_lines(Sink(), map(butterfly.gap_to_dict, records))
+        butterfly._write_lines(Sink(), records)
         assert len(writes) == 1
-        assert writes[0] == "".join(json.dumps(butterfly.gap_to_dict(r), sort_keys=True) + "\n"
+        assert writes[0] == "".join(json.dumps(gap_to_dict(r), sort_keys=True) + "\n"
                                     for r in records)
+
+
+def _json_lines(records) -> list:
+    return [json.dumps(gap_to_dict(r), sort_keys=True) + "\n" for r in records]
+
+
+def _written(records) -> list:
+    """The lines of one _write_lines call; a list, so a failing comparison
+    reports the first line that differs."""
+    sink = io.StringIO()
+    butterfly._write_lines(sink, records)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+# every tag _resolve_flux writes, and the default of an unresolved record
+TAGS = ("window_square", "window_triangular", "chain", "computed_fhs", "unresolved")
+
+
+class TestLineWriter:
+    """_write_lines writes json.dumps(gap_to_dict(r), sort_keys=True) + "\n"."""
+
+    @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                         (PHI_D_SYMMETRIC, (1.0, 0.8, 0.6)),
+                                         (0.3, (1.0, 1.0, 1.0)),
+                                         (0.3, (1.0, 0.8, 0.6))])
+    def test_sweep_records(self, resolver, phi_d, t):
+        cfg = ButterflyConfig(q_max=6 if resolver == "computed" else 12, phi_d=phi_d,
+                              t1=t[0], t2=t[1], t3=t[2], resolver=resolver,
+                              computed_q_max=5)
+        records = build_diagram(cfg).records
+        assert records and _written(records) == _json_lines(records)
+
+    def test_hand_records(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1 / 3, -2.5,
+                  1.7976931348623157e308, 123456789.123]
+        records = []
+        for k, (chern, closed, source) in enumerate(itertools.product(
+                [None, 0, 1, -1, 37, -37], [False, True], TAGS)):
+            lo, hi, width = (values[(k + i) % len(values)] for i in range(3))
+            phi = values[(k + 3) % len(values)]
+            records.append(GapRecord(k % 7 + 1, 7 + k, phi, k % 8, lo, hi, width,
+                                     closed, chern, source))
+        # the +/-inf ends of the outer gaps, which gap_to_dict writes as null
+        for lo, hi, width in [(-math.inf, -3.0, math.inf), (3.0, math.inf, math.inf),
+                              (-math.inf, math.inf, math.inf)]:
+            records.append(GapRecord(1, 2, -math.pi / 2, 0, lo, hi, width, False, 0,
+                                     "chain"))
+        lines = _written(records)
+        assert lines == _json_lines(records)
+        assert list(butterfly.decode_records(lines)) == records
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False), st.floats(allow_nan=False),
+                              st.floats(allow_nan=False),
+                              st.sampled_from([None, 0, 3, -3, 10 ** 20]),
+                              st.booleans(), st.sampled_from(TAGS + ("\u00e9\"\\",))),
+                    max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_floats(self, fields):
+        records = [GapRecord(1, 3, phi_d, 1, lo, hi, width, closed, chern, source)
+                   for phi_d, lo, hi, width, chern, closed, source in fields]
+        assert _written(records) == _json_lines(records)
+
+    @pytest.mark.parametrize("field", ["phi_d", "lo", "hi", "width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_json_values_raise(self, field, value):
+        # json.dumps writes NaN and an infinite phi_d as NaN and Infinity,
+        # which are not JSON; only the +/-inf ends of lo, hi and width map
+        # to null
+        record = GapRecord(1, 3, -math.pi / 2, 1, -1.0, 1.0, 2.0, False, 1,
+                           "chain")._replace(**{field: value})
+        if field != "phi_d" and math.isinf(value):
+            assert _written([record]) == _json_lines([record])
+            assert '": null' in _written([record])[0]
+            return
+        assert any(s in json.dumps(gap_to_dict(record)) for s in ("NaN", "Infinity"))
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="not JSON"):
+            butterfly._write_lines(sink, [_synthetic_records(1)[0], record])
+        assert sink.getvalue() == ""
 
 
 def _brute_force_pairs(fluxes, q_max):

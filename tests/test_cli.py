@@ -187,14 +187,14 @@ class TestDioph:
         # triangular strategy defers every gap
         cfg = ButterflyConfig(phi_d=phi_d, resolver=strategy, computed_q_max=0)
         for p, q in [(1, 4), (2, 5), (3, 7), (4, 9)]:
-            dicts, failure = _compute_flux((p, q, cfg))
+            records, failure = _compute_flux((p, q, cfg))
             assert failure is None
             code, out = run(["dioph", "--p", str(p), "--q", str(q),
                              f"--phi-d={phi_d!r}", "--strategy", strategy], capsys)
             lines = [json.loads(line) for line in out.strip().split("\n")]
             assert code == 0
-            assert [e["sigma"] for e in lines] == [d["chern"] for d in dicts]
-            assert [e["source"] for e in lines] == [d["source"] for d in dicts]
+            assert [e["sigma"] for e in lines] == [r.chern for r in records]
+            assert [e["source"] for e in lines] == [r.chern_source for r in records]
 
     def test_closed_gap_has_no_sigma(self, capsys):
         # gap 2 of 1/3 is closed at phi_d = -pi/2; the square window has a
@@ -235,6 +235,12 @@ class TestButterfly:
         (["--grid", "0"], "fhs_grid must be >= 1"),
         (["--jobs", "0"], "jobs must be >= 1"),
         (["--jobs", "-2"], "jobs must be >= 1"),
+        # these once ran the sweep, failed every flux and exited 0
+        (["--t1", "-1"],
+         "hopping amplitudes must be finite and nonnegative, got t1=-1.0, t2=1.0, t3=1.0"),
+        (["--t3", "inf"],
+         "hopping amplitudes must be finite and nonnegative, got t1=1.0, t2=1.0, t3=inf"),
+        (["--phi-d", "nan"], "phi_d must be finite, got nan"),
     ])
     def test_bad_config_rejected_before_sweep(self, tmp_path, capsys, monkeypatch,
                                               flags, message):
@@ -265,6 +271,25 @@ class TestButterfly:
         assert passes == [fmt]
         assert (tmp_path / f"bf.{fmt}").stat().st_size > 0
         assert ("inconsistent" in capsys.readouterr().out) == check
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["chern", "--gap", "1"], ["dioph"]])
+@pytest.mark.parametrize("flags,message", [
+    (["--p", "3", "--q", "3"], "flux 3/3 is not reduced"),
+    (["--p", "0", "--q", "3"], "need 1 <= p <= q, got p=0, q=3"),
+    (["--p", "4", "--q", "3"], "need 1 <= p <= q, got p=4, q=3"),
+    (["--p", "1", "--q", "3", "--t2", "-1"],
+     "hopping amplitudes must be finite and nonnegative, got t1=1.0, t2=-1.0, t3=1.0"),
+    (["--p", "1", "--q", "3", "--phi-d", "nan"], "phi_d must be finite, got nan"),
+])
+def test_bad_model_flags(capsys, monkeypatch, command, flags, message):
+    # one error line and exit 2 before any work, where a traceback ended
+    # these commands
+    for name in ("compute_bands_or_dense", "certify_gap", "flux_records"):
+        monkeypatch.setattr(cli, name, None)
+    code = main([command[0], *flags, *command[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfigFile:

@@ -129,6 +129,11 @@ class TestHamiltonian:
     def test_rejects_negative_hopping(self):
         with pytest.raises(ValueError):
             HofstadterModel(Flux(1, 3), t1=-0.5)
+        # and a non-finite hopping or phi_d, on which every eigensolve fails
+        for bad in ({"t2": math.inf}, {"t3": math.nan}, {"phi_d": math.nan},
+                    {"phi_d": -math.inf}):
+            with pytest.raises(ValueError):
+                HofstadterModel(Flux(1, 3), **bad)
 
 
 class TestMagneticSymmetry:

@@ -161,20 +161,20 @@ class TestBandEdgeKpoints:
             compute_bands(model)
         # compute_bands_or_dense retries with the dense scan
         cfg = ButterflyConfig(phi_d=0.3, computed_q_max=0)
-        dicts, failure = butterfly._compute_flux((2, 7, cfg))
-        assert failure is None and len(dicts) == 8
+        records, failure = butterfly._compute_flux((2, 7, cfg))
+        assert failure is None and len(records) == 8
 
     def test_bad_edge_momenta_fall_back_on_fhs_path(self, monkeypatch):
         cfg = ButterflyConfig(phi_d=0.3)  # odd q <= computed_q_max: FHS colors
         good, _ = butterfly._compute_flux((2, 7, cfg))
         monkeypatch.setattr(spectrum, "_extremize_det",
                             lambda m: [BlochMomentum(0.0, 0.0)] * 2)
-        dicts, failure = butterfly._compute_flux((2, 7, cfg))
+        records, failure = butterfly._compute_flux((2, 7, cfg))
         assert failure is None
-        interior = [d for d in dicts if 0 < d["j"] < 7 and not d["closed"]]
-        assert interior and all(d["source"] == "computed_fhs" for d in interior)
-        assert [d["chern"] for d in dicts] == [d["chern"] for d in good]
-        assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == dicts[1]["chern"]
+        interior = [r for r in records if 0 < r.j < 7 and not r.closed]
+        assert interior and all(r.chern_source == "computed_fhs" for r in interior)
+        assert [r.chern for r in records] == [r.chern for r in good]
+        assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == records[1].chern
 
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
