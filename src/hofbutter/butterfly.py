@@ -16,7 +16,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .diophantine import (
@@ -59,16 +58,14 @@ def enumerate_fluxes(q_max: int) -> list[Flux]:
     The endpoint 1/1 is included so diagrams close at full flux."""
     if q_max < 1:
         raise ValueError("q_max must be positive")
-    seen = set()
+    # Farey next-term rule: after a/b < c/d comes (k c - a)/(k d - b)
+    # with k = (q_max + b) // d; the walk starts at 0/1, 1/q_max
+    a, b, c, d = 0, 1, 1, q_max
     out = []
-    for q in range(1, q_max + 1):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) == 1:
-                frac = Fraction(p, q)
-                if frac not in seen:
-                    seen.add(frac)
-                    out.append(Flux(p, q))
-    out.sort(key=lambda f: Fraction(f.p, f.q))
+    while c <= d:
+        out.append(Flux(c, d))
+        k = (q_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 
@@ -164,7 +161,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                 sigma = chain_assign(rec.j, model.flux)
             elif window is not None:
                 sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
-        out.append(rec if sigma is None else rec._replace(chern=sigma, chern_source=tag))
+        out.append(rec if sigma is None else GapRecord(*rec[:8], sigma, tag))
     gray = {rec.j for rec in out if rec.chern is None and not rec.closed}
     if gray and cfg.reaches_fhs(q):
         fhs = {j: v for j, v in (known or {}).items() if j in gray}
@@ -174,7 +171,7 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
             from .chern import gap_chern_table
             table = gap_chern_table(model, rest, cfg.fhs_grid)
             fhs.update((j, res.value) for j, res in table.items())
-        out = [rec._replace(chern=fhs[rec.j], chern_source="computed_fhs")
+        out = [GapRecord(*rec[:8], fhs[rec.j], "computed_fhs")
                if rec.j in fhs else rec for rec in out]
     return out
 

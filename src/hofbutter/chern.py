@@ -256,19 +256,24 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
     return out
 
 
+def _require_open(model: HofstadterModel, gaps, eps_gap: float) -> None:
+    """Raise GapClosed for the first of the gap indices ``gaps`` that is
+    not open, from one spectrum of the model."""
+    records = compute_gaps(compute_bands_or_dense(model, compute_bands), eps_gap)
+    for j in gaps:
+        if records[j].closed:
+            raise GapClosed(
+                f"gap {j} of {model.flux.p}/{model.q} has width {records[j].width:.3e}")
+
+
 def _certify_block(model: HofstadterModel, index: int, a: int, b: int,
                    grid: int, eps_gap: float) -> ChernResult:
     """Certify the one block (a, b) as result ``index``.
 
-    Computes the spectrum once and raises GapClosed unless both
-    bounding gaps a and b are open; QuantizationFailure if no grid up
-    to the cap certifies the block.
+    Raises GapClosed unless both bounding gaps a and b are open;
+    QuantizationFailure if no grid up to the cap certifies the block.
     """
-    gaps = compute_gaps(compute_bands_or_dense(model, compute_bands), eps_gap)
-    for rec in (gaps[a], gaps[b]):
-        if rec.closed:
-            raise GapClosed(
-                f"gap {rec.j} of {model.flux.p}/{model.q} has width {rec.width:.3e}")
+    _require_open(model, (a, b), eps_gap)
     table = _certify(model, {index: (a, b)}, grid)
     if index not in table:
         raise QuantizationFailure(f"bands {a + 1}..{b} of {model.flux.p}/{model.q}: no stable "
@@ -326,13 +331,21 @@ def band_chern_transport(model: HofstadterModel, n: int,
     Discrete projector transport (project, renormalize) along the cell
     boundary converges to the Kato equation's solution; the loop phase
     must equal 2*pi*s/q modulo 2*pi, which pins the band's Chern
-    residue.  Steps double until the phase stabilizes.
+    residue.  Steps double until the phase stabilizes.  As for FHS, the
+    band must be isolated: gaps n-1 and n open (GapClosed otherwise).
     """
     q = model.q
     if not 1 <= n <= q:
         raise ValueError(f"band index {n} outside 1..{q}")
+    _require_open(model, (n - 1, n), GAP_EPS_DEFAULT)
+    return _transport(model, n, steps)
+
+
+def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
+    """band_chern_transport of band n, whose bounding gaps are open."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    q = model.q
     if q == 1:
         return TransportResult(1, 0.0, 0, 0.0, steps)
 
@@ -395,14 +408,15 @@ def _circle_dist(a: float, b: float) -> float:
 
 def gap_residue_transport(model: HofstadterModel, j: int,
                           steps: int = TRANSPORT_STEPS_DEFAULT) -> int:
-    """Mod-q residue of gap j from per-band transport holonomies."""
+    """Mod-q residue of gap j from the transport holonomies of bands
+    1..j, so gaps 1..j must all be open (GapClosed otherwise)."""
     q = model.q
+    if not 0 <= j <= q:
+        raise ValueError(f"gap index {j} outside 0..{q}")
     if j in (0, q):
         return 0
-    total = 0
-    for n in range(1, j + 1):
-        total += band_chern_transport(model, n, steps).chern_mod_q
-    return total % q
+    _require_open(model, range(1, j + 1), GAP_EPS_DEFAULT)
+    return sum(_transport(model, n, steps).chern_mod_q for n in range(1, j + 1)) % q
 
 
 def chern_bound(j: int, q: int, g_j: float) -> float:

@@ -29,7 +29,9 @@ from .butterfly import (
 )
 from .chern import (
     GapClosed,
+    GridDegeneracy,
     QuantizationFailure,
+    TransportFailure,
     band_chern_fhs,
     band_chern_transport,
     certify_gap,
@@ -143,30 +145,29 @@ def cmd_chern(args) -> int:
         if value < 1:
             print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
             return 2
-    if args.band is not None and args.method == "transport":
-        res = band_chern_transport(model, args.band, args.steps)
-        payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
-                   "holonomy": res.holonomy_phase, "method": "transport",
-                   "grid": res.steps, "residual": res.phase_residual}
-    elif args.method == "transport":
-        payload = {"j": args.gap, "chern": None,
-                   "chern_mod_q": gap_residue_transport(model, args.gap, args.steps),
-                   "method": "transport", "grid": args.steps, "residual": 0.0}
-    else:
-        try:
+    try:
+        if args.band is not None and args.method == "transport":
+            res = band_chern_transport(model, args.band, args.steps)
+            payload = {"band": args.band, "chern_mod_q": res.chern_mod_q,
+                       "holonomy": res.holonomy_phase, "method": "transport",
+                       "grid": res.steps, "residual": res.phase_residual}
+        elif args.method == "transport":
+            payload = {"j": args.gap, "chern": None,
+                       "chern_mod_q": gap_residue_transport(model, args.gap, args.steps),
+                       "method": "transport", "grid": args.steps, "residual": 0.0}
+        else:
             if args.band is not None:
                 r = band_chern_fhs(model, args.band, args.grid, args.eps_gap)
             else:
                 r = certify_gap(model, args.gap, args.grid, args.eps_gap)
-        except GapClosed as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except QuantizationFailure as exc:  # open, but no grid certifies it
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        key = "band" if args.band is not None else "j"
-        payload = {key: r.index, "chern": r.value, "method": "fhs",
-                   "grid": r.grid, "residual": r.residual}
+            key = "band" if args.band is not None else "j"
+            payload = {key: r.index, "chern": r.value, "method": "fhs",
+                       "grid": r.grid, "residual": r.residual}
+    except (GapClosed, QuantizationFailure, GridDegeneracy, TransportFailure) as exc:
+        # exit 2 for a gap that is not open, 1 for an open one that no grid
+        # or transport path resolves
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, GapClosed) else 1
     if args.format == "json":
         _write_out(json.dumps(payload), args.out)
     else:
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["fhs", "transport"], default="fhs")
     sp.add_argument("--grid", type=int, default=32)
     sp.add_argument("--steps", type=int, default=256)
-    sp.add_argument("--eps-gap", type=float, default=1e-8)
+    sp.add_argument("--eps-gap", type=float, default=1e-8,
+                    help="closed-gap width for --method fhs; transport uses 1e-8")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_chern)

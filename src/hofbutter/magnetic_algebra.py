@@ -9,7 +9,6 @@ constructed here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -72,11 +71,6 @@ class Flux:
     @property
     def omega(self) -> complex:
         return np.exp(2j * math.pi * self.p / self.q)
-
-    @property
-    def value(self) -> float:
-        """Flux fraction p/q (vertical coordinate of the butterfly)."""
-        return self.p / self.q
 
     def conjugate(self) -> "Flux":
         """The flux -Phi, i.e. (q-p)/q; 1/1 is self-conjugate."""
@@ -152,7 +146,6 @@ def clock_shift(flux: Flux) -> tuple[np.ndarray, np.ndarray]:
     return S, T
 
 
-@functools.lru_cache(maxsize=64)
 def _hopping_terms(model: HofstadterModel):
     """The three k-independent hopping matrices (M1, M2, M3).
 
@@ -191,7 +184,6 @@ def hamiltonian_derivatives(model: HofstadterModel, k) -> tuple[np.ndarray, np.n
     return A1 + A1.conj().T, A2 + A2.conj().T
 
 
-@functools.lru_cache(maxsize=64)
 def _symmetry_unitaries(flux: Flux) -> tuple[np.ndarray, np.ndarray]:
     """T^s and S^s implementing the 2*pi/q magnetic translations."""
     S, T = clock_shift(flux)

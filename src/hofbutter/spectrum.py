@@ -54,8 +54,9 @@ class ChambersData:
     """k-independent characteristic polynomial data of one model.
 
     ``poly_coeffs`` holds P(x) = det(H(k)-x) - det H(k) in descending
-    powers of x (length q+1, zero constant term); ``h_offset`` is the
-    flux-dependent constant part of det H(k).
+    powers of x (length q+1, zero constant term); ``h_offset`` is
+    det H(k) at the reference momentum k = (0, 0), its k-dependent part
+    included (the constant part alone is ``det_offset``).
     """
 
     poly_coeffs: np.ndarray
@@ -135,8 +136,8 @@ def det_closed_form(model: HofstadterModel, k) -> float:
     return h + float(_oscillatory(model, k1, k2))
 
 
-def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7):
-    """Shrinking-grid search around k0; returns (k, value)."""
+def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7) -> float:
+    """Shrinking-grid search around k0; returns the extremal value."""
     k1, k2 = k0
     best = f(np.array([k1]), np.array([k2]))[0]
     sign = 1.0 if minimize else -1.0
@@ -148,7 +149,7 @@ def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7):
         i = int(np.argmin(sign * vals))
         k1, k2, best = A.ravel()[i], B.ravel()[i], vals[i]
         span /= 3.0
-    return (float(k1), float(k2)), float(best)
+    return float(best)
 
 
 def _extremize_det(model: HofstadterModel) -> list[BlochMomentum]:
@@ -215,15 +216,10 @@ def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
 
 @dataclass(frozen=True)
 class BandSpectrum:
-    """q ordered band intervals of one model plus the momenta used."""
+    """q ordered band intervals of one model."""
 
     model: HofstadterModel
     bands: tuple  # ((lo, hi), ...) ascending
-    edge_kpoints: tuple
-
-    @property
-    def q(self) -> int:
-        return self.model.q
 
 
 class GapRecord(NamedTuple):
@@ -286,7 +282,7 @@ def compute_bands(model: HofstadterModel) -> BandSpectrum:
             raise BandContainmentError(
                 f"probe eigenvalues up to {outside.max():.3e} outside their bands")
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(los, his))
-    return BandSpectrum(model, bands, tuple(pts))
+    return BandSpectrum(model, bands)
 
 
 def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
@@ -299,7 +295,6 @@ def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
     evs = np.linalg.eigvalsh(hamiltonian_batch(model, A.ravel(), B.ravel()))
     los = np.empty(q)
     his = np.empty(q)
-    kpts = []
     for n in range(q):
         band = evs[:, n]
 
@@ -308,13 +303,10 @@ def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
 
         imin = int(np.argmin(band))
         imax = int(np.argmax(band))
-        kmin, los[n] = _refine_extremum(
-            level, (A.ravel()[imin], B.ravel()[imin]), step, True)
-        kmax, his[n] = _refine_extremum(
-            level, (A.ravel()[imax], B.ravel()[imax]), step, False)
-        kpts += [BlochMomentum(*kmin), BlochMomentum(*kmax)]
+        los[n] = _refine_extremum(level, (A.ravel()[imin], B.ravel()[imin]), step, True)
+        his[n] = _refine_extremum(level, (A.ravel()[imax], B.ravel()[imax]), step, False)
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(los, his))
-    return BandSpectrum(model, bands, tuple(kpts))
+    return BandSpectrum(model, bands)
 
 
 def compute_bands_or_dense(model: HofstadterModel, fast=compute_bands,

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -45,6 +46,14 @@ class TestEnumerateFluxes:
         values = [Fraction(f.p, f.q) for f in enumerate_fluxes(12)]
         assert values == sorted(values)
         assert len(values) == len(set(values))
+
+    def test_matches_gcd_scan_up_to_200(self):
+        # the Farey walk gives the reduced fluxes of the gcd scan, in Fraction order
+        brute = sorted(((p, q) for q in range(1, 201) for p in range(1, q + 1)
+                        if math.gcd(p, q) == 1), key=lambda f: Fraction(*f))
+        for n in range(1, 201):
+            assert [(f.p, f.q) for f in enumerate_fluxes(n)] == \
+                [f for f in brute if f[1] <= n]
 
 
 class TestConfig:
@@ -164,6 +173,13 @@ class TestBuildDiagram:
         assert failure is None
         assert calls == {"table": 1, "spectrum": 1}
         assert all(r.chern is None for r in records if 0 < r.j < 7)
+
+    def test_finished_sweep_leaves_no_model_alive(self):
+        # no per-model cache holds a model, or its q x q matrices, past its flux
+        build_diagram(ButterflyConfig(q_max=8, phi_d=0.123, computed_q_max=3))
+        gc.collect()
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, HofstadterModel) and o.phi_d == 0.123]
 
     def test_resolver_tags(self):
         diagram = build_diagram(ButterflyConfig(q_max=4, resolver="triangular",

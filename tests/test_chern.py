@@ -251,6 +251,31 @@ class TestTransport:
         assert gap_residue_transport(model, 2) == (3 * 2) % 5
         assert gap_residue_transport(model, 0) == 0
 
+    @pytest.mark.parametrize("target", [
+        lambda m: band_chern_transport(m, 2),
+        lambda m: band_chern_transport(m, 3),
+        lambda m: gap_residue_transport(m, 2),
+    ])
+    def test_closed_bounding_gap_refused(self, target):
+        # gap 2 of 1/3 has width 1.8e-15, as FHS refuses it
+        with pytest.raises(GapClosed, match="^gap 2 of 1/3 has width "):
+            target(HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC))
+
+    def test_gap_residue_needs_every_gap_below_open(self):
+        # square 1/12: gap 7 is open, but bands 6 and 7 touch at gap 6
+        model = HofstadterModel(Flux(1, 12), t3=0.0)
+        assert not compute_gaps(compute_bands(model))[7].closed
+        with pytest.raises(GapClosed, match="^gap 6 of 1/12 has width "):
+            gap_residue_transport(model, 7)
+        with pytest.raises(GapClosed, match="^gap 6 of 1/12 has width "):
+            band_chern_transport(model, 6)
+
+    @pytest.mark.parametrize("j", [-1, 6, 7])
+    def test_gap_residue_index_out_of_range(self, j):
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        with pytest.raises(ValueError, match=f"^gap index {j} outside 0..5$"):
+            gap_residue_transport(model, j)
+
 
 class TestChernBound:
     def test_trivial_gap(self):

@@ -75,6 +75,36 @@ class TestChern:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: gap ")
 
+    @pytest.mark.parametrize("method,target,message", [
+        (method, target, message) for target, message, methods in [
+            (["--q", "3", "--gap", "2"], "gap 2 of 1/3", ("fhs", "transport")),
+            (["--q", "3", "--band", "2"], "gap 2 of 1/3", ("fhs", "transport")),
+            (["--q", "3", "--band", "3"], "gap 2 of 1/3", ("fhs", "transport")),
+            (["--q", "12", "--t3", "0", "--band", "6"], "gap 6 of 1/12", ("fhs", "transport")),
+            # a residue sums bands 1..7; FHS needs only gap 7 itself open
+            (["--q", "12", "--t3", "0", "--gap", "7"], "gap 6 of 1/12", ("transport",)),
+        ] for method in methods])
+    def test_gap_closed_errors(self, capsys, method, target, message):
+        # transport refuses what FHS refuses: one error line, exit 2
+        code = main(["chern", "--p", "1", "--method", method, *target])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message} has width ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("failure", [chern.GridDegeneracy, chern.TransportFailure])
+    @pytest.mark.parametrize("name,target", [("band_chern_transport", ["--band", "1"]),
+                                             ("gap_residue_transport", ["--gap", "1"])])
+    def test_unforeseen_transport_failure_errors(self, capsys, monkeypatch, failure,
+                                                 name, target):
+        # a failure the spectrum check did not foresee: one error line, exit 1
+        def fail(*args):
+            raise failure("band 1 degenerate along path")
+
+        monkeypatch.setattr(cli, name, fail)
+        code = main(["chern", "--p", "2", "--q", "5", "--method", "transport", *target])
+        assert code == 1
+        assert capsys.readouterr().err == "error: band 1 degenerate along path\n"
+
     @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "2"]])
     def test_uncertified_errors(self, capsys, monkeypatch, target):
         # an open gap or band that no grid certifies: one error line, exit 1
