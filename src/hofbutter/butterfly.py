@@ -42,8 +42,9 @@ RESOLVERS = ("square", "triangular", "chain", "computed")
 DECODE_BLOCK = 256  # JSON lines per json.loads in decode_records
 
 # one JSON line: gap_to_dict's keys sorted, as json.dumps(sort_keys=True) writes them
-_LINE = ('{"chern": %s, "closed": %s, "hi": %s, "j": %s, "lo": %s, "p": %s, '
-         '"phi_d": %s, "q": %s, "source": %s, "width": %s}\n')
+_LINE = ('{"chern": %s, "closed": %s, "hi": %s, "j": %s, "lo": %s, %s, '
+         '"source": %s, "width": %s}\n')
+_FLUX = '"p": %s, "phi_d": %s, "q": %s'  # adjacent keys, formatted once per run
 _NULL_ENDS = {math.inf: "null", -math.inf: "null"}  # gap_to_dict's +/-inf -> None
 _quoted = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per tag
 
@@ -367,8 +368,10 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
 def _write_lines(fh, records) -> None:
     """One JSON line per gap record, in one write.
 
-    Each line is ``_LINE`` filled from the record's fields, and its bytes
-    are those of ``json.dumps(gap_to_dict(r), sort_keys=True) + "\n"``:
+    Each line is ``_LINE`` filled from the record's fields, with the
+    adjacent keys p, phi_d and q formatted once per run of records that
+    share them.  Its bytes are those of
+    ``json.dumps(gap_to_dict(r), sort_keys=True) + "\n"``:
     ints and floats print as ``str``, which is ``int.__repr__`` and
     ``float.__repr__`` as in ``json``; +/-inf ends print as null, a
     missing sigma as null, ``closed`` as true or false, and each tag is
@@ -378,14 +381,18 @@ def _write_lines(fh, records) -> None:
     """
     end = _NULL_ENDS.get
     lines = []
+    key = flux = None
     for p, q, phi_d, j, lo, hi, width, closed, chern, source in records:
+        if (p, phi_d, q) != key or not phi_d:  # 0.0 == -0.0: zeros anew
+            key = (p, phi_d, q)
+            flux = _FLUX % key
         # x - x is 0.0 (false) for finite x and NaN (true) otherwise
         if phi_d - phi_d or lo != lo or hi != hi or width != width:
             raise ValueError(f"gap record {p}/{q} j={j} is not JSON: phi_d={phi_d}, "
                              f"lo={lo}, hi={hi}, width={width}")
         lines.append(_LINE % ("null" if chern is None else chern,
                               "true" if closed else "false", end(hi, hi), j,
-                              end(lo, lo), p, phi_d, q, _quoted(source),
+                              end(lo, lo), flux, _quoted(source),
                               end(width, width)))
     fh.write("".join(lines))
 

@@ -131,6 +131,11 @@ class HofstadterModel:
         return 2.0 * (self.t1 + self.t2 + self.t3)
 
 
+def _clock(flux: Flux) -> np.ndarray:
+    """The diagonal (w, w^2, ..., w^q) of the clock matrix S."""
+    return flux.omega ** np.arange(1, flux.q + 1)
+
+
 def clock_shift(flux: Flux) -> tuple[np.ndarray, np.ndarray]:
     """The clock matrix S = diag(w, w^2, ..., w^q) and the cyclic shift T.
 
@@ -138,7 +143,7 @@ def clock_shift(flux: Flux) -> tuple[np.ndarray, np.ndarray]:
     pair satisfies S T = w T S and S^q = T^q = 1.
     """
     q = flux.q
-    S = np.diag(flux.omega ** np.arange(1, q + 1)).astype(complex)
+    S = np.diag(_clock(flux))
     T = np.zeros((q, q), dtype=complex)
     for i in range(1, q):
         T[i, i - 1] = 1.0
@@ -160,19 +165,41 @@ def _hopping_terms(model: HofstadterModel):
 
 def build_hamiltonian(model: HofstadterModel, k) -> np.ndarray:
     """The q x q Bloch Hamiltonian H(k1, k2); exactly Hermitian."""
-    k1, k2 = k
-    M1, M2, M3 = _hopping_terms(model)
-    A = np.exp(1j * k2) * M1 + np.exp(1j * (k1 + k2)) * M2 + np.exp(1j * k1) * M3
-    return A + A.conj().T
+    return hamiltonian_batch(model, *k)
 
 
 def hamiltonian_batch(model: HofstadterModel, k1, k2) -> np.ndarray:
-    """H evaluated on broadcastable arrays of momenta; shape (..., q, q)."""
-    M1, M2, M3 = _hopping_terms(model)
-    k1 = np.asarray(k1, dtype=float)[..., None, None]
-    k2 = np.asarray(k2, dtype=float)[..., None, None]
-    A = np.exp(1j * k2) * M1 + np.exp(1j * (k1 + k2)) * M2 + np.exp(1j * k1) * M3
-    return A + np.conj(np.swapaxes(A, -1, -2))
+    """H evaluated on broadcastable arrays of momenta; shape (..., q, q).
+
+    H(k) = A + A^dagger with A = e^{i k2} M1 + e^{i(k1+k2)} M2 + e^{i k1} M3
+    (see _hopping_terms) is periodic tridiagonal: A holds the hops
+    h_i = e^{i k2} t1 + e^{i(k1+k2)} t3 w_u s_(i-1) at (i, i-1), the corner
+    (0, q-1) included, and e^{i k1} t2 s_i on its diagonal, with s the
+    clock diagonal.  Only these O(q) entries are written, each by the
+    floating-point operations of the dense sum, so the values are the
+    dense form's (only the sign of an exact zero can differ).  For q > 2
+    H is written directly, one q x q allocation a call, not summed as
+    A + A^dagger (see notes/decisions.md, "Two edge momenta, H from its
+    diagonals").
+    """
+    q = model.q
+    s = _clock(model.flux)
+    i = np.arange(q)
+    k1 = np.asarray(k1, dtype=float)[..., None]
+    k2 = np.asarray(k2, dtype=float)[..., None]
+    hop = (np.exp(1j * k2) * model.t1
+           + np.exp(1j * (k1 + k2)) * (model.t3 * model.omega_u * s[i - 1]))
+    diag = np.exp(1j * k1) * (model.t2 * s)
+    H = np.zeros(hop.shape[:-1] + (q, q), dtype=complex)
+    if q > 2:  # hops, their conjugates and the diagonal fill distinct entries
+        H[..., i, i - 1] = hop
+        H[..., i - 1, i] = np.conj(hop)
+        H[..., i, i] = diag + np.conj(diag)
+        return H
+    # q = 2: the two hops are each other's conjugate partners; q = 1: A is 1 x 1
+    H[..., i, i - 1] = hop
+    H[..., i, i] += diag
+    return H + np.conj(np.swapaxes(H, -1, -2))
 
 
 def hamiltonian_derivatives(model: HofstadterModel, k) -> tuple[np.ndarray, np.ndarray]:

@@ -185,33 +185,42 @@ def _edges_in_closed_form(model: HofstadterModel) -> bool:
     return model.t3 == 0.0 or (model.is_isotropic and _is_half_pi(model.phi_d))
 
 
-def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
-    """Momenta where det H(k) is extremal, hence where band edges occur.
-
-    Closed-form families exist for the square limit (t3 = 0) and for
-    the isotropic model at phi_d = +/-pi/2; note the even-q family
-    splits on q mod 4.  Any other model gets the global min and max
-    momenta of det H from the 1-D search of _extremize_det.
-    """
-    if not _edges_in_closed_form(model):
-        return _extremize_det(model)
+def _edge_candidates(model: HofstadterModel) -> list[tuple[float, float]]:
+    """The closed-form family of momenta among which det H(k) takes its
+    global min and max: the square limit (t3 = 0) and the isotropic model
+    at phi_d = +/-pi/2; note the even-q family splits on q mod 4."""
     q = model.q
     if model.t3 == 0.0:
         # square/rectangular limit: det depends on cos(q k1), cos(q k2)
-        pts = [(0.0, 0.0), (math.pi / q, 0.0),
-               (0.0, math.pi / q), (math.pi / q, math.pi / q)]
-    elif q % 2 == 1:
+        return [(0.0, 0.0), (math.pi / q, 0.0),
+                (0.0, math.pi / q), (math.pi / q, math.pi / q)]
+    if q % 2 == 1:
         base = [(math.pi / 6, math.pi / 6), (5 * math.pi / 6, 5 * math.pi / 6)]
         pts = [(x / q, y / q) for x, y in base]
-        pts += [(-x, -y) for x, y in pts]
-    elif q % 4 == 2:
+        return pts + [(-x, -y) for x, y in pts]
+    if q % 4 == 2:
         x = 2 * math.pi / (3 * q)
-        pts = [(0.0, 0.0), (x, x), (-x, -x)]
-    else:
-        x = math.pi / (3 * q)
-        y = math.pi / q
-        pts = [(x, x), (-x, -x), (y, y), (-y, -y)]
-    return [BlochMomentum(*k) for k in pts]
+        return [(0.0, 0.0), (x, x), (-x, -x)]
+    x = math.pi / (3 * q)
+    y = math.pi / q
+    return [(x, x), (-x, -x), (y, y), (-y, -y)]
+
+
+def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
+    """The global min and max momenta of det H(k), where every band edge
+    occurs.
+
+    For a closed-form family (_edge_candidates) they are the argmin and
+    argmax of _oscillatory among its candidates: the others tie with them
+    or lie between them in det H, so their spectra add no edge.  Any
+    other model gets them from the 1-D search of _extremize_det.
+    """
+    if not _edges_in_closed_form(model):
+        return _extremize_det(model)
+    pts = _edge_candidates(model)
+    det = _oscillatory(model, *zip(*pts))
+    return [BlochMomentum(*pts[int(np.argmin(det))]),
+            BlochMomentum(*pts[int(np.argmax(det))])]
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,16 @@ class TestLineWriter:
         assert lines == _json_lines(records)
         assert list(butterfly.decode_records(lines)) == records
 
+    def test_flux_fragment_follows_each_record(self):
+        # runs of one (p, phi_d, q) share a formatted fragment; 0.0 == -0.0
+        # must not merge a run, nor p and q swapping at one phi_d
+        records = [GapRecord(p, q, phi_d, j, -1.0, 1.0, 2.0, False, 1, "chain")
+                   for p, q, phi_d in [(1, 3, 0.0), (1, 3, -0.0), (1, 3, -0.0),
+                                       (1, 3, 0.0), (3, 1, 0.0), (1, 3, 0.3),
+                                       (1, 3, 0.3), (2, 3, 0.3), (2, 5, 0.3)]
+                   for j in (1, 2)]
+        assert _written(records) == _json_lines(records)
+
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.floats(allow_nan=False), st.floats(allow_nan=False),
                               st.floats(allow_nan=False),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hofbutter import chern
 from hofbutter import (
     BlochMomentum,
     Flux,
@@ -13,12 +14,24 @@ from hofbutter import (
     build_hamiltonian,
     clock_shift,
     compute_bands,
+    compute_gaps,
+    gap_chern_table,
     inversion_check,
     magnetic_symmetry_residual,
     modular_inverse,
 )
+from hofbutter.magnetic_algebra import _hopping_terms, hamiltonian_batch
 
 PI = math.pi
+
+
+def dense_hamiltonian_batch(model, k1, k2):
+    """H = A + A^dagger from the three dense clock-and-shift matrices."""
+    M1, M2, M3 = _hopping_terms(model)
+    k1 = np.asarray(k1, dtype=float)[..., None, None]
+    k2 = np.asarray(k2, dtype=float)[..., None, None]
+    A = np.exp(1j * k2) * M1 + np.exp(1j * (k1 + k2)) * M2 + np.exp(1j * k1) * M3
+    return A + np.conj(np.swapaxes(A, -1, -2))
 
 
 def coprime_pairs(q_max):
@@ -134,6 +147,49 @@ class TestHamiltonian:
                     {"phi_d": -math.inf}):
             with pytest.raises(ValueError):
                 HofstadterModel(Flux(1, 3), **bad)
+
+
+class TestDiagonalAssembly:
+    """hamiltonian_batch writes only the three diagonals of H, by the
+    floating-point operations of the dense clock-and-shift sum."""
+
+    MODELS = [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)), (PI / 2, (1.0, 1.0, 1.0)),
+              (0.3, (1.0, 0.8, 0.6)), (0.0, (1.0, 1.0, 0.0))]
+
+    def test_lower_triangle_equals_dense_form(self):
+        # eigvalsh and eigh read the lower triangle; == does not tell a
+        # zero's sign, which can differ at special momenta such as k = 0
+        rng = np.random.default_rng(11)
+        n = 8  # an FHS grid of n x n offset momenta, as chern._grid_eigensystem
+        for q in range(1, 41):
+            ps = [p for p in range(1, q + 1) if math.gcd(p, q) == 1]
+            k1 = -PI + (np.arange(n) + 0.5) * (2.0 * PI / n)
+            k2 = -PI / q + (np.arange(n) + 0.5) * (2.0 * PI / (q * n))
+            grid = np.meshgrid(k1, k2, indexing="ij")
+            for p in rng.choice(ps, min(3, len(ps)), replace=False).tolist():
+                for phi_d, t in self.MODELS:
+                    model = HofstadterModel(Flux(p, q), phi_d, *t)
+                    for k in (rng.uniform(-PI, PI, (2, 8)), grid, (0.0, 0.0)):
+                        H = hamiltonian_batch(model, *k)
+                        dense = dense_hamiltonian_batch(model, *k)
+                        assert np.array_equal(np.tril(H), np.tril(dense)), (p, q, phi_d)
+                        assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+                    # build_hamiltonian is the same assembly at one momentum
+                    assert np.array_equal(build_hamiltonian(model, (k1[1], k2[2])),
+                                          hamiltonian_batch(model, *grid)[1, 2])
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (1, 5), (2, 5), (1, 7), (2, 7), (3, 7),
+                                     (1, 9), (2, 9), (4, 9), (7, 15)])
+    def test_gap_tables_unchanged(self, monkeypatch, p, q):
+        # the odd-q fluxes of a q_max 9 sweep at phi_d = -pi/2 that reach FHS
+        # (one of each inversion pair) and 7/15, whose gap 5 needs grid 256
+        model = HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands(model))
+        table = gap_chern_table(model, gaps)
+        monkeypatch.setattr(chern, "hamiltonian_batch", dense_hamiltonian_batch)
+        dense = gap_chern_table(model, gaps)
+        assert table and {j: (r.value, r.grid) for j, r in table.items()} == \
+            {j: (r.value, r.grid) for j, r in dense.items()}
 
 
 class TestMagneticSymmetry:

@@ -29,6 +29,7 @@ from hofbutter import butterfly, spectrum
 from hofbutter.magnetic_algebra import hamiltonian_batch
 from hofbutter.spectrum import (
     BandContainmentError,
+    _edge_candidates,
     _oscillatory,
     det_offset,
     gap_from_dict,
@@ -118,16 +119,46 @@ class TestChambersPolynomial:
 
 class TestBandEdgeKpoints:
     def test_q2(self):
-        pts = {(round(k.k1, 9), round(k.k2, 9))
-               for k in band_edge_kpoints(HofstadterModel(Flux(1, 2), PI / 2))}
+        pts = {(round(k1, 9), round(k2, 9))
+               for k1, k2 in _edge_candidates(HofstadterModel(Flux(1, 2), PI / 2))}
         x = round(PI / 3, 9)
         assert pts == {(0.0, 0.0), (x, x), (-x, -x)}
 
     def test_q3(self):
-        pts = {(round(k.k1, 9), round(k.k2, 9))
-               for k in band_edge_kpoints(HofstadterModel(Flux(1, 3), PI / 2))}
+        pts = {(round(k1, 9), round(k2, 9))
+               for k1, k2 in _edge_candidates(HofstadterModel(Flux(1, 3), PI / 2))}
         a, b = round(PI / 18, 9), round(5 * PI / 18, 9)
         assert pts == {(a, a), (-a, -a), (b, b), (-b, -b)}
+
+    @pytest.mark.parametrize("p,q,phi_d,t3", [(1, 2, PI / 2, 1.0), (1, 3, PI / 2, 1.0),
+                                              (3, 8, -PI / 2, 1.0), (5, 12, PI / 2, 1.0),
+                                              (2, 7, 0.3, 0.0), (1, 1, 0.0, 0.0)])
+    def test_closed_form_returns_det_extrema(self, p, q, phi_d, t3):
+        # the argmin and argmax of the k-dependent part of det H, in that
+        # order, among the family's candidates
+        model = HofstadterModel(Flux(p, q), phi_d, t3=t3)
+        cands = _edge_candidates(model)
+        det = _oscillatory(model, *zip(*cands))
+        assert band_edge_kpoints(model) == [
+            BlochMomentum(*cands[int(np.argmin(det))]),
+            BlochMomentum(*cands[int(np.argmax(det))])]
+
+    @pytest.mark.parametrize("phi_d,t3", [(PI / 2, 1.0), (-PI / 2, 1.0), (0.0, 0.0)])
+    def test_dropped_candidates_add_no_edge(self, phi_d, t3):
+        # Chambers: the spectrum at k depends on det H(k) alone, so the
+        # candidates that band_edge_kpoints drops have their eigenvalues
+        # inside the bands of the two it keeps, and those bands are the
+        # min/max over every candidate
+        for q in range(1, 49):
+            for p in (x for x in range(1, q + 1) if math.gcd(x, q) == 1):
+                model = HofstadterModel(Flux(p, q), phi_d, t3=t3)
+                cands = _edge_candidates(model)
+                evs = np.linalg.eigvalsh(hamiltonian_batch(model, *zip(*cands)))
+                bands = np.array(compute_bands(model).bands)
+                assert (evs >= bands[:, 0] - 1e-12).all(), (p, q)
+                assert (evs <= bands[:, 1] + 1e-12).all(), (p, q)
+                assert np.abs(bands[:, 0] - evs.min(axis=0)).max() <= 1e-12, (p, q)
+                assert np.abs(bands[:, 1] - evs.max(axis=0)).max() <= 1e-12, (p, q)
 
     def test_generic_phi_matches_grid_scan(self):
         # dense-grid oracle: the fallback extremizers must beat a 101x101 scan
