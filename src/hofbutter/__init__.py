@@ -68,4 +68,4 @@ from .butterfly import (
     sweep_to_jsonl,
     write_records_jsonl,
 )
-from .render import chern_color, render, render_jsonl, write_ppm
+from .render import chern_color, render, render_jsonl

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
+from .chern import GRID_DEFAULT
 from .diophantine import (
     StredaOutcome,
     chain_assign,
@@ -31,6 +32,7 @@ from .magnetic_algebra import Flux, HofstadterModel, _is_half_pi, check_model_pa
 from .spectrum import (
     GAP_EPS_DEFAULT,
     GapRecord,
+    check_eps_gap,
     compute_bands,
     compute_bands_dense,
     compute_bands_or_dense,
@@ -82,7 +84,7 @@ class ButterflyConfig:
     resolver: str = "triangular"
     exclusions: bool = True          # defer odd q, which has no triangular window
     computed_q_max: int = 16         # direct-Chern fallback threshold
-    fhs_grid: int = 32
+    fhs_grid: int = GRID_DEFAULT
     eps_gap: float = GAP_EPS_DEFAULT
     mu_bins: int = 1024              # horizontal (chemical potential) pixels
     height: int = 1024               # vertical (flux) pixels
@@ -97,12 +99,15 @@ class ButterflyConfig:
             raise ValueError("mu_bins must be >= 2")
         if self.height < 1:
             raise ValueError("height must be >= 1")
+        if not math.isfinite(self.row_scale):
+            raise ValueError(f"row_scale must be finite, got {self.row_scale}")
         if self.fhs_grid < 1:
             raise ValueError("fhs_grid must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
+        check_eps_gap(self.eps_gap)
         check_model_parameters(self.phi_d, self.t1, self.t2, self.t3)
 
     @property
@@ -338,8 +343,7 @@ def _adjacent_flux_pairs(fluxes: list[tuple]):
     return [(order[i], order[k]) for i, k in sorted(pairs)]
 
 
-def detect_coloring_errors(diagram: ButterflyDiagram,
-                           overlap_tol: float = 0.0) -> list[InconsistentPair]:
+def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
     """Streda audit over all Farey-adjacent flux pairs.
 
     Every pair of open, resolved gaps with overlapping energy intervals
@@ -360,7 +364,7 @@ def detect_coloring_errors(diagram: ButterflyDiagram,
             for rb in by_flux[fb]:
                 if rb.lo >= ra.hi:  # sorted; nothing further can overlap
                     break
-                if streda_check(ra, rb, overlap_tol) is StredaOutcome.INCONSISTENT:
+                if streda_check(ra, rb) is StredaOutcome.INCONSISTENT:
                     bad.append(InconsistentPair(ra, rb))
     return bad
 

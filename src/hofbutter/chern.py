@@ -68,11 +68,10 @@ class TransportFailure(Exception):
 
 @dataclass(frozen=True)
 class ChernResult:
-    """An accepted integer Chern value plus how it was obtained."""
+    """An FHS-certified integer Chern value, its grid and residual."""
 
     index: int
     value: int
-    method: str
     grid: int
     residual: float
 
@@ -81,19 +80,18 @@ class ChernResult:
 class TransportResult:
     """Holonomy of Kato transport around the reduced 2*pi/q cell."""
 
-    band: int
     holonomy_phase: float
     chern_mod_q: int
     phase_residual: float
     steps: int
 
 
-def berry_curvature(model: HofstadterModel, n: int, k, gap_tol: float = DEGENERACY_TOL) -> float:
+def berry_curvature(model: HofstadterModel, n: int, k) -> float:
     """Adiabatic curvature of band n (1-based) at momentum k.
 
     Evaluated through the spectral sum with analytic dH/dk; no finite
     differencing of H.  Signals near-degeneracy when a neighboring
-    level approaches closer than gap_tol.
+    level approaches closer than DEGENERACY_TOL.
     """
     q = model.q
     if not 1 <= n <= q:
@@ -103,7 +101,7 @@ def berry_curvature(model: HofstadterModel, n: int, k, gap_tol: float = DEGENERA
     evs, vecs = np.linalg.eigh(build_hamiltonian(model, k))
     i = n - 1
     near = min(abs(evs[i] - evs[m]) for m in range(q) if m != i)
-    if near < gap_tol:
+    if near < DEGENERACY_TOL:
         raise GridDegeneracy(f"band {n} within {near:.2e} of a neighbor at k={k}", k=k)
     d1, d2 = hamiltonian_derivatives(model, k)
     g1 = vecs.conj().T @ d1 @ vecs
@@ -246,7 +244,7 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
             admissible = (residual <= QUANTIZATION_TOL
                           and np.abs(field).max() < ADMISSIBILITY)
             if admissible and prev.get(key) == value:
-                out[key] = ChernResult(key, value, "fhs", g, float(residual))
+                out[key] = ChernResult(key, value, g, float(residual))
                 del remaining[key]
             elif admissible:
                 prev[key] = value
@@ -320,7 +318,7 @@ def certify_gap(model: HofstadterModel, j: int, grid: int = GRID_DEFAULT,
     if not 0 <= j <= q:
         raise ValueError(f"gap index {j} outside 0..{q}")
     if j in (0, q):
-        return ChernResult(j, 0, "fhs", 0, 0.0)
+        return ChernResult(j, 0, 0, 0.0)
     return _certify_block(model, j, 0, j, grid, eps_gap)
 
 
@@ -347,7 +345,7 @@ def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
         raise ValueError(f"steps must be >= 1, got {steps}")
     q = model.q
     if q == 1:
-        return TransportResult(1, 0.0, 0, 0.0, steps)
+        return TransportResult(0.0, 0, 0.0, steps)
 
     L = 2.0 * math.pi / q
     corners = [(0.0, 0.0), (L, 0.0), (L, L), (0.0, L), (0.0, 0.0)]
@@ -384,7 +382,7 @@ def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
         phase = refined
     residue = round(phase * q / (2.0 * math.pi)) % q
     residual = abs(_circle_dist(phase, 2.0 * math.pi * residue / q))
-    return TransportResult(n, phase, residue, residual, m)
+    return TransportResult(phase, residue, residual, m)
 
 
 def _check_isolated(evs, n, k):

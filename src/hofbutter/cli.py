@@ -18,7 +18,6 @@ import time
 
 from . import __version__
 from .butterfly import (
-    PHI_D_SYMMETRIC,
     RESOLVERS,
     ButterflyConfig,
     ButterflyDiagram,
@@ -28,6 +27,8 @@ from .butterfly import (
     sweep_to_jsonl,
 )
 from .chern import (
+    GRID_DEFAULT,
+    TRANSPORT_STEPS_DEFAULT,
     GapClosed,
     GridDegeneracy,
     QuantizationFailure,
@@ -40,6 +41,8 @@ from .chern import (
 from .diophantine import solve_residue
 from .magnetic_algebra import Flux, HofstadterModel
 from .spectrum import (
+    GAP_EPS_DEFAULT,
+    check_eps_gap,
     compute_bands_or_dense,
     compute_gaps,
     gaps_to_csv,
@@ -89,9 +92,10 @@ def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) 
 
 def _model_from(args) -> HofstadterModel | None:
     """The model of the flags, or None after one error line when the
-    flux is not reduced with 1 <= p <= q, or phi_d or a hopping is not
-    usable."""
+    flux is not reduced with 1 <= p <= q, or phi_d, a hopping or
+    --eps-gap is not usable."""
     try:
+        check_eps_gap(getattr(args, "eps_gap", GAP_EPS_DEFAULT))
         return HofstadterModel(Flux(args.p, args.q), args.phi_d,
                                args.t1, args.t2, args.t3)
     except ValueError as exc:
@@ -102,11 +106,14 @@ def _model_from(args) -> HofstadterModel | None:
 def _add_model_flags(sp):
     sp.add_argument("--p", type=int, required=True, help="flux numerator")
     sp.add_argument("--q", type=int, required=True, help="flux denominator")
-    sp.add_argument("--phi-d", type=float, default=PHI_D_SYMMETRIC,
+    _add_phase_flags(sp)
+
+
+def _add_phase_flags(sp):
+    sp.add_argument("--phi-d", type=float, default=ButterflyConfig.phi_d,
                     help="down-triangle flux phase (radians)")
-    sp.add_argument("--t1", type=float, default=1.0)
-    sp.add_argument("--t2", type=float, default=1.0)
-    sp.add_argument("--t3", type=float, default=1.0)
+    for t in ("t1", "t2", "t3"):
+        sp.add_argument(f"--{t}", type=float, default=getattr(ButterflyConfig, t))
 
 
 def _write_out(text: str, out):
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="band intervals and gaps of one flux")
     _add_model_flags(sp)
-    sp.add_argument("--eps-gap", type=float, default=1e-8)
+    sp.add_argument("--eps-gap", type=float, default=GAP_EPS_DEFAULT)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_spectrum)
@@ -278,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--gap", type=int, help="gap index j in [0, q]")
     target.add_argument("--band", type=int, help="band index in [1, q]")
     sp.add_argument("--method", choices=["fhs", "transport"], default="fhs")
-    sp.add_argument("--grid", type=int, default=32)
-    sp.add_argument("--steps", type=int, default=256)
-    sp.add_argument("--eps-gap", type=float, default=1e-8,
-                    help="closed-gap width for --method fhs; transport uses 1e-8")
+    sp.add_argument("--grid", type=int, default=GRID_DEFAULT)
+    sp.add_argument("--steps", type=int, default=TRANSPORT_STEPS_DEFAULT)
+    sp.add_argument("--eps-gap", type=float, default=GAP_EPS_DEFAULT,
+                    help="closed-gap width for --method fhs; transport uses the default")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_chern)
@@ -290,27 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--j", type=int, help="single gap index (default: all)")
     sp.add_argument("--strategy", choices=RESOLVERS, default="square")
-    sp.add_argument("--grid", type=int, default=32)
+    sp.add_argument("--grid", type=int, default=GRID_DEFAULT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dioph)
 
     sp = sub.add_parser("butterfly", help="full flux sweep, JSONL plus image")
     sp.add_argument("--qmax", type=int, default=64)
-    sp.add_argument("--phi-d", type=float, default=PHI_D_SYMMETRIC)
-    sp.add_argument("--t1", type=float, default=1.0)
-    sp.add_argument("--t2", type=float, default=1.0)
-    sp.add_argument("--t3", type=float, default=1.0)
-    sp.add_argument("--resolver", choices=RESOLVERS, default="triangular")
+    _add_phase_flags(sp)
+    sp.add_argument("--resolver", choices=RESOLVERS, default=ButterflyConfig.resolver)
     sp.add_argument("--no-exclusions", action="store_true",
                     help="force windows everywhere (reproduces wing miscolorings)")
-    sp.add_argument("--computed-qmax", type=int, default=16)
-    sp.add_argument("--grid", type=int, default=32)
-    sp.add_argument("--eps-gap", type=float, default=1e-8)
-    sp.add_argument("--mu-bins", type=int, default=1024)
-    sp.add_argument("--height", type=int, default=1024)
-    sp.add_argument("--row-scale", type=float, default=2.0)
-    sp.add_argument("--colormap-period", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--computed-qmax", type=int, default=ButterflyConfig.computed_q_max)
+    sp.add_argument("--grid", type=int, default=ButterflyConfig.fhs_grid)
+    sp.add_argument("--eps-gap", type=float, default=ButterflyConfig.eps_gap)
+    sp.add_argument("--mu-bins", type=int, default=ButterflyConfig.mu_bins)
+    sp.add_argument("--height", type=int, default=ButterflyConfig.height)
+    sp.add_argument("--row-scale", type=float, default=ButterflyConfig.row_scale)
+    sp.add_argument("--colormap-period", type=int, default=ButterflyConfig.colormap_period)
+    sp.add_argument("--jobs", type=int, default=ButterflyConfig.jobs)
     sp.add_argument("--format", choices=["json", "csv", "ppm"], default="ppm")
     sp.add_argument("--check", action="store_true",
                     help="run the Streda coloring-error audit")

@@ -125,8 +125,7 @@ class StredaOutcome(enum.Enum):
     NOT_COMPARABLE = "not_comparable"
 
 
-def streda_check(rec_a: GapRecord, rec_b: GapRecord,
-                 overlap_tol: float = 0.0) -> StredaOutcome:
+def streda_check(rec_a: GapRecord, rec_b: GapRecord) -> StredaOutcome:
     """Do two gap records lie consistently on one butterfly wing?
 
     Records whose energy intervals are disjoint (or that lack a Chern
@@ -144,7 +143,7 @@ def streda_check(rec_a: GapRecord, rec_b: GapRecord,
         return StredaOutcome.NOT_COMPARABLE
     if rec_a.chern is None or rec_b.chern is None:
         return StredaOutcome.NOT_COMPARABLE
-    if not min(rec_a.hi, rec_b.hi) - max(rec_a.lo, rec_b.lo) > overlap_tol:
+    if not min(rec_a.hi, rec_b.hi) - max(rec_a.lo, rec_b.lo) > 0.0:
         return StredaOutcome.NOT_COMPARABLE
     drho = rec_b.j * rec_a.q - rec_a.j * rec_b.q
     dphi = rec_b.p * rec_a.q - rec_a.p * rec_b.q

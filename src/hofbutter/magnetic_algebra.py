@@ -37,13 +37,6 @@ class BlochMomentum(NamedTuple):
     k1: float
     k2: float
 
-    def reduced(self, q: int) -> "BlochMomentum":
-        """Map into the magnetic Brillouin zone |k1| <= pi, |q*k2| <= pi."""
-        two_pi = 2.0 * math.pi
-        k1 = (self.k1 + math.pi) % two_pi - math.pi
-        k2 = (self.k2 + math.pi / q) % (two_pi / q) - math.pi / q
-        return BlochMomentum(k1, k2)
-
 
 @dataclass(frozen=True)
 class Flux:
@@ -59,14 +52,6 @@ class Flux:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"flux {self.p}/{self.q} is not reduced")
         object.__setattr__(self, "s", modular_inverse(self.p, self.q))
-
-    @classmethod
-    def reduced(cls, p: int, q: int) -> "Flux":
-        """Construct from a not-necessarily-reduced ratio p/q > 0."""
-        if q < 1 or p < 1:
-            raise ValueError(f"need positive integers, got p={p}, q={q}")
-        g = math.gcd(p, q)
-        return cls(p // g, q // g)
 
     @property
     def omega(self) -> complex:
@@ -124,11 +109,6 @@ class HofstadterModel:
     @property
     def is_isotropic(self) -> bool:
         return self.t1 == self.t2 == self.t3 == 1.0
-
-    @property
-    def spectral_bound(self) -> float:
-        """2*(t1+t2+t3), a rigorous bound on |E| for every k."""
-        return 2.0 * (self.t1 + self.t2 + self.t3)
 
 
 def _clock(flux: Flux) -> np.ndarray:
@@ -236,9 +216,9 @@ def magnetic_symmetry_residual(model: HofstadterModel, k) -> tuple[float, float]
     return float(r1), float(r2)
 
 
-def _is_half_pi(phi: float, tol: float = 1e-9) -> bool:
+def _is_half_pi(phi: float) -> bool:
     r = phi % (2 * math.pi)
-    return min(abs(r - math.pi / 2), abs(r - 3 * math.pi / 2)) < tol
+    return min(abs(r - math.pi / 2), abs(r - 3 * math.pi / 2)) < 1e-9
 
 
 def inversion_check(model: HofstadterModel) -> float:

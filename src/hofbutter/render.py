@@ -145,17 +145,8 @@ def _ppm_buffer(height: int, width: int):
     return data, pixels.reshape(height, width, 3)
 
 
-def write_ppm(pixels: np.ndarray) -> bytearray:
-    """Encode an (H, W, 3) uint8 array as binary PPM (P6)."""
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
-        raise ValueError("expected an (H, W, 3) uint8 array")
-    data, view = _ppm_buffer(*pixels.shape[:2])
-    view[...] = pixels
-    return data
-
-
 def read_ppm(data: bytes) -> np.ndarray:
-    """Decode binary PPM (P6) produced by write_ppm."""
+    """Decode binary PPM (P6) as produced by render."""
     if not data.startswith(b"P6"):
         raise ValueError("not a P6 PPM")
     parts = data.split(b"\n", 3)

@@ -10,11 +10,9 @@ those momenta for the square limit and the isotropic model at phi_d =
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +30,7 @@ BAND_OVERLAP_TOL = 1e-8
 GAP_EPS_DEFAULT = 1e-8
 CONTAINMENT_REL_TOL = 1e-9
 EDGE_GRID = 256  # samples of y = q k2 that locate the peaks before bisection
+REFINE_ROUNDS, REFINE_POINTS = 14, 7  # shrinking grids of compute_bands_dense
 # (k1s, k2s) of two generic momenta at which compute_bands checks searched
 # edges; plain literals, as an rng here would import numpy.random
 _PROBE_K = ((-1.5146502, -0.9436313), (-1.1435780, -2.6196691))
@@ -119,7 +118,6 @@ def _oscillatory(model: HofstadterModel, k1, k2):
     return (-1.0) ** (q + 1) * 2.0 * scale * np.real(inner)
 
 
-@functools.lru_cache(maxsize=256)
 def det_offset(model: HofstadterModel) -> float:
     """Constant part h of det H(k), calibrated at a reference momentum."""
     if not model.is_isotropic:
@@ -136,14 +134,14 @@ def det_closed_form(model: HofstadterModel, k) -> float:
     return h + float(_oscillatory(model, k1, k2))
 
 
-def _refine_extremum(f, k0, span, minimize: bool, rounds: int = 14, n: int = 7) -> float:
+def _refine_extremum(f, k0, span, minimize: bool) -> float:
     """Shrinking-grid search around k0; returns the extremal value."""
     k1, k2 = k0
     best = f(np.array([k1]), np.array([k2]))[0]
     sign = 1.0 if minimize else -1.0
-    for _ in range(rounds):
-        a = np.linspace(k1 - span, k1 + span, n)
-        b = np.linspace(k2 - span, k2 + span, n)
+    for _ in range(REFINE_ROUNDS):
+        a = np.linspace(k1 - span, k1 + span, REFINE_POINTS)
+        b = np.linspace(k2 - span, k2 + span, REFINE_POINTS)
         A, B = np.meshgrid(a, b, indexing="ij")
         vals = f(A.ravel(), B.ravel())
         i = int(np.argmin(sign * vals))
@@ -253,14 +251,6 @@ class GapRecord(NamedTuple):
     chern: Optional[int] = None
     chern_source: str = "unresolved"
 
-    @property
-    def rho(self) -> Fraction:
-        return Fraction(self.j, self.q)
-
-    @property
-    def flux_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def compute_bands(model: HofstadterModel) -> BandSpectrum:
     """Band intervals from one batched eigensolve at the band-edge
@@ -329,6 +319,12 @@ def compute_bands_or_dense(model: HofstadterModel, fast=compute_bands,
         return dense(model)
 
 
+def check_eps_gap(eps_gap: float) -> None:
+    """Raise ValueError unless eps_gap is finite and >= 0; NaN or < 0 opens every gap."""
+    if not 0 <= eps_gap < math.inf:
+        raise ValueError(f"eps_gap must be finite and >= 0, got {eps_gap}")
+
+
 def compute_gaps(spectrum: BandSpectrum, eps_gap: float = GAP_EPS_DEFAULT) -> list[GapRecord]:
     """The q+1 gap records of a band spectrum.
 
@@ -336,6 +332,7 @@ def compute_gaps(spectrum: BandSpectrum, eps_gap: float = GAP_EPS_DEFAULT) -> li
     when its width falls below eps_gap.  The semi-infinite gaps j = 0
     and j = q carry sigma = 0 from the start (the chain anchors).
     """
+    check_eps_gap(eps_gap)
     model = spectrum.model
     p, q, phi_d = model.flux.p, model.q, model.phi_d
     bands = spectrum.bands
@@ -377,20 +374,16 @@ def gap_from_dict(d: dict) -> GapRecord:
                      d["closed"], d["chern"], d["source"])
 
 
-def spectrum_to_dict(spectrum: BandSpectrum, gaps: list[GapRecord]) -> dict:
+def spectrum_to_json(spectrum: BandSpectrum, gaps: list[GapRecord]) -> str:
     """JSON schema: {p, q, phi_d, t, bands, gaps}."""
     m = spectrum.model
-    return {
+    return json.dumps({
         "p": m.flux.p, "q": m.q, "phi_d": m.phi_d,
         "t": [m.t1, m.t2, m.t3],
         "bands": [[lo, hi] for lo, hi in spectrum.bands],
         "gaps": [{k: v for k, v in gap_to_dict(r).items()
                   if k not in ("p", "q", "phi_d")} for r in gaps],
-    }
-
-
-def spectrum_to_json(spectrum: BandSpectrum, gaps: list[GapRecord]) -> str:
-    return json.dumps(spectrum_to_dict(spectrum, gaps))
+    })
 
 
 GAP_CSV_COLUMNS = ["p", "q", "j", "lo", "hi", "width", "closed", "chern", "source"]

@@ -75,6 +75,13 @@ class TestConfig:
         for bad in ({"fhs_grid": 0}, {"fhs_grid": -8}, {"jobs": 0}, {"jobs": -2}):
             with pytest.raises(ValueError):
                 ButterflyConfig(**bad)
+        # a non-finite row_scale failed in the render, after the sweep; a NaN
+        # or negative eps_gap flagged every gap open
+        for bad in ({"row_scale": math.nan}, {"row_scale": math.inf},
+                    {"row_scale": -math.inf}, {"eps_gap": math.nan},
+                    {"eps_gap": -1e-9}, {"eps_gap": math.inf}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ButterflyConfig(**bad)
 
     @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
     def test_reaches_fhs(self, resolver):

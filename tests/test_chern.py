@@ -78,7 +78,6 @@ class TestBandChernFHS:
 
     def test_residual_and_grid_reported(self):
         res = band_chern_fhs(SQUARE_13, 1, grid=16)
-        assert res.method == "fhs"
         assert res.grid >= 16
         assert res.residual <= 0.05
         res = band_chern_fhs(HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC), 1, grid=32)

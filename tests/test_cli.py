@@ -1,10 +1,11 @@
 import importlib
+import inspect
 import json
 import math
 
 import pytest
 
-from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, butterfly, chern, cli
+from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, butterfly, chern, cli, spectrum
 from hofbutter.butterfly import RESOLVERS, _compute_flux, decode_records
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
@@ -271,6 +272,12 @@ class TestButterfly:
         (["--t3", "inf"],
          "hopping amplitudes must be finite and nonnegative, got t1=1.0, t2=1.0, t3=inf"),
         (["--phi-d", "nan"], "phi_d must be finite, got nan"),
+        # these wrote the JSONL and then died in the render, leaving an empty .ppm
+        (["--row-scale", "nan"], "row_scale must be finite, got nan"),
+        (["--row-scale", "inf"], "row_scale must be finite, got inf"),
+        # these flagged every gap open, closed ones included
+        (["--eps-gap", "nan"], "eps_gap must be finite and >= 0, got nan"),
+        (["--eps-gap=-1"], "eps_gap must be finite and >= 0, got -1.0"),
     ])
     def test_bad_config_rejected_before_sweep(self, tmp_path, capsys, monkeypatch,
                                               flags, message):
@@ -320,6 +327,44 @@ def test_bad_model_flags(capsys, monkeypatch, command, flags, message):
     code = main([command[0], *flags, *command[1:]])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["chern", "--gap", "2"],
+                                     ["chern", "--band", "1", "--method", "transport"]])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_unusable_eps_gap(capsys, monkeypatch, command, value):
+    # a NaN or negative --eps-gap flagged every gap open: spectrum printed
+    # the closed gap 2 of 1/3 as open, and chern spent grids 32..256 on it
+    for name in ("compute_bands_or_dense", "certify_gap", "band_chern_transport"):
+        monkeypatch.setattr(cli, name, None)
+    code = main([command[0], "--p", "1", "--q", "3", f"--eps-gap={value}", *command[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: eps_gap must be finite and >= 0, got {float(value)}\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    flux = ["--p", "1", "--q", "3"]
+    cfg = ButterflyConfig()
+    bf = parse(["butterfly"])
+    assert (bf.phi_d, bf.t1, bf.t2, bf.t3, bf.resolver, bf.computed_qmax, bf.grid,
+            bf.eps_gap, bf.mu_bins, bf.height, bf.row_scale, bf.colormap_period,
+            bf.jobs) == \
+        (cfg.phi_d, cfg.t1, cfg.t2, cfg.t3, cfg.resolver, cfg.computed_q_max,
+         cfg.fhs_grid, cfg.eps_gap, cfg.mu_bins, cfg.height, cfg.row_scale,
+         cfg.colormap_period, cfg.jobs)
+    sp, ch, di = (parse(["spectrum", *flux]), parse(["chern", *flux, "--gap", "1"]),
+                  parse(["dioph", *flux]))
+    for args in (sp, ch, di):
+        assert (args.phi_d, args.t1, args.t2, args.t3) == (cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
+    fhs = inspect.signature(chern.certify_gap).parameters
+    steps = inspect.signature(chern.band_chern_transport).parameters["steps"]
+    gaps = inspect.signature(spectrum.compute_gaps).parameters["eps_gap"]
+    assert (ch.grid, ch.eps_gap, ch.steps) == \
+        (fhs["grid"].default, fhs["eps_gap"].default, steps.default)
+    assert sp.eps_gap == gaps.default == cfg.eps_gap
+    assert di.grid == cfg.fhs_grid == fhs["grid"].default
 
 
 class TestConfigFile:

@@ -200,11 +200,11 @@ class TestStredaCheck:
         assert streda_check(a, c) is StredaOutcome.CONSISTENT
 
 
-def _streda_by_fractions(a, b, overlap_tol=0.0):
+def _streda_by_fractions(a, b):
     """streda_check as written in rational arithmetic."""
     if a.closed or b.closed or a.chern is None or b.chern is None:
         return StredaOutcome.NOT_COMPARABLE
-    if not min(a.hi, b.hi) - max(a.lo, b.lo) > overlap_tol:
+    if not min(a.hi, b.hi) - max(a.lo, b.lo) > 0.0:
         return StredaOutcome.NOT_COMPARABLE
     drho = Fraction(b.j, b.q) - Fraction(a.j, a.q)
     dphi = Fraction(b.p, b.q) - Fraction(a.p, a.q)
@@ -236,10 +236,9 @@ def test_integer_streda_matches_fractions():
                       rng.random() < 0.05, None if rng.random() < 0.05 else sa, "x")
         b = GapRecord(pb, qb, PHI_D_SYMMETRIC, int(jb), lo_b, lo_b + rng.uniform(0, 1), 0.5,
                       rng.random() < 0.05, None if rng.random() < 0.05 else sb, "x")
-        tol = rng.choice([0.0, 0.1])
-        expected = _streda_by_fractions(a, b, tol)
-        assert streda_check(a, b, tol) is expected
-        assert streda_check(b, a, tol) is _streda_by_fractions(b, a, tol)
+        expected = _streda_by_fractions(a, b)
+        assert streda_check(a, b) is expected
+        assert streda_check(b, a) is _streda_by_fractions(b, a)
         outcomes.add(expected)
     assert outcomes == set(StredaOutcome)
 

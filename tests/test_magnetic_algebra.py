@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hofbutter import chern
 from hofbutter import (
-    BlochMomentum,
+    ButterflyConfig,
     Flux,
     HofstadterModel,
     PHI_D_SYMMETRIC,
@@ -77,10 +77,6 @@ class TestFlux:
         with pytest.raises(ValueError):
             Flux(5, 3)
 
-    def test_reduced_constructor(self):
-        assert Flux.reduced(5, 5) == Flux(1, 1)
-        assert Flux.reduced(6, 10) == Flux(3, 5)
-
     def test_conjugate(self):
         assert Flux(2, 5).conjugate() == Flux(3, 5)
         assert Flux(1, 1).conjugate() == Flux(1, 1)
@@ -137,7 +133,8 @@ class TestHamiltonian:
         ps = [x for x in range(1, q) if math.gcd(x, q) == 1]
         model = HofstadterModel(Flux(ps[q % len(ps)], q), phi_d, t1, t2, t3)
         evs = np.linalg.eigvalsh(build_hamiltonian(model, (k1, k2)))
-        assert np.abs(evs).max() <= model.spectral_bound + 1e-9
+        bound = ButterflyConfig(phi_d=phi_d, t1=t1, t2=t2, t3=t3).energy_clamp
+        assert np.abs(evs).max() <= bound + 1e-9
 
     def test_rejects_negative_hopping(self):
         with pytest.raises(ValueError):
@@ -264,10 +261,3 @@ def test_square_limit_ignores_phi_d():
         b = compute_bands(HofstadterModel(Flux(p, q), -2.2, t3=0.0)).bands
         assert np.abs(np.array(a) - np.array(b)).max() <= 1e-10
 
-
-def test_momentum_reduction():
-    k = BlochMomentum(2.5 * PI, 0.9).reduced(3)
-    assert -PI <= k.k1 <= PI
-    assert -PI / 3 <= k.k2 <= PI / 3
-    assert abs((k.k1 - 2.5 * PI) % (2 * PI)) < 1e-12 or \
-        abs((k.k1 - 2.5 * PI) % (2 * PI) - 2 * PI) < 1e-12

@@ -13,7 +13,6 @@ from hofbutter import (
     build_diagram,
     chern_color,
     sweep_to_jsonl,
-    write_ppm,
     write_records_jsonl,
 )
 from hofbutter.render import NEUTRAL, SENTINEL, _row_bounds, read_ppm, render, render_jsonl
@@ -42,14 +41,13 @@ class TestColormap:
 
 class TestPPM:
     def test_header_and_roundtrip(self):
-        pixels = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
-        data = write_ppm(pixels)
-        assert data.startswith(b"P6\n3 2\n255\n")
-        assert np.array_equal(read_ppm(data), pixels)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            write_ppm(np.zeros((4, 4), dtype=np.uint8))
+        cfg = ButterflyConfig(q_max=1, mu_bins=3, height=2)
+        data = render(build_diagram(cfg).records, cfg)
+        header = b"P6\n3 2\n255\n"
+        assert data.startswith(header)
+        pixels = read_ppm(data)
+        assert pixels.shape == (2, 3, 3)
+        assert pixels.tobytes() == bytes(data[len(header):])
 
 
 class TestRender:

@@ -1,6 +1,5 @@
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,9 +165,9 @@ class TestBandEdgeKpoints:
         pts = band_edge_kpoints(model)
         dets = [det_closed_form(model, k) for k in pts]
         axis = np.linspace(-PI / 5, PI / 5, 101)
-        grid = [det_closed_form(model, (a, b)) for a in axis for b in axis]
-        assert min(dets) <= min(grid) + 1e-6
-        assert max(dets) >= max(grid) - 1e-6
+        grid = det_offset(model) + _oscillatory(model, *np.meshgrid(axis, axis))
+        assert min(dets) <= grid.min() + 1e-6
+        assert max(dets) >= grid.max() - 1e-6
 
     @pytest.mark.parametrize("p,q", [(9, 89), (11, 127), (17, 35)])
     def test_generic_phi_large_q_contains_spectrum(self, p, q):
@@ -287,6 +286,15 @@ class TestComputeGaps:
             HofstadterModel(Flux(2, 3), PHI_D_SYMMETRIC)))
         assert [g.j for g in gaps if g.closed] == [1]
 
+    @pytest.mark.parametrize("eps_gap", [math.nan, -1e-9, math.inf])
+    def test_unusable_eps_gap(self, eps_gap):
+        # NaN or a negative eps_gap flagged the closed gap 2 of 1/3 open
+        spec = compute_bands(HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC))
+        with pytest.raises(ValueError, match="eps_gap must be finite and >= 0"):
+            compute_gaps(spec, eps_gap)
+        with pytest.raises(ValueError, match="eps_gap must be finite and >= 0"):
+            certify_gap(spec.model, 2, eps_gap=eps_gap)
+
     def test_record_count_and_widths(self):
         rng = np.random.default_rng(23)
         models = [HofstadterModel(Flux(p, q), PI / 2) for p, q in [(1, 2), (2, 5), (5, 13)]]
@@ -305,7 +313,6 @@ class TestGapRecord:
         assert GapRecord._fields == ("p", "q", "phi_d", "j", "lo", "hi", "width",
                                      "closed", "chern", "chern_source")
         assert (rec.chern, rec.chern_source) == (None, "unresolved")
-        assert rec.rho == Fraction(1, 5) and rec.flux_fraction == Fraction(2, 5)
 
     def test_equality_and_hashing(self):
         a = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "computed_fhs")
