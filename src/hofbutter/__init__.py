@@ -31,15 +31,19 @@ from .spectrum import (
 )
 from .chern import (
     ChernResult,
+    EdgeResult,
     GapClosed,
     GridDegeneracy,
     QuantizationFailure,
     TransportResult,
+    WindingFailure,
     band_chern_fhs,
     band_chern_transport,
     berry_curvature,
     certify_gap,
     chern_bound,
+    edge_chern,
+    edge_chern_table,
     gap_chern_table,
     gap_residue_transport,
 )

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .chern import GRID_DEFAULT
+from .chern import edge_chern_table
 from .diophantine import (
     StredaOutcome,
     chain_assign,
@@ -28,7 +28,7 @@ from .diophantine import (
     streda_check,
     triangular_window,
 )
-from .magnetic_algebra import Flux, HofstadterModel, _is_half_pi, check_model_parameters
+from .magnetic_algebra import Flux, HofstadterModel, check_model_parameters
 from .spectrum import (
     GAP_EPS_DEFAULT,
     GapRecord,
@@ -83,8 +83,7 @@ class ButterflyConfig:
     t3: float = 1.0
     resolver: str = "triangular"
     exclusions: bool = True          # defer odd q, which has no triangular window
-    computed_q_max: int = 16         # direct-Chern fallback threshold
-    fhs_grid: int = GRID_DEFAULT
+    computed_q_max: int = 16         # edge-winding fallback threshold
     eps_gap: float = GAP_EPS_DEFAULT
     mu_bins: int = 1024              # horizontal (chemical potential) pixels
     height: int = 1024               # vertical (flux) pixels
@@ -101,8 +100,6 @@ class ButterflyConfig:
             raise ValueError("height must be >= 1")
         if not math.isfinite(self.row_scale):
             raise ValueError(f"row_scale must be finite, got {self.row_scale}")
-        if self.fhs_grid < 1:
-            raise ValueError("fhs_grid must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.resolver not in RESOLVERS:
@@ -116,10 +113,10 @@ class ButterflyConfig:
         bound 2(t1 + t2 + t3)."""
         return 2.0 * (self.t1 + self.t2 + self.t3)
 
-    def reaches_fhs(self, q: int) -> bool:
+    def reaches_edge(self, q: int) -> bool:
         """Whether the gaps the resolver leaves gray at denominator q go
-        to FHS: always under the computed resolver, else up to
-        computed_q_max."""
+        to the edge-state winding: always under the computed resolver,
+        else up to computed_q_max."""
         return self.resolver == "computed" or q <= self.computed_q_max
 
 
@@ -146,18 +143,18 @@ def _window_for(strategy: str, q: int, exclusions: bool):
 
 
 def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
-                  cfg: ButterflyConfig, known=None) -> list[GapRecord]:
+                  cfg: ButterflyConfig) -> list[GapRecord]:
     """Assign Chern numbers to the open interior gaps of one flux.
 
-    The strategy colors what it can.  Where ``cfg.reaches_fhs(q)``, the
-    open gaps still gray take their value from ``known`` ({j: sigma},
-    FHS values mirrored from the inversion partner), and those it does
-    not cover go to FHS in one ``gap_chern_table`` call.
+    The strategy colors what it can.  Where ``cfg.reaches_edge(q)``, the
+    open gaps still gray go to ``edge_chern_table`` in one call per flux,
+    and those it certifies are tagged ``edge_winding``.
     """
     q = model.q
     strategy = cfg.resolver
+    # the computed strategy colors no gap itself, so it has no tag here
     tag = {"square": "window_square", "triangular": "window_triangular",
-           "chain": "chain", "computed": "computed_fhs"}[strategy]
+           "chain": "chain"}.get(strategy)
     window = _window_for(strategy, q, cfg.exclusions)
     out = []
     for rec in records:
@@ -168,31 +165,25 @@ def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
             elif window is not None:
                 sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
         out.append(rec if sigma is None else GapRecord(*rec[:8], sigma, tag))
-    gray = {rec.j for rec in out if rec.chern is None and not rec.closed}
-    if gray and cfg.reaches_fhs(q):
-        fhs = {j: v for j, v in (known or {}).items() if j in gray}
-        rest = [rec for rec in out if rec.j in gray and rec.j not in fhs]
-        if rest:
-            # looked up at call time, so a wrapper on chern.gap_chern_table sees it
-            from .chern import gap_chern_table
-            table = gap_chern_table(model, rest, cfg.fhs_grid)
-            fhs.update((j, res.value) for j, res in table.items())
-        out = [GapRecord(*rec[:8], fhs[rec.j], "computed_fhs")
-               if rec.j in fhs else rec for rec in out]
+    gray = [rec for rec in out if rec.chern is None and not rec.closed]
+    if gray and cfg.reaches_edge(q):
+        table = edge_chern_table(model, gray)
+        sigmas = {j: res.value for j, res in table.items() if res.value is not None}
+        out = [GapRecord(*rec[:8], sigmas[rec.j], "edge_winding")
+               if rec.j in sigmas else rec for rec in out]
     return out
 
 
-def flux_records(p: int, q: int, cfg: ButterflyConfig, known=None) -> list[GapRecord]:
+def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
     """The gap records of flux p/q, colored by the configured resolver.
 
     Every sweep and ``hofbutter dioph`` turn a flux into records here:
     band edges (dense scan if the searched edges fail), gaps, then
-    ``_resolve_flux``, which takes ``known`` as the FHS values of gray
-    gaps it already has.
+    ``_resolve_flux``.
     """
     model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
     spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
-    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg, known)
+    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg)
 
 
 def _compute_flux(args):
@@ -207,51 +198,17 @@ def _compute_flux(args):
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
 
-def _mirror(q: int, result) -> dict:
-    """{q - j: sigma} of the FHS-certified gaps in the result of a flux
-    with denominator q."""
-    return {q - r.j: r.chern for r in result[0] if r.chern_source == "computed_fhs"}
+def _compute_task(config: ButterflyConfig, fluxes) -> list:
+    """Worker: ``_compute_flux`` of each flux (p, q) of one call, in order."""
+    return [_compute_flux((p, q, config)) for p, q in fluxes]
 
 
-def _compute_task(config: ButterflyConfig, task) -> list:
-    """Worker: ``_compute_flux`` of each flux (p, q) of one call, in
-    order.  In a pair call the second flux, the inversion partner of the
-    first, takes the first's FHS values, mirrored j -> q-j, as ``known``."""
-    fluxes, pair = task
-    out = []
-    for p, q in fluxes:
-        known = _mirror(q, out[0]) if pair and out else None
-        out.append(_compute_flux((p, q, config, known)))
-    return out
-
-
-def _tasks(fluxes: list[Flux], config: ButterflyConfig) -> list[tuple]:
-    """The calls of a sweep, as (flux indices, pair), in the order they run.
-
-    Each flux that can reach FHS is one call, largest q first, since
-    those cost the most.  At phi_d = +/-pi/2 flux (q-p)/q is the
-    antiunitary image of p/q, so sigma_j((q-p)/q) = sigma_(q-j)(p/q)
-    (notes/decisions.md): a flux p/q < 1/2 shares its call with its
-    partner, which runs right after it (``pair`` is True).  The other
-    fluxes follow in flux order, in runs of consecutive fluxes that
-    amortise pool IPC; at jobs=1 each run is one flux.
-    """
-    mirrored = _is_half_pi(config.phi_d)
-    index = {(f.p, f.q): i for i, f in enumerate(fluxes)}
-    costly = [i for i, f in enumerate(fluxes)
-              if config.reaches_fhs(f.q) and not (mirrored and f.p < f.q < 2 * f.p)]
-    tasks = []
-    for i in sorted(costly, key=lambda i: -fluxes[i].q):
-        p, q = fluxes[i].p, fluxes[i].q
-        pair = mirrored and 2 * p < q
-        tasks.append(((i, index[(q - p, q)]) if pair else (i,), pair))
-    chunk = max(1, len(fluxes) // (config.jobs * 64)) if config.jobs > 1 else 1
-    rest = [i for i, f in enumerate(fluxes) if not config.reaches_fhs(f.q)]
-    # i minus its rank in rest is constant along consecutive fluxes
-    for _, stretch in itertools.groupby(enumerate(rest), lambda e: e[1] - e[0]):
-        run = [i for _, i in stretch]
-        tasks += [(tuple(run[k:k + chunk]), False) for k in range(0, len(run), chunk)]
-    return tasks
+def _tasks(n_fluxes: int, jobs: int) -> list[range]:
+    """The calls of a sweep of n_fluxes fluxes, as runs of consecutive
+    flux indices in flux order.  A run amortises pool IPC, so at jobs=1
+    each run is one flux and at most one result waits per call."""
+    chunk = max(1, n_fluxes // (jobs * 64)) if jobs > 1 else 1
+    return [range(k, min(k + chunk, n_fluxes)) for k in range(0, n_fluxes, chunk)]
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
@@ -261,25 +218,23 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     without materializing.  One path at any parallelism degree:
     ``_tasks`` lists the calls and ``_compute_task`` runs one; jobs=1
     maps them in-process with the builtin ``map``, jobs>1 with
-    ``pool.map`` of one process pool.  Results that arrive before their
-    turn wait in one dict, so the output is deterministic for a fixed
-    config regardless of ``jobs``.
+    ``pool.map`` of one process pool, which returns them in order, so
+    the output is deterministic for a fixed config regardless of
+    ``jobs``.
     """
     fluxes = enumerate_fluxes(config.q_max)
-    tasks = _tasks(fluxes, config)
-    calls = [([(fluxes[i].p, fluxes[i].q) for i in idx], pair) for idx, pair in tasks]
+    calls = [[(fluxes[i].p, fluxes[i].q) for i in run]
+             for run in _tasks(len(fluxes), config.jobs)]
     work = functools.partial(_compute_task, config)
-    held = {}  # flux index -> result, until yielded
     done = 0
     with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
           else contextlib.nullcontext()) as pool:
-        for (idx, _), results in zip(tasks, (pool.map if pool else map)(work, calls)):
-            held.update(zip(idx, results))
-            while done in held:
+        for results in (pool.map if pool else map)(work, calls):
+            for result in results:
                 done += 1
                 if progress:
                     progress(done, len(fluxes))
-                yield held.pop(done - 1)
+                yield result
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:

@@ -1,19 +1,27 @@
 """Band and gap Chern numbers.
 
-Two independent routes are implemented.  The workhorse is the
-Fukui-Hatsugai-Suzuki plaquette (link-variable) discretization of the
-Berry curvature over the magnetic Brillouin zone, taken from overlap
-determinants of an eigenvector block (a, b), the bands a+1..b.  Band n
-is the block (n-1, n); the bands below gap j are the block (0, j).
-Only the block's bounding gaps a and b need to be open, so touchings
-inside the block do not matter.  One certifier, ``_certify``, serves
-bands and gaps alike.  A block's overlap determinant is a leading
-principal minor of the overlap matrix cut at a, so one batched
-elimination per grid level and direction (``_leading_minors``) gives
-the determinants of every block that starts at a.  The oracle is
-discrete Kato parallel transport around the 2*pi/q reduced cell, whose
-holonomy fixes every band's Chern residue mod q.  Orientation is
-chosen so that the two agree and the square model reproduces its known
+Three routes are implemented.  The sweep's route is the edge-state
+winding of Hatsugai (PRL 71, 3697 and PRB 48, 11851, 1993): at fixed
+k1 the model is a chain in the row index, the eigenvalues of its
+(q-1)-row Dirichlet cut are edge states, one per gap, and a gap's Chern
+number is the signed count of left-edge states crossing an energy
+inside it as k1 winds.  ``edge_chern_table`` finds every crossing as a
+unit-circle root of one quadratic pencil in z = e^{i k1}, with no k
+grid (notes/decisions.md, "Edge-state winding").
+
+The independent oracle is the Fukui-Hatsugai-Suzuki plaquette
+(link-variable) discretization of the Berry curvature over the magnetic
+Brillouin zone, taken from overlap determinants of an eigenvector block
+(a, b), the bands a+1..b.  Band n is the block (n-1, n); the bands
+below gap j are the block (0, j).  Only the block's bounding gaps a and
+b need to be open, so touchings inside the block do not matter.  One
+certifier, ``_certify``, serves bands and gaps alike.  A block's
+overlap determinant is a leading principal minor of the overlap matrix
+cut at a, so one batched elimination per grid level and direction
+(``_leading_minors``) gives the determinants of every block that starts
+at a.  Discrete Kato parallel transport around the 2*pi/q reduced cell
+fixes every band's Chern residue mod q.  Orientation is chosen so that
+FHS and transport agree and the square model reproduces its known
 window; with it the curvature quadrature of ``berry_curvature``
 integrates to the same integers.
 """
@@ -22,11 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .magnetic_algebra import (
     HofstadterModel,
+    _hopping_terms,
     _symmetry_unitaries,
     build_hamiltonian,
     hamiltonian_batch,
@@ -44,6 +54,12 @@ TRANSPORT_STEPS_CAP = 16384
 TRANSPORT_PHASE_TOL = 1e-8
 PIVOT_FLOOR = 1e-6  # smaller elimination pivots hand their grid points to np.linalg.det
 MINOR_CHUNK = 1024  # grid points per leading-minor elimination pass
+EDGE_FRACTIONS = (0.25, 0.5, 0.75)  # energies of a gap, as fractions of its width
+EDGE_SHIFT = 0.5 + 0.3j  # a of the disk automorphism z = (w + a) / (1 + conj(a) w)
+ON_CIRCLE_TOL = 1e-9     # ||z| - 1| of a root that is a crossing
+OFF_CIRCLE_TOL = 1e-6    # ||z| - 1| of a root that is not
+EDGE_SIDE_TOL = 1e-8     # |log|lambda|| of a crossing's Bloch multiplier
+POLISH_BAND = 1e-3       # ||z| - 1| of the roots that take an inverse-iteration step
 
 
 class GapClosed(Exception):
@@ -66,6 +82,10 @@ class TransportFailure(Exception):
     """Parallel transport lost the band (projector jump too large)."""
 
 
+class WindingFailure(Exception):
+    """An open gap whose edge-state winding fails its certificate."""
+
+
 @dataclass(frozen=True)
 class ChernResult:
     """An FHS-certified integer Chern value, its grid and residual."""
@@ -74,6 +94,26 @@ class ChernResult:
     value: int
     grid: int
     residual: float
+
+
+@dataclass(frozen=True)
+class EdgeResult:
+    """Edge-state winding of one gap.
+
+    ``value`` is the Chern number, or None with the ``reason`` the
+    certificate failed.  Per energy of ``energies``, ``crossings``
+    counts the left-edge crossings whose slope signs sum to the value.
+    ``margin`` is the least distance from a rejection threshold: the
+    smallest ||z| - 1| of a root off the unit circle or |log|lambda||
+    of a crossing.
+    """
+
+    index: int
+    value: Optional[int]
+    energies: tuple
+    crossings: tuple
+    margin: float
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -254,14 +294,15 @@ def _certify(model: HofstadterModel, blocks: dict, grid: int) -> dict[int, Chern
     return out
 
 
-def _require_open(model: HofstadterModel, gaps, eps_gap: float) -> None:
-    """Raise GapClosed for the first of the gap indices ``gaps`` that is
-    not open, from one spectrum of the model."""
+def _require_open(model: HofstadterModel, gaps, eps_gap: float) -> list:
+    """The gap records of one spectrum of the model; raises GapClosed
+    for the first of the gap indices ``gaps`` that is not open."""
     records = compute_gaps(compute_bands_or_dense(model, compute_bands), eps_gap)
     for j in gaps:
         if records[j].closed:
             raise GapClosed(
                 f"gap {j} of {model.flux.p}/{model.q} has width {records[j].width:.3e}")
+    return records
 
 
 def _certify_block(model: HofstadterModel, index: int, a: int, b: int,
@@ -320,6 +361,135 @@ def certify_gap(model: HofstadterModel, j: int, grid: int = GRID_DEFAULT,
     if j in (0, q):
         return ChernResult(j, 0, 0, 0.0)
     return _certify_block(model, j, 0, j, grid, eps_gap)
+
+
+def edge_pencil(model: HofstadterModel):
+    """(A, B) of the Dirichlet chain D(z) = z A + B + A^H / z, z = e^{i k1}.
+
+    D(e^{i k1}) is H(k1, k2)[1:, 1:] up to a diagonal gauge in k2: rows
+    and columns 1..q-1 of the Bloch Hamiltonian, cut at row 0.  A holds
+    the e^{i k1} part, B the rest, both from ``_hopping_terms``.
+    """
+    M1, M2, M3 = _hopping_terms(model)
+    return (M2 + M3)[1:, 1:], (M1 + M1.conj().T)[1:, 1:]
+
+
+def edge_chern_table(model: HofstadterModel, gaps) -> dict[int, EdgeResult]:
+    """Edge-state winding of the open interior gaps among ``gaps``.
+
+    ``gaps`` are gap records of this model's flux.  At each energy E of
+    EDGE_FRACTIONS of a gap, the crossings mu(k1) = E of the Dirichlet
+    chain are the unit-circle roots z of the pencil z^2 A + z (B - E) +
+    A^H.  The pencil is mapped through z = (w + a)/(1 + conj(a) w), a =
+    EDGE_SHIFT, whose leading coefficient is invertible at t2 = 0 too,
+    and every gap and energy takes one 2(q-1) companion matrix of one
+    batched ``np.linalg.eig``; the roots within POLISH_BAND of the unit
+    circle take one ``_inverse_iteration`` step.  A crossing with null
+    vector x is a left-edge state when |c_q x_(q-1)| < |c_1 x_1|, c_1
+    and c_q the bonds to the cut row; the gap's value is the sum of
+    sign(d mu/dk1) over the left-edge crossings.  A value is kept only
+    when every root is within ON_CIRCLE_TOL of the unit circle or
+    OFF_CIRCLE_TOL off it, every crossing has |log|lambda|| >=
+    EDGE_SIDE_TOL and a nonzero slope, the energies agree, and sigma =
+    s*j (mod q).  Every open interior gap is in the table; those that
+    fail have value None and a reason (notes/decisions.md, "Edge-state
+    winding").
+    """
+    q = model.q
+    recs = [r for r in gaps if 0 < r.j < q and not r.closed]
+    if not recs:
+        return {}
+    n = q - 1
+    A, B = edge_pencil(model)
+    AH = A.conj().T
+    M1, M2, _ = _hopping_terms(model)
+    a = EDGE_SHIFT
+    ac = a.conjugate()
+    energies = np.array([[r.lo + f * (r.hi - r.lo) for f in EDGE_FRACTIONS]
+                         for r in recs])
+    BE = B - energies[..., None, None] * np.eye(n)
+    lead = A + ac * BE + ac * ac * AH
+    rhs = np.concatenate([a * a * A + a * BE + AH,
+                          2 * a * A + (1 + abs(a) ** 2) * BE + 2 * ac * AH], axis=-1)
+    companion = np.zeros(energies.shape + (2 * n, 2 * n), dtype=complex)
+    companion[..., :n, n:] = np.eye(n)
+    try:
+        companion[..., n:, :] = -np.linalg.solve(lead, rhs)
+    except np.linalg.LinAlgError:
+        return {r.j: EdgeResult(r.j, None, (), (), 0.0, "singular pencil") for r in recs}
+    w, v = np.linalg.eig(companion)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (w + a) / (1 + ac * w)   # inf for a root at w = -1/conj(a), z = infinity
+    x = np.swapaxes(v[..., :n, :], -1, -2)  # (gap, energy, root, row)
+    near = np.nonzero(np.abs(np.abs(z) - 1.0) < POLISH_BAND)
+    try:
+        z[near], x[near] = _inverse_iteration(A, BE[near[:2]], z[near], x[near])
+    except np.linalg.LinAlgError:
+        pass  # a root exact to the last bit; the thresholds judge it unpolished
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dist = np.abs(np.abs(z) - 1.0)
+        zc = z[..., None]
+        y = 1j * (zc * (x @ A.T) - np.conj(zc) * (x @ AH.T))
+        slope = (np.conj(x) * y).sum(-1).real / (np.abs(x) ** 2).sum(-1)
+        # log|lambda| of the Bloch multiplier -c_q x_(q-1) / (conj(c_1) x_1)
+        c_q = M1[0, q - 1] + z * M2[0, q - 1]
+        c_1 = M1[1, 0] + z * M2[1, 0]
+        log_lam = np.log(np.abs(c_q * x[..., n - 1])) - np.log(np.abs(c_1 * x[..., 0]))
+    on = dist <= ON_CIRCLE_TOL
+    left = on & (log_lam < 0)
+    counts = np.where(left, np.sign(slope), 0).sum(-1).astype(int)
+    crossings = left.sum(-1)
+    clear = ((on | (dist >= OFF_CIRCLE_TOL)).all(-1)
+             & (~on | ((np.abs(log_lam) >= EDGE_SIDE_TOL) & (slope != 0))).all(-1))
+    margin = np.where(on, np.abs(log_lam), dist).min(-1)
+    s = model.flux.s
+    out = {}
+    for g, r in enumerate(recs):
+        value = int(counts[g, 0])
+        if not clear[g].all():
+            reason = "a root or crossing within its threshold"
+        elif (counts[g] != value).any():
+            reason = f"energies disagree: {counts[g].tolist()}"
+        elif (value - s * r.j) % q:
+            reason = f"sigma = {value} fails the residue s*j mod q"
+        else:
+            reason = ""
+        out[r.j] = EdgeResult(r.j, None if reason else value,
+                              tuple(energies[g].tolist()), tuple(crossings[g].tolist()),
+                              float(margin[g].min()), reason)
+    return out
+
+
+def _inverse_iteration(A, BE, z, x):
+    """One Newton step on P(z) x = 0 for stacked roots z with vectors x,
+    P(z) = z^2 A + z BE + A^H: u = P(z)^-1 P'(z) x, then z - x^H x / x^H u
+    and u / |u|.  The companion's roots carry the condition of its
+    leading coefficient, up to 1e-6 off the circle for crossings on it;
+    the step leaves them within about 4e-11."""
+    zc = z[:, None, None]
+    u = np.linalg.solve(zc * zc * A + zc * BE + A.conj().T,
+                        (2 * zc * A + BE) @ x[..., None])[..., 0]
+    z = z - (np.abs(x) ** 2).sum(-1) / (np.conj(x) * u).sum(-1)
+    return z, u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+def edge_chern(model: HofstadterModel, gaps,
+               eps_gap: float = GAP_EPS_DEFAULT) -> dict[int, EdgeResult]:
+    """Edge-winding results of the gap indices ``gaps``.
+
+    Every gap must be open (GapClosed otherwise) and certified
+    (WindingFailure otherwise); the outer gaps j = 0, q are 0.
+    """
+    q = model.q
+    records = _require_open(model, gaps, eps_gap)
+    table = edge_chern_table(model, [records[j] for j in gaps])
+    out = {}
+    for j in gaps:
+        res = table.get(j, EdgeResult(j, 0, (), (), math.inf))
+        if res.value is None:
+            raise WindingFailure(f"gap {j} of {model.flux.p}/{q}: {res.reason}")
+        out[j] = res
+    return out
 
 
 def band_chern_transport(model: HofstadterModel, n: int,

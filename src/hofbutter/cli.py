@@ -3,7 +3,7 @@
 ``dioph`` is a view of one flux of a sweep: per gap it prints the
 residue s*j mod q and the sigma, source and violation of the record
 ``butterfly.flux_records`` writes under the chosen resolver, with no
-FHS fallback (computed_q_max = 0).
+edge-winding fallback (computed_q_max = 0).
 
 Every flag can also be supplied through a ``key = value`` config file
 (``--config``); explicit command-line flags win over file values.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -33,9 +34,11 @@ from .chern import (
     GridDegeneracy,
     QuantizationFailure,
     TransportFailure,
+    WindingFailure,
     band_chern_fhs,
     band_chern_transport,
     certify_gap,
+    edge_chern,
     gap_residue_transport,
 )
 from .diophantine import solve_residue
@@ -162,6 +165,8 @@ def cmd_chern(args) -> int:
             payload = {"j": args.gap, "chern": None,
                        "chern_mod_q": gap_residue_transport(model, args.gap, args.steps),
                        "method": "transport", "grid": args.steps, "residual": 0.0}
+        elif args.method == "edge":
+            payload = _edge_payload(model, args)
         else:
             if args.band is not None:
                 r = band_chern_fhs(model, args.band, args.grid, args.eps_gap)
@@ -170,9 +175,10 @@ def cmd_chern(args) -> int:
             key = "band" if args.band is not None else "j"
             payload = {key: r.index, "chern": r.value, "method": "fhs",
                        "grid": r.grid, "residual": r.residual}
-    except (GapClosed, QuantizationFailure, GridDegeneracy, TransportFailure) as exc:
-        # exit 2 for a gap that is not open, 1 for an open one that no grid
-        # or transport path resolves
+    except (GapClosed, QuantizationFailure, GridDegeneracy, TransportFailure,
+            WindingFailure) as exc:
+        # exit 2 for a gap that is not open, 1 for an open one that no grid,
+        # transport path or edge-winding certificate resolves
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, GapClosed) else 1
     if args.format == "json":
@@ -180,6 +186,26 @@ def cmd_chern(args) -> int:
     else:
         _write_out(" ".join(f"{k}={v}" for k, v in payload.items()), args.out)
     return 0
+
+
+def _edge_payload(model: HofstadterModel, args) -> dict:
+    """The edge-winding payload of ``chern --method edge``: sigma_j of
+    --gap j with its crossings, energies and margin, or sigma_n -
+    sigma_(n-1) of --band n with the smaller margin of its two gaps.
+    The outer gaps have no energies and a null margin."""
+    if args.gap is not None:
+        res = edge_chern(model, (args.gap,), args.eps_gap)[args.gap]
+        margin = res.margin
+        payload = {"j": args.gap, "chern": res.value, "method": "edge",
+                   "crossings": list(res.crossings), "energies": list(res.energies)}
+    else:
+        ends = edge_chern(model, (args.band - 1, args.band), args.eps_gap)
+        below, above = ends[args.band - 1], ends[args.band]
+        margin = min(below.margin, above.margin)
+        payload = {"band": args.band, "chern": above.value - below.value,
+                   "method": "edge"}
+    payload["margin"] = None if math.isinf(margin) else margin
+    return payload
 
 
 def cmd_dioph(args) -> int:
@@ -192,8 +218,7 @@ def cmd_dioph(args) -> int:
         return 2
     try:
         cfg = ButterflyConfig(phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
-                              resolver=args.strategy, computed_q_max=0,
-                              fhs_grid=args.grid)
+                              resolver=args.strategy, computed_q_max=0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -216,8 +241,8 @@ def cmd_butterfly(args) -> int:
         cfg = ButterflyConfig(
             q_max=args.qmax, phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
             resolver=args.resolver, exclusions=not args.no_exclusions,
-            computed_q_max=args.computed_qmax, fhs_grid=args.grid,
-            eps_gap=args.eps_gap, mu_bins=args.mu_bins, height=args.height,
+            computed_q_max=args.computed_qmax, eps_gap=args.eps_gap,
+            mu_bins=args.mu_bins, height=args.height,
             row_scale=args.row_scale, colormap_period=args.colormap_period,
             jobs=args.jobs)
     except ValueError as exc:  # checked before the sweep writes anything
@@ -284,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     target = sp.add_mutually_exclusive_group(required=True)
     target.add_argument("--gap", type=int, help="gap index j in [0, q]")
     target.add_argument("--band", type=int, help="band index in [1, q]")
-    sp.add_argument("--method", choices=["fhs", "transport"], default="fhs")
+    sp.add_argument("--method", choices=["fhs", "transport", "edge"], default="fhs")
     sp.add_argument("--grid", type=int, default=GRID_DEFAULT)
     sp.add_argument("--steps", type=int, default=TRANSPORT_STEPS_DEFAULT)
     sp.add_argument("--eps-gap", type=float, default=GAP_EPS_DEFAULT,
-                    help="closed-gap width for --method fhs; transport uses the default")
+                    help="closed-gap width for --method fhs and edge; transport "
+                         "uses the default")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_chern)
@@ -297,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--j", type=int, help="single gap index (default: all)")
     sp.add_argument("--strategy", choices=RESOLVERS, default="square")
-    sp.add_argument("--grid", type=int, default=GRID_DEFAULT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dioph)
 
@@ -308,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-exclusions", action="store_true",
                     help="force windows everywhere (reproduces wing miscolorings)")
     sp.add_argument("--computed-qmax", type=int, default=ButterflyConfig.computed_q_max)
-    sp.add_argument("--grid", type=int, default=ButterflyConfig.fhs_grid)
     sp.add_argument("--eps-gap", type=float, default=ButterflyConfig.eps_gap)
     sp.add_argument("--mu-bins", type=int, default=ButterflyConfig.mu_bins)
     sp.add_argument("--height", type=int, default=ButterflyConfig.height)

@@ -72,7 +72,7 @@ class TestConfig:
             ButterflyConfig(height=0)
         with pytest.raises(ValueError):
             ButterflyConfig(resolver="magic")
-        for bad in ({"fhs_grid": 0}, {"fhs_grid": -8}, {"jobs": 0}, {"jobs": -2}):
+        for bad in ({"jobs": 0}, {"jobs": -2}):
             with pytest.raises(ValueError):
                 ButterflyConfig(**bad)
         # a non-finite row_scale failed in the render, after the sweep; a NaN
@@ -84,9 +84,9 @@ class TestConfig:
                 ButterflyConfig(**bad)
 
     @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
-    def test_reaches_fhs(self, resolver):
+    def test_reaches_edge(self, resolver):
         cfg = ButterflyConfig(q_max=20, resolver=resolver, computed_q_max=5)
-        assert [q for q in range(1, 21) if cfg.reaches_fhs(q)] == \
+        assert [q for q in range(1, 21) if cfg.reaches_edge(q)] == \
             (list(range(1, 21)) if resolver == "computed" else [1, 2, 3, 4, 5])
 
     def test_energy_clamp_default(self):
@@ -110,6 +110,17 @@ class TestBuildDiagram:
                    if 0 < r.j < q and not r.closed}
             assert got == triangular_tables[(p, q)].cherns
 
+    def test_computed_sweep_equals_fhs(self, computed_diagram_13, triangular_tables):
+        # the sweep's edge-state winding against FHS run on each flux, gap
+        # for gap: every open interior gap colored, with FHS's value
+        assert not computed_diagram_13.failures
+        for (p, q), entry in triangular_tables.items():
+            recs = computed_diagram_13.records_for(p, q)
+            interior = [r for r in recs if 0 < r.j < q]
+            assert [r.j for r in interior if r.closed] == entry.closed
+            assert {r.j: r.chern for r in interior if not r.closed} == entry.cherns
+            assert all(r.chern_source == "edge_winding" for r in interior if not r.closed)
+
     def test_every_open_gap_resolved_or_marked(self):
         diagram = build_diagram(ButterflyConfig(q_max=7, resolver="triangular",
                                                 computed_q_max=7))
@@ -129,15 +140,11 @@ class TestBuildDiagram:
 
     def test_determinism_across_jobs(self, tmp_path):
         # jobs=1 maps the calls of _tasks in-process, jobs=2 sends them to
-        # a pool.  The all-FHS sweeps are pair calls (each flux above 1/2
-        # takes its inversion partner's mirrored values in the same call,
-        # at -pi/2 and at +pi/2 anisotropic) and single calls at phi_d =
-        # 0.3; the triangular q_max 30 sweep mixes pair calls, single FHS
-        # calls (1/2, 1/1) and runs of two fluxes at jobs=2.
+        # a pool: all-edge sweeps at -pi/2, at +pi/2 anisotropic and at
+        # phi_d = 0.3, and a triangular q_max 30 sweep whose calls at jobs=2
+        # are runs of two fluxes, windows and edge winding mixed.
         mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
-        calls = butterfly._tasks(enumerate_fluxes(30), replace(mixed, jobs=2))
-        assert {(pair, len(idx)) for idx, pair in calls} == {(True, 2), (False, 1),
-                                                             (False, 2)}
+        assert {len(run) for run in butterfly._tasks(len(enumerate_fluxes(30)), 2)} == {2}
         for cfg1 in [ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6),
                      ButterflyConfig(q_max=6, resolver="computed", phi_d=math.pi / 2,
                                      t2=0.8, t3=0.6),
@@ -160,11 +167,11 @@ class TestBuildDiagram:
         assert seen == [(i, n) for i in range(1, n + 1)]
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
-    def test_one_fhs_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
+    def test_one_edge_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
         calls = {"table": 0, "spectrum": 0}
         compute_bands = butterfly.compute_bands
 
-        def certifies_nothing(model, gaps, grid):
+        def certifies_nothing(model, gaps):
             calls["table"] += 1
             return {}
 
@@ -172,7 +179,7 @@ class TestBuildDiagram:
             calls["spectrum"] += 1
             return compute_bands(model)
 
-        monkeypatch.setattr(chern, "gap_chern_table", certifies_nothing)
+        monkeypatch.setattr(butterfly, "edge_chern_table", certifies_nothing)
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", counted)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
@@ -193,14 +200,14 @@ class TestBuildDiagram:
                                                 computed_q_max=4))
         sources = {r.chern_source for r in diagram.records}
         assert "window_triangular" in sources  # even q colored by the window
-        assert "computed_fhs" in sources       # odd q > 1 defers to computed
+        assert "edge_winding" in sources       # odd q > 1 defers to edge winding
 
 
 class TestDiagramSymmetry:
     def test_inversion_maps_records(self):
-        # (E, sigma, j) -> (-E, sigma, q - j) between fluxes p/q and (q-p)/q.
-        # The sweep mirrors the sigmas of p/q < 1/2 onto (q-p)/q, so those of
-        # (q-p)/q are checked against FHS run on (q-p)/q itself.
+        # (E, sigma, j) -> (-E, sigma, q - j) between fluxes p/q and (q-p)/q,
+        # each colored by its own edge winding; those of (q-p)/q are also
+        # checked against FHS run on (q-p)/q itself.
         for phi_d, t in [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
                          (math.pi / 2, (1.0, 0.8, 0.6))]:
             diagram = build_diagram(ButterflyConfig(
@@ -228,59 +235,38 @@ class TestDiagramSymmetry:
                         if 0 < j < q and r.chern is not None} == \
                     {j: res.value for j, res in direct.items()}
 
-    @pytest.mark.parametrize("phi_d,expected", [
-        # one call per inversion pair, from its flux <= 1/2; 1/2 is its own partner
-        (PHI_D_SYMMETRIC, [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2)]),
-        # no inversion symmetry: one call per flux with interior gaps
-        (0.3, [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5)]),
-    ])
-    def test_one_fhs_call_per_inversion_pair(self, monkeypatch, phi_d, expected):
+    @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
+    def test_one_edge_call_per_flux(self, monkeypatch, phi_d):
+        # every flux with an open interior gap takes one call, in flux
+        # order, at the symmetric phase as elsewhere: no flux borrows its
+        # inversion partner's values
         calls = []
-        gap_chern_table = chern.gap_chern_table
+        edge_chern_table = butterfly.edge_chern_table
 
-        def spy(model, gaps, grid):
+        def spy(model, gaps):
             calls.append((model.flux.p, model.q))
-            return gap_chern_table(model, gaps, grid)
+            return edge_chern_table(model, gaps)
 
-        monkeypatch.setattr(chern, "gap_chern_table", spy)
+        monkeypatch.setattr(butterfly, "edge_chern_table", spy)
         diagram = build_diagram(ButterflyConfig(q_max=5, phi_d=phi_d, resolver="computed",
                                                 computed_q_max=5))
-        # calls come largest q first; what counts is one per pair, from p/q <= 1/2
-        assert sorted(calls) == sorted(expected)
+        assert calls == [(f.p, f.q) for f in enumerate_fluxes(5) if f.q > 1]
         assert all(r.chern is not None for r in diagram.records if not r.closed)
 
 
 class TestTasks:
-    """The call list of a sweep, checked without running any flux."""
+    """The call list of a sweep: runs of consecutive fluxes in flux order."""
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, math.pi / 2, 0.3])
-    def test_call_order(self, phi_d, jobs):
+    def test_runs_in_flux_order(self, jobs):
         multi_flux_runs = False
-        for resolver, computed_q_max, q_max in itertools.product(
-                butterfly.RESOLVERS, [0, 5, 16], [1, 2, 3, 7, 12, 20, 64]):
-            cfg = ButterflyConfig(q_max=q_max, phi_d=phi_d, resolver=resolver,
-                                  computed_q_max=computed_q_max, jobs=jobs)
-            fluxes = enumerate_fluxes(q_max)
-            calls = butterfly._tasks(fluxes, cfg)
-            assert sorted(i for idx, _ in calls for i in idx) == list(range(len(fluxes)))
-            fhs = [c for c in calls if cfg.reaches_fhs(fluxes[c[0][0]].q)]
-            assert calls[:len(fhs)] == fhs  # FHS calls before the runs
-            qs = [fluxes[idx[0]].q for idx, _ in fhs]
-            assert qs == sorted(qs, reverse=True)
-            paired = {idx[0] for idx, pair in calls if pair}
-            for i, f in enumerate(fluxes):
-                assert (i in paired) == (phi_d != 0.3 and 2 * f.p < f.q
-                                         and cfg.reaches_fhs(f.q))
-            for idx, pair in fhs:
-                f = fluxes[idx[0]]
-                assert idx[1:] == ((fluxes.index(Flux(f.q - f.p, f.q)),) if pair else ())
-            chunk = max(1, len(fluxes) // (jobs * 64)) if jobs > 1 else 1
-            for idx, pair in calls[len(fhs):]:
-                assert not pair and 1 <= len(idx) <= chunk
-                assert list(idx) == list(range(idx[0], idx[0] + len(idx)))
-                assert not any(cfg.reaches_fhs(fluxes[i].q) for i in idx)
-                multi_flux_runs |= len(idx) > 1
+        for q_max in [1, 2, 3, 7, 12, 20, 64]:
+            n = len(enumerate_fluxes(q_max))
+            runs = butterfly._tasks(n, jobs)
+            assert [i for run in runs for i in run] == list(range(n))
+            chunk = max(1, n // (jobs * 64)) if jobs > 1 else 1
+            assert all(1 <= len(run) <= chunk for run in runs)
+            multi_flux_runs |= any(len(run) > 1 for run in runs)
         assert multi_flux_runs == (jobs > 1)
 
 
@@ -436,7 +422,7 @@ def _written(records) -> list:
 
 
 # every tag _resolve_flux writes, and the default of an unresolved record
-TAGS = ("window_square", "window_triangular", "chain", "computed_fhs", "unresolved")
+TAGS = ("window_square", "window_triangular", "chain", "edge_winding", "unresolved")
 
 
 class TestLineWriter:

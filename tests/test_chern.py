@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hofbutter import (
     gap_chern_table,
     gap_residue_transport,
 )
+from hofbutter.spectrum import compute_bands_or_dense
 
 PI = math.pi
 
@@ -326,3 +329,132 @@ class TestCrossChecks:
             b = {j: r.value for j, r in gap_chern_table(model_b, gaps_b).items()}
             for j, sigma in a.items():
                 assert b[q - j] == sigma
+
+
+REFERENCE_CHERN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                               "perfbench", "reference_chern.json")
+
+
+def _edge_table(model):
+    return chern.edge_chern_table(model, compute_gaps(compute_bands_or_dense(model)))
+
+
+class TestEdgeWinding:
+    """Edge-state winding against FHS tables computed without the program,
+    against FHS itself, and against the exact inversion symmetry."""
+
+    def test_reference_table(self):
+        # every gap of the three benchmark models, 1,607 in all, among them
+        # 7/15 j = 5 (sigma = -10) and the anisotropic 3/8 j = 4, which no
+        # FHS grid up to 256 of the program certifies
+        with open(REFERENCE_CHERN) as fh:
+            models = json.load(fh)["models"]
+        checked = 0
+        for spec in models.values():
+            for key, entry in spec["fluxes"].items():
+                p, q = map(int, key.split("/"))
+                table = _edge_table(HofstadterModel(Flux(p, q), spec["phi_d"], *spec["t"]))
+                assert {str(j): r.value for j, r in table.items()} == entry["sigma"], key
+                checked += len(entry["sigma"])
+        assert checked == 1607
+
+    @pytest.mark.parametrize("hopping", ["t2", "t3"])
+    def test_equals_fhs_without_a_hopping(self, hopping):
+        # t2 = 0 makes A singular: the disk automorphism keeps the pencil's
+        # leading coefficient invertible; t3 = 0 is the square model
+        for q in range(2, 10):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                model = HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC, **{hopping: 0.0})
+                gaps = compute_gaps(compute_bands_or_dense(model))
+                fhs = {j: r.value for j, r in gap_chern_table(model, gaps).items()}
+                edge = {j: r.value for j, r in chern.edge_chern_table(model, gaps).items()}
+                assert edge == fhs, f"{p}/{q}"
+
+    def test_pencil_is_the_dirichlet_cut(self):
+        rng = np.random.default_rng(7)
+        for (p, q), phi_d, t in [((2, 5), PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                 ((3, 8), 0.3, (1.0, 0.8, 0.6)),
+                                 ((4, 11), 1.1, (0.7, 0.0, 1.3))]:
+            model = HofstadterModel(Flux(p, q), phi_d, *t)
+            A, B = chern.edge_pencil(model)
+            for k1, k2 in rng.uniform(-PI, PI, (5, 2)):
+                z = np.exp(1j * k1)
+                D = z * A + B + A.conj().T / z
+                H = chern.build_hamiltonian(model, (k1, k2))
+                assert np.abs(D - D.conj().T).max() <= 1e-14
+                assert np.allclose(np.linalg.eigvalsh(D), np.linalg.eigvalsh(H[1:, 1:]),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                         (PI / 2, (1.0, 0.8, 0.6))])
+    def test_inversion_partners_computed_apart(self, phi_d, t):
+        # sigma_j((q-p)/q) = sigma_(q-j)(p/q), each flux from its own pencil
+        for q in range(2, 22):
+            for p in range(1, (q + 1) // 2):
+                if math.gcd(p, q) != 1:
+                    continue
+                a = _edge_table(HofstadterModel(Flux(p, q), phi_d, *t))
+                b = _edge_table(HofstadterModel(Flux(q - p, q), phi_d, *t))
+                assert sorted(q - j for j in b) == sorted(a), f"{p}/{q}"
+                for j, res in a.items():
+                    assert res.value is not None and res.value == b[q - j].value, \
+                        f"{p}/{q} gap {j}"
+
+    def test_singular_pencil_is_gray(self, monkeypatch):
+        # without the disk automorphism (a = 0) the leading coefficient is
+        # A, which is singular at t2 = 0
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC, t2=0.0)
+        assert all(r.value is not None for r in _edge_table(model).values())
+        monkeypatch.setattr(chern, "EDGE_SHIFT", 0j)
+        table = _edge_table(model)
+        assert table and all(r.value is None and r.reason == "singular pencil"
+                             for r in table.values())
+
+    def test_unpolished_roots_are_judged_as_they_are(self, monkeypatch):
+        # a root exact to the last bit makes P(z) singular; the table then
+        # judges the companion's roots unpolished instead of failing the flux
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        monkeypatch.setattr(chern, "_inverse_iteration", singular)
+        assert {j: r.value for j, r in _edge_table(model).items()} == TRIANGULAR_TABLES[(2, 5)]
+
+    @pytest.mark.parametrize("name,value", [("ON_CIRCLE_TOL", 0.0),
+                                            ("OFF_CIRCLE_TOL", 10.0),
+                                            ("EDGE_SIDE_TOL", 10.0)])
+    def test_forced_bad_margin_is_gray(self, monkeypatch, name, value):
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        monkeypatch.setattr(chern, name, value)
+        table = _edge_table(model)
+        assert sorted(table) == [1, 2, 3, 4]
+        assert all(r.value is None and r.reason for r in table.values())
+
+    def test_disagreeing_energies_are_gray(self):
+        # a made-up gap whose energies at 1/4 and 3/4 lie in gaps 1 and 2 of
+        # 2/5 (sigma -2 and 1); its middle energy lies in band 2
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands_or_dense(model))
+        e1, e3 = [(gaps[j].lo + gaps[j].hi) / 2 for j in (1, 2)]
+        width = 2 * (e3 - e1)
+        fake = gaps[1]._replace(lo=e1 - width / 4, hi=e1 + 3 * width / 4, width=width)
+        res = chern.edge_chern_table(model, [fake])[1]
+        assert res.value is None and res.reason
+
+    def test_wrong_residue_is_gray(self):
+        # gap 1's crossings handed in as gap 2: sigma_1 = -2 fails s*2 mod 5
+        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands_or_dense(model))
+        res = chern.edge_chern_table(model, [gaps[1]._replace(j=2)])[2]
+        assert res.value is None and "residue" in res.reason
+
+    def test_closed_and_outer_gaps(self):
+        model = HofstadterModel(Flux(1, 3), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands_or_dense(model))
+        assert gaps[2].closed and sorted(chern.edge_chern_table(model, gaps)) == [1]
+        assert chern.edge_chern(model, (0, 3)) == {
+            j: chern.EdgeResult(j, 0, (), (), math.inf) for j in (0, 3)}
+        with pytest.raises(GapClosed):
+            chern.edge_chern(model, (2,))

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from hofbutter import PHI_D_SYMMETRIC, ButterflyConfig, butterfly, chern, cli, spectrum
+from hofbutter import (PHI_D_SYMMETRIC, ButterflyConfig, Flux, HofstadterModel, butterfly,
+                       chern, cli, spectrum)
 from hofbutter.butterfly import RESOLVERS, _compute_flux, decode_records
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
@@ -64,6 +65,42 @@ class TestChern:
         payload = json.loads(out)
         assert payload["chern_mod_q"] == 1
 
+    @pytest.mark.parametrize("args,chern_value", [
+        (["--p", "7", "--q", "15", "--gap", "5"], -10),
+        # 3/8 gap 4 at phi_d = 0.3 anisotropic: no FHS grid up to 256 certifies it
+        (["--p", "3", "--q", "8", "--phi-d", "0.3", "--t2", "0.8", "--t3", "0.6",
+          "--gap", "4"], 4),
+    ])
+    def test_gap_edge_json(self, capsys, args, chern_value):
+        code, out = run(["chern", *args, "--method", "edge", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["j"], payload["chern"], payload["method"]) == \
+            (int(args[-1]), chern_value, "edge")
+        assert len(payload["energies"]) == len(payload["crossings"]) == 3
+        assert len(set(payload["crossings"])) == 1 and payload["crossings"][0] > 0
+        assert 1e-8 <= payload["margin"] < 1
+
+    @pytest.mark.parametrize("p,q,band", [(2, 5, 1), (2, 5, 2), (2, 5, 5), (1, 4, 3)])
+    def test_band_edge_is_a_difference_of_gaps(self, capsys, p, q, band):
+        code, out = run(["chern", "--p", str(p), "--q", str(q), "--band", str(band),
+                         "--method", "edge", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        model = HofstadterModel(Flux(p, q), PHI_D_SYMMETRIC)
+        assert payload["chern"] == chern.band_chern_fhs(model, band).value
+        assert payload["method"] == "edge" and payload["margin"] > 0
+
+    @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "2"]])
+    def test_edge_certificate_failure_errors(self, capsys, monkeypatch, target):
+        # an open gap whose crossings sit within the edge-side threshold:
+        # one error line, exit 1
+        monkeypatch.setattr(chern, "EDGE_SIDE_TOL", 10.0)
+        code = main(["chern", "--p", "2", "--q", "5", "--method", "edge", *target])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gap 1 of 2/5: ") and len(err.splitlines()) == 1
+
     def test_closed_gap_errors(self, capsys):
         code = main(["chern", "--p", "1", "--q", "3", "--gap", "2"])
         assert code == 2
@@ -78,15 +115,17 @@ class TestChern:
 
     @pytest.mark.parametrize("method,target,message", [
         (method, target, message) for target, message, methods in [
-            (["--q", "3", "--gap", "2"], "gap 2 of 1/3", ("fhs", "transport")),
-            (["--q", "3", "--band", "2"], "gap 2 of 1/3", ("fhs", "transport")),
-            (["--q", "3", "--band", "3"], "gap 2 of 1/3", ("fhs", "transport")),
-            (["--q", "12", "--t3", "0", "--band", "6"], "gap 6 of 1/12", ("fhs", "transport")),
+            (["--q", "3", "--gap", "2"], "gap 2 of 1/3", ("fhs", "transport", "edge")),
+            (["--q", "3", "--band", "2"], "gap 2 of 1/3", ("fhs", "transport", "edge")),
+            (["--q", "3", "--band", "3"], "gap 2 of 1/3", ("fhs", "transport", "edge")),
+            (["--q", "12", "--t3", "0", "--band", "6"], "gap 6 of 1/12",
+             ("fhs", "transport", "edge")),
             # a residue sums bands 1..7; FHS needs only gap 7 itself open
             (["--q", "12", "--t3", "0", "--gap", "7"], "gap 6 of 1/12", ("transport",)),
         ] for method in methods])
     def test_gap_closed_errors(self, capsys, method, target, message):
-        # transport refuses what FHS refuses: one error line, exit 2
+        # transport and edge winding refuse what FHS refuses: one error
+        # line, exit 2
         code = main(["chern", "--p", "1", "--method", method, *target])
         err = capsys.readouterr().err
         assert code == 2
@@ -116,7 +155,7 @@ class TestChern:
         assert err.startswith("error: bands ") and "grid 256" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("method", ["fhs", "transport", "edge"])
     @pytest.mark.parametrize("target,message", [
         (["--band", "0"], "band index 0 outside 1..5"),
         (["--band", "6"], "band index 6 outside 1..5"),
@@ -126,13 +165,13 @@ class TestChern:
     def test_index_out_of_range(self, capsys, monkeypatch, method, target, message):
         # checked once, before either method runs: one error line, exit 2
         for name in ("band_chern_fhs", "certify_gap", "band_chern_transport",
-                     "gap_residue_transport"):
+                     "gap_residue_transport", "edge_chern"):
             monkeypatch.setattr(cli, name, None)
         code = main(["chern", "--p", "2", "--q", "5", "--method", method, *target])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("method", ["fhs", "transport", "edge"])
     @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "1"]])
     @pytest.mark.parametrize("flag,value", [("--grid", "0"), ("--grid", "-8"),
                                             ("--steps", "0"), ("--steps", "-4")])
@@ -141,14 +180,14 @@ class TestChern:
         # at the transport method --steps 0 once printed chern_mod_q=0 for a
         # band whose residue is 1; --grid 0 died in a ZeroDivisionError
         for name in ("band_chern_fhs", "certify_gap", "band_chern_transport",
-                     "gap_residue_transport"):
+                     "gap_residue_transport", "edge_chern"):
             monkeypatch.setattr(cli, name, None)
         code = main(["chern", "--p", "1", "--q", "3", "--method", method, *target,
                      flag, value])
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
 
-    @pytest.mark.parametrize("method", ["fhs", "transport"])
+    @pytest.mark.parametrize("method", ["fhs", "transport", "edge"])
     @pytest.mark.parametrize("target", [["--gap", "0"], ["--gap", "5"],
                                         ["--band", "1"], ["--band", "5"]])
     def test_end_indices_in_range(self, capsys, method, target):
@@ -203,18 +242,10 @@ class TestDioph:
         assert main(["dioph", "--p", "2", "--q", "5", "--j", "6"]) != 0
         assert "outside 0..5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0", "-8"])
-    def test_unusable_grid(self, capsys, monkeypatch, grid):
-        monkeypatch.setattr(cli, "flux_records", None)
-        code = main(["dioph", "--p", "2", "--q", "5", "--strategy", "computed",
-                     "--grid", grid])
-        assert code == 2
-        assert capsys.readouterr().err == "error: fhs_grid must be >= 1\n"
-
     @pytest.mark.parametrize("strategy", RESOLVERS)
     @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
     def test_sigma_is_the_sweep_record(self, capsys, strategy, phi_d):
-        # dioph is a view of the sweep without the FHS fallback; at 3/7 the
+        # dioph is a view of the sweep without the edge-winding fallback; at 3/7 the
         # triangular strategy defers every gap
         cfg = ButterflyConfig(phi_d=phi_d, resolver=strategy, computed_q_max=0)
         for p, q in [(1, 4), (2, 5), (3, 7), (4, 9)]:
@@ -263,7 +294,6 @@ class TestButterfly:
         (["--height", "0"], "height must be >= 1"),
         (["--mu-bins", "1"], "mu_bins must be >= 2"),
         (["--qmax", "0"], "q_max must be >= 1"),
-        (["--grid", "0"], "fhs_grid must be >= 1"),
         (["--jobs", "0"], "jobs must be >= 1"),
         (["--jobs", "-2"], "jobs must be >= 1"),
         # these once ran the sweep, failed every flux and exited 0
@@ -348,11 +378,11 @@ def test_parser_defaults_are_the_library_defaults():
     flux = ["--p", "1", "--q", "3"]
     cfg = ButterflyConfig()
     bf = parse(["butterfly"])
-    assert (bf.phi_d, bf.t1, bf.t2, bf.t3, bf.resolver, bf.computed_qmax, bf.grid,
+    assert (bf.phi_d, bf.t1, bf.t2, bf.t3, bf.resolver, bf.computed_qmax,
             bf.eps_gap, bf.mu_bins, bf.height, bf.row_scale, bf.colormap_period,
             bf.jobs) == \
         (cfg.phi_d, cfg.t1, cfg.t2, cfg.t3, cfg.resolver, cfg.computed_q_max,
-         cfg.fhs_grid, cfg.eps_gap, cfg.mu_bins, cfg.height, cfg.row_scale,
+         cfg.eps_gap, cfg.mu_bins, cfg.height, cfg.row_scale,
          cfg.colormap_period, cfg.jobs)
     sp, ch, di = (parse(["spectrum", *flux]), parse(["chern", *flux, "--gap", "1"]),
                   parse(["dioph", *flux]))
@@ -364,7 +394,18 @@ def test_parser_defaults_are_the_library_defaults():
     assert (ch.grid, ch.eps_gap, ch.steps) == \
         (fhs["grid"].default, fhs["eps_gap"].default, steps.default)
     assert sp.eps_gap == gaps.default == cfg.eps_gap
-    assert di.grid == cfg.fhs_grid == fhs["grid"].default
+
+
+@pytest.mark.parametrize("command", [["butterfly", "--qmax", "3"],
+                                     ["dioph", "--p", "2", "--q", "5"]])
+def test_no_grid_flag_off_the_chern_command(capsys, monkeypatch, command):
+    # only hofbutter chern runs FHS, so only it takes --grid
+    monkeypatch.setattr(cli, "sweep_to_jsonl", None)
+    monkeypatch.setattr(cli, "flux_records", None)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--grid", "32"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 32" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -148,7 +148,7 @@ class TestChainAssign:
 
 
 def _record(p, q, j, lo, hi, chern):
-    return GapRecord(p, q, PHI_D_SYMMETRIC, j, lo, hi, hi - lo, False, chern, "computed_fhs")
+    return GapRecord(p, q, PHI_D_SYMMETRIC, j, lo, hi, hi - lo, False, chern, "edge_winding")
 
 
 class TestStredaCheck:

@@ -194,15 +194,15 @@ class TestBandEdgeKpoints:
         records, failure = butterfly._compute_flux((2, 7, cfg))
         assert failure is None and len(records) == 8
 
-    def test_bad_edge_momenta_fall_back_on_fhs_path(self, monkeypatch):
-        cfg = ButterflyConfig(phi_d=0.3)  # odd q <= computed_q_max: FHS colors
+    def test_bad_edge_momenta_fall_back_on_edge_path(self, monkeypatch):
+        cfg = ButterflyConfig(phi_d=0.3)  # odd q <= computed_q_max: edge winding colors
         good, _ = butterfly._compute_flux((2, 7, cfg))
         monkeypatch.setattr(spectrum, "_extremize_det",
                             lambda m: [BlochMomentum(0.0, 0.0)] * 2)
         records, failure = butterfly._compute_flux((2, 7, cfg))
         assert failure is None
         interior = [r for r in records if 0 < r.j < 7 and not r.closed]
-        assert interior and all(r.chern_source == "computed_fhs" for r in interior)
+        assert interior and all(r.chern_source == "edge_winding" for r in interior)
         assert [r.chern for r in records] == [r.chern for r in good]
         assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == records[1].chern
 
@@ -315,9 +315,9 @@ class TestGapRecord:
         assert (rec.chern, rec.chern_source) == (None, "unresolved")
 
     def test_equality_and_hashing(self):
-        a = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "computed_fhs")
-        b = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "computed_fhs")
-        c = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, 3, "computed_fhs")
+        a = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "edge_winding")
+        b = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, -2, "edge_winding")
+        c = GapRecord(2, 5, PHI_D_SYMMETRIC, 1, -2.0, -1.5, 0.5, False, 3, "edge_winding")
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert len({a, b, c}) == 2
