@@ -52,7 +52,7 @@ from .diophantine import (
     ResidueClass,
     StredaOutcome,
     Window,
-    chain_assign,
+    chain_window,
     fragmentation_report,
     resolve_in_window,
     solve_residue,

@@ -21,7 +21,7 @@ from typing import Optional
 from .chern import edge_chern_table
 from .diophantine import (
     StredaOutcome,
-    chain_assign,
+    chain_window,
     resolve_in_window,
     solve_residue,
     square_window,
@@ -82,7 +82,6 @@ class ButterflyConfig:
     t2: float = 1.0
     t3: float = 1.0
     resolver: str = "triangular"
-    exclusions: bool = True          # defer odd q, which has no triangular window
     computed_q_max: int = 16         # edge-winding fallback threshold
     eps_gap: float = GAP_EPS_DEFAULT
     mu_bins: int = 1024              # horizontal (chemical potential) pixels
@@ -132,38 +131,39 @@ class ButterflyDiagram:
         return [r for r in self.records if r.p == p and r.q == q]
 
 
-def _window_for(strategy: str, q: int, exclusions: bool):
-    """The window of a window strategy, else None.  Odd q has no
-    established triangular window: with exclusions those gaps defer."""
+def _window_for(strategy: str, q: int):
+    """The window of the resolver at denominator q, or None: the
+    computed resolver has no window, and neither has triangular at odd
+    q, where no shifted window is established.  The window functions
+    are looked up at call time, so a tracer that patches them sees
+    every build."""
     if strategy == "square":
         return square_window(q)
-    if strategy != "triangular" or (exclusions and q % 2 == 1):
-        return None
-    return triangular_window(q)
+    if strategy == "chain":
+        return chain_window(q)
+    if strategy == "triangular" and q % 2 == 0:
+        return triangular_window(q)
+    return None
 
 
 def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
                   cfg: ButterflyConfig) -> list[GapRecord]:
     """Assign Chern numbers to the open interior gaps of one flux.
 
-    The strategy colors what it can.  Where ``cfg.reaches_edge(q)``, the
-    open gaps still gray go to ``edge_chern_table`` in one call per flux,
-    and those it certifies are tagged ``edge_winding``.
+    The resolver's window colors what it can.  Where
+    ``cfg.reaches_edge(q)``, the open gaps still gray go to
+    ``edge_chern_table`` in one call per flux, and those it certifies
+    are tagged ``edge_winding``.
     """
     q = model.q
-    strategy = cfg.resolver
-    # the computed strategy colors no gap itself, so it has no tag here
-    tag = {"square": "window_square", "triangular": "window_triangular",
-           "chain": "chain"}.get(strategy)
-    window = _window_for(strategy, q, cfg.exclusions)
+    window = _window_for(cfg.resolver, q)
+    # the computed resolver has no window, so its tag here is never written
+    tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
     out = []
     for rec in records:
         sigma = None
-        if 0 < rec.j < q and not rec.closed:
-            if strategy == "chain":
-                sigma = chain_assign(rec.j, model.flux)
-            elif window is not None:
-                sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
+        if window is not None and 0 < rec.j < q and not rec.closed:
+            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
         out.append(rec if sigma is None else GapRecord(*rec[:8], sigma, tag))
     gray = [rec for rec in out if rec.chern is None and not rec.closed]
     if gray and cfg.reaches_edge(q):
@@ -198,43 +198,27 @@ def _compute_flux(args):
         return [], (p, q, f"{type(exc).__name__}: {exc}")
 
 
-def _compute_task(config: ButterflyConfig, fluxes) -> list:
-    """Worker: ``_compute_flux`` of each flux (p, q) of one call, in order."""
-    return [_compute_flux((p, q, config)) for p, q in fluxes]
-
-
-def _tasks(n_fluxes: int, jobs: int) -> list[range]:
-    """The calls of a sweep of n_fluxes fluxes, as runs of consecutive
-    flux indices in flux order.  A run amortises pool IPC, so at jobs=1
-    each run is one flux and at most one result waits per call."""
-    chunk = max(1, n_fluxes // (jobs * 64)) if jobs > 1 else 1
-    return [range(k, min(k + chunk, n_fluxes)) for k in range(0, n_fluxes, chunk)]
-
-
 def iter_flux_results(config: ButterflyConfig, progress=None):
     """Yield (records, failure) per flux in flux order.
 
     The lazy backbone of every sweep: giant diagrams stream through
-    without materializing.  One path at any parallelism degree:
-    ``_tasks`` lists the calls and ``_compute_task`` runs one; jobs=1
-    maps them in-process with the builtin ``map``, jobs>1 with
-    ``pool.map`` of one process pool, which returns them in order, so
-    the output is deterministic for a fixed config regardless of
-    ``jobs``.
+    without materializing.  jobs=1 maps ``_compute_flux`` over the
+    fluxes in-process with the builtin ``map``; jobs>1 with ``pool.map``
+    of one process pool, in chunks of consecutive fluxes that amortise
+    its IPC.  Both return results in flux order, so the output is
+    deterministic for a fixed config regardless of ``jobs``.
     """
-    fluxes = enumerate_fluxes(config.q_max)
-    calls = [[(fluxes[i].p, fluxes[i].q) for i in run]
-             for run in _tasks(len(fluxes), config.jobs)]
-    work = functools.partial(_compute_task, config)
-    done = 0
+    args = [(f.p, f.q, config) for f in enumerate_fluxes(config.q_max)]
+    n = len(args)
     with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
           else contextlib.nullcontext()) as pool:
-        for results in (pool.map if pool else map)(work, calls):
-            for result in results:
-                done += 1
-                if progress:
-                    progress(done, len(fluxes))
-                yield result
+        results = (pool.map(_compute_flux, args,
+                            chunksize=max(1, n // (config.jobs * 64)))
+                   if pool else map(_compute_flux, args))
+        for done, result in enumerate(results, 1):
+            if progress:
+                progress(done, n)
+            yield result
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:

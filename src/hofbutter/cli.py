@@ -54,6 +54,16 @@ from .spectrum import (
 from .render import render, render_jsonl
 
 
+# the window each resolver colors with; a gap whose residue class it
+# does not hold stays gray
+RESOLVER_HELP = ("the window that picks sigma from the class s*j mod q. "
+                 "square: [-(q-1)/2, (q-1)/2] at odd q, [1-q/2, q/2-1] at even q "
+                 "(the naive baseline away from t3 = 0); "
+                 "triangular: [1-q/2, q/2] at even q, none at odd q; "
+                 "chain: [-c, c] with c = max(1, q//4), [0, 0] at q <= 2; "
+                 "computed: no window, edge-state winding at every q")
+
+
 def _load_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
     values = {}
@@ -240,9 +250,8 @@ def cmd_butterfly(args) -> int:
     try:
         cfg = ButterflyConfig(
             q_max=args.qmax, phi_d=args.phi_d, t1=args.t1, t2=args.t2, t3=args.t3,
-            resolver=args.resolver, exclusions=not args.no_exclusions,
-            computed_q_max=args.computed_qmax, eps_gap=args.eps_gap,
-            mu_bins=args.mu_bins, height=args.height,
+            resolver=args.resolver, computed_q_max=args.computed_qmax,
+            eps_gap=args.eps_gap, mu_bins=args.mu_bins, height=args.height,
             row_scale=args.row_scale, colormap_period=args.colormap_period,
             jobs=args.jobs)
     except ValueError as exc:  # checked before the sweep writes anything
@@ -322,16 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dioph", help="Diophantine residues and the sweep's choices")
     _add_model_flags(sp)
     sp.add_argument("--j", type=int, help="single gap index (default: all)")
-    sp.add_argument("--strategy", choices=RESOLVERS, default="square")
+    sp.add_argument("--strategy", choices=RESOLVERS, default="square",
+                    help=RESOLVER_HELP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dioph)
 
     sp = sub.add_parser("butterfly", help="full flux sweep, JSONL plus image")
     sp.add_argument("--qmax", type=int, default=64)
     _add_phase_flags(sp)
-    sp.add_argument("--resolver", choices=RESOLVERS, default=ButterflyConfig.resolver)
-    sp.add_argument("--no-exclusions", action="store_true",
-                    help="force windows everywhere (reproduces wing miscolorings)")
+    sp.add_argument("--resolver", choices=RESOLVERS, default=ButterflyConfig.resolver,
+                    help=RESOLVER_HELP + "; the other resolvers send the gaps "
+                         "their window leaves gray to the edge-state winding "
+                         "when q <= --computed-qmax")
     sp.add_argument("--computed-qmax", type=int, default=ButterflyConfig.computed_q_max)
     sp.add_argument("--eps-gap", type=float, default=ButterflyConfig.eps_gap)
     sp.add_argument("--mu-bins", type=int, default=ButterflyConfig.mu_bins)

@@ -1,11 +1,11 @@
-"""Gap-labeling arithmetic: residues, windows, chains and Streda checks.
+"""Gap-labeling arithmetic: residues, windows and Streda checks.
 
 The gap Chern number satisfies sigma_j = s*j (mod q), which determines
-it only up to a multiple of q.  The strategies here pick a concrete
-representative: a fixed integer window (square or shifted), a two-sided
-chain walk from the trivial gaps, or deference to a directly computed
-value.  A cross-flux Streda consistency check in exact integer
-arithmetic exposes wrong choices.
+it only up to a multiple of q.  Every resolver picks a concrete
+representative by a window condition: the integer interval of its
+window (square, shifted or the chain's [-c, c]) holds at most one
+member of each residue class.  A cross-flux Streda consistency check in
+exact integer arithmetic exposes wrong choices.
 """
 
 from __future__ import annotations
@@ -66,19 +66,35 @@ def square_window(q: int) -> Window:
 
 
 def triangular_window(q: int) -> Window:
-    """The shifted window [1-q/2, q/2] for even q.
+    """The shifted window [1-q/2, q/2] of even q.
 
-    No odd-q form is established; the naive symmetric interval is
-    returned.  The sweep defers odd q instead of using it unless window
-    exclusions are switched off, since resolving the boundary classes
-    +/-(q-1)/2 by window is exactly what produces wing-coloring errors.
+    No odd-q form is established, so odd q raises ValueError: resolving
+    the boundary classes +/-(q-1)/2 by a window is exactly what produces
+    wing-coloring errors.
+    """
+    if q < 1 or q % 2:
+        raise ValueError(f"no triangular window for q={q}: q must be even")
+    return Window(1 - q // 2, q // 2, q)
+
+
+def chain_window(q: int) -> Window:
+    """The window [-c, c], c = max(1, q // 4), of the two-sided chain.
+
+    The chain walks out from the trivial gaps: gap m*p mod q gets
+    sigma = m and gap (q - m*p) mod q gets sigma = -m, for m up to c.
+    Gap j with r = s*j mod q is reached at step r from the left and at
+    step q - r from the right, so it gets r if r <= c, r - q if
+    q - r <= c, and nothing if neither walk reaches it.  That is the
+    representative of r in [-c, c].  Both walks reach the same gap only
+    when q <= 2c, i.e. q <= 2; that gap is ambiguous, and [0, 0] leaves
+    it gray.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    if q % 2 == 0:
-        return Window(1 - q // 2, q // 2, q)
-    b = (q - 1) // 2
-    return Window(-b, b, q)
+    if q <= 2:
+        return Window(0, 0, q)
+    c = max(1, q // 4)
+    return Window(-c, c, q)
 
 
 def resolve_in_window(rc: ResidueClass, window: Window) -> Optional[int]:
@@ -90,33 +106,6 @@ def resolve_in_window(rc: ResidueClass, window: Window) -> Optional[int]:
             f"residue modulus {rc.modulus} != window modulus {window.modulus}")
     v = window.lo + (rc.residue - window.lo) % window.modulus
     return v if v <= window.hi else None
-
-
-def chain_assign(j: int, flux: Flux, cutoff: Optional[int] = None) -> Optional[int]:
-    """Two-sided chain heuristic: gap m*p mod q gets sigma = m and gap
-    (q - m*p) mod q gets sigma = -m, for m up to the cutoff.
-
-    Default cutoff is max(1, q // 4).  Returns None when neither walk
-    reaches j within the cutoff or when both reach it and disagree (the
-    mod-q ambiguity for O(q)-sized Chern numbers).
-    """
-    q = flux.q
-    if not 0 <= j <= q:
-        raise ValueError(f"gap index {j} outside 0..{q}")
-    if cutoff is None:
-        cutoff = max(1, q // 4)
-    if j in (0, q):
-        return 0
-    r = (flux.s * j) % q  # left walk reaches j at step r, right walk at q-r
-    left = r <= cutoff
-    right = (q - r) <= cutoff
-    if left and right:
-        return None
-    if left:
-        return r
-    if right:
-        return r - q
-    return None
 
 
 class StredaOutcome(enum.Enum):

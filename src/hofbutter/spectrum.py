@@ -98,9 +98,10 @@ def chambers_polynomial(model: HofstadterModel, check_points: int = 3) -> Chambe
 def _chambers_terms(model: HofstadterModel):
     """(a, b, c, scale): the k-dependent part of det H(k) is
     (-1)^(q+1) 2 scale Re(a e^{ix} + b e^{iy} + c e^{i(x+y)}) with
-    x = q k1, y = q k2 and scale = max(t)^q, so |a|, |b|, |c| <= 1."""
+    x = q k1, y = q k2 and scale = max(t)^q, so |a|, |b|, |c| <= 1.
+    All-zero hoppings (H = 0) give a = b = c = 0."""
     q = model.q
-    t_max = max(model.t1, model.t2, model.t3)
+    t_max = max(model.t1, model.t2, model.t3) or 1.0
     a = (model.t2 / t_max) ** q
     b = (model.t1 / t_max) ** q
     c = complex((-1.0) ** (q - 1) * (model.t3 / t_max) ** q * model.omega_u ** q)

@@ -218,8 +218,9 @@ def test_criterion_10_chern_bound(triangular_tables):
 
 
 def test_criterion_11_naive_window_detected():
-    diagram = build_diagram(ButterflyConfig(q_max=5, resolver="triangular",
-                                            exclusions=False))
+    # the square window is the naive baseline: its boundary classes
+    # miscolor the triangular wings
+    diagram = build_diagram(ButterflyConfig(q_max=5, resolver="square"))
     pairs = detect_coloring_errors(diagram)
     involved = {(r.p, r.q) for pair in pairs for r in (pair.rec_a, pair.rec_b)}
     ok = len(pairs) >= 1 and (2, 5) in involved

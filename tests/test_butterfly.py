@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -138,13 +139,21 @@ class TestBuildDiagram:
         assert all(r.chern is None and r.chern_source == "unresolved"
                    for r in interior)
 
-    def test_determinism_across_jobs(self, tmp_path):
-        # jobs=1 maps the calls of _tasks in-process, jobs=2 sends them to
-        # a pool: all-edge sweeps at -pi/2, at +pi/2 anisotropic and at
-        # phi_d = 0.3, and a triangular q_max 30 sweep whose calls at jobs=2
-        # are runs of two fluxes, windows and edge winding mixed.
+    def test_determinism_across_jobs(self, tmp_path, monkeypatch):
+        # jobs=1 maps the fluxes in-process, jobs=2 sends them to a pool:
+        # all-edge sweeps at -pi/2, at +pi/2 anisotropic and at phi_d = 0.3,
+        # and a triangular q_max 30 sweep whose pool chunks are runs of two
+        # fluxes, windows and edge winding mixed.
+        chunksizes = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
         mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
-        assert {len(run) for run in butterfly._tasks(len(enumerate_fluxes(30)), 2)} == {2}
+        assert len(enumerate_fluxes(30)) // (2 * 64) == 2
         for cfg1 in [ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6),
                      ButterflyConfig(q_max=6, resolver="computed", phi_d=math.pi / 2,
                                      t2=0.8, t3=0.6),
@@ -157,6 +166,7 @@ class TestBuildDiagram:
             write_records_jsonl(d2.records, p2)
             assert p1.read_bytes() == p2.read_bytes()
             assert render(d1.records, cfg1) == render(d2.records, cfg2)
+        assert chunksizes == [1, 1, 1, 2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
@@ -254,30 +264,13 @@ class TestDiagramSymmetry:
         assert all(r.chern is not None for r in diagram.records if not r.closed)
 
 
-class TestTasks:
-    """The call list of a sweep: runs of consecutive fluxes in flux order."""
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_runs_in_flux_order(self, jobs):
-        multi_flux_runs = False
-        for q_max in [1, 2, 3, 7, 12, 20, 64]:
-            n = len(enumerate_fluxes(q_max))
-            runs = butterfly._tasks(n, jobs)
-            assert [i for run in runs for i in run] == list(range(n))
-            chunk = max(1, n // (jobs * 64)) if jobs > 1 else 1
-            assert all(1 <= len(run) <= chunk for run in runs)
-            multi_flux_runs |= any(len(run) > 1 for run in runs)
-        assert multi_flux_runs == (jobs > 1)
-
-
 class TestColoringErrors:
     def test_single_flux_empty(self):
         diagram = build_diagram(ButterflyConfig(q_max=1))
         assert detect_coloring_errors(diagram) == []
 
     def test_naive_windows_flagged(self):
-        diagram = build_diagram(ButterflyConfig(q_max=5, resolver="triangular",
-                                                exclusions=False))
+        diagram = build_diagram(ButterflyConfig(q_max=5, resolver="square"))
         report = detect_coloring_errors(diagram)
         assert len(report) > 0
         involved = {(r.p, r.q) for pair in report
@@ -285,8 +278,7 @@ class TestColoringErrors:
         assert (2, 5) in involved
 
     def test_flagged_pairs_differ(self):
-        diagram = build_diagram(ButterflyConfig(q_max=5, resolver="triangular",
-                                                exclusions=False))
+        diagram = build_diagram(ButterflyConfig(q_max=5, resolver="square"))
         for pair in detect_coloring_errors(diagram):
             assert pair.rec_a.chern != pair.rec_b.chern
 

@@ -283,8 +283,8 @@ class TestButterfly:
 
     def test_check_flag(self, tmp_path, capsys):
         base = tmp_path / "bf"
-        code, out = run(["butterfly", "--qmax", "5", "--resolver", "triangular",
-                         "--no-exclusions", "--format", "json", "--check",
+        code, out = run(["butterfly", "--qmax", "5", "--resolver", "square",
+                         "--format", "json", "--check",
                          "--out", str(base)], capsys)
         assert code == 0
         assert "inconsistent" in out
@@ -330,8 +330,8 @@ class TestButterfly:
         monkeypatch.setattr(butterfly, "decode_records", spy)
         monkeypatch.setattr(importlib.import_module("hofbutter.render"),
                             "decode_records", spy)
-        code = main(["butterfly", "--qmax", "5", "--resolver", "triangular",
-                     "--no-exclusions", "--mu-bins", "64", "--height", "32",
+        code = main(["butterfly", "--qmax", "5", "--resolver", "square",
+                     "--mu-bins", "64", "--height", "32",
                      "--format", fmt, *(["--check"] if check else []),
                      "--out", str(tmp_path / "bf")])
         assert code == 0
@@ -406,6 +406,57 @@ def test_no_grid_flag_off_the_chern_command(capsys, monkeypatch, command):
         main([*command, "--grid", "32"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --grid 32" in capsys.readouterr().err
+
+
+def test_no_exclusions_flag(capsys, monkeypatch):
+    # the naive-window baseline is --resolver square, not a second switch
+    monkeypatch.setattr(cli, "sweep_to_jsonl", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["butterfly", "--qmax", "3", "--no-exclusions"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-exclusions" in capsys.readouterr().err
+
+
+ZERO_HOPPINGS = ["--t1", "0", "--t2", "0", "--t3", "0"]
+
+
+class TestZeroHoppings:
+    """H = 0 is a valid model: every band is the point 0 and every
+    interior gap is closed.  These once died dividing by max(t) = 0."""
+
+    def test_spectrum(self, capsys):
+        code, out = run(["spectrum", "--p", "2", "--q", "5", *ZERO_HOPPINGS], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert data["bands"] == [[0.0, 0.0]] * 5
+        assert [g["closed"] for g in data["gaps"]] == [False] + [True] * 4 + [False]
+
+    @pytest.mark.parametrize("method", ["fhs", "transport", "edge"])
+    @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "2"]])
+    def test_chern_gap_closed(self, capsys, method, target):
+        code = main(["chern", "--p", "1", "--q", "3", "--method", method, *target,
+                     *ZERO_HOPPINGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: gap 1 of 1/3 has width ") and len(err.splitlines()) == 1
+
+    def test_dioph_closed(self, capsys):
+        code, out = run(["dioph", "--p", "2", "--q", "5", *ZERO_HOPPINGS], capsys)
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert code == 0
+        assert [e.get("violation") for e in lines] == [None] + ["closed"] * 4 + [None]
+
+    def test_butterfly(self, tmp_path, capsys):
+        code = main(["butterfly", "--qmax", "6", *ZERO_HOPPINGS, "--mu-bins", "16",
+                     "--height", "8", "--check", "--out", str(tmp_path / "bf")])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "0 flux failures" in err and "failed" not in err
+        records = [json.loads(line) for line in
+                   (tmp_path / "bf.jsonl").read_text().splitlines()]
+        assert len(records) == sum(q + 1 for q in range(1, 7) for p in range(1, q + 1)
+                                   if math.gcd(p, q) == 1)
+        assert all(r["closed"] for r in records if 0 < r["j"] < r["q"])
 
 
 class TestConfigFile:

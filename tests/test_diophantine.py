@@ -14,7 +14,7 @@ from hofbutter import (
     ResidueClass,
     StredaOutcome,
     Window,
-    chain_assign,
+    chain_window,
     compute_bands,
     compute_gaps,
     fragmentation_report,
@@ -53,6 +53,16 @@ class TestWindows:
         assert (triangular_window(512).lo, triangular_window(512).hi) == (-255, 256)
         assert (triangular_window(2).lo, triangular_window(2).hi) == (0, 1)
         assert (triangular_window(4).lo, triangular_window(4).hi) == (-1, 2)
+
+    @pytest.mark.parametrize("q", [1, 3, 5, 13, 513])
+    def test_triangular_odd_q_raises(self, q):
+        # no shifted window is established at odd q
+        with pytest.raises(ValueError, match="must be even"):
+            triangular_window(q)
+
+    def test_chain_examples(self):
+        assert [(chain_window(q).lo, chain_window(q).hi) for q in (1, 2, 3, 7, 8, 13)] \
+            == [(0, 0), (0, 0), (-1, 1), (-1, 1), (-2, 2), (-3, 3)]
 
     def test_window_sizes(self):
         for q in range(1, 30):
@@ -103,27 +113,59 @@ class TestResolveInWindow:
 
         windows = []
         for q in range(1, 65):
-            windows += [square_window(q), triangular_window(q)]
+            windows += [square_window(q), chain_window(q)]
+            if q % 2 == 0:
+                windows.append(triangular_window(q))
         for w in windows:
             for r in range(w.modulus):
                 assert resolve_in_window(ResidueClass(r, w.modulus), w) == scan(r, w)
 
 
-class TestChainAssign:
+def _chain_walk(j, flux):
+    """The two-sided chain walk as a rule on gap indices: gap m*p mod q
+    gets sigma = m and gap (q - m*p) mod q gets sigma = -m, for m up to
+    max(1, q // 4); a gap that neither walk reaches, or both reach, is
+    unresolved."""
+    q = flux.q
+    cutoff = max(1, q // 4)
+    left = {(m * flux.p) % q: m for m in range(cutoff + 1)}
+    right = {(-m * flux.p) % q: -m for m in range(cutoff + 1)}
+    if j in (0, q):
+        return 0
+    if (j in left) == (j in right):
+        return None
+    return left[j] if j in left else right[j]
+
+
+class TestChainWindow:
+    def _chain(self, j, flux):
+        return resolve_in_window(solve_residue(j, flux), chain_window(flux.q))
+
+    def test_matches_walk_rule(self):
+        # every reduced flux with q <= 64 and every gap index j
+        cases = 0
+        for q in range(1, 65):
+            for p in coprime(q):
+                flux = Flux(p, q)
+                for j in range(q + 1):
+                    assert self._chain(j, flux) == _chain_walk(j, flux), (p, q, j)
+                    cases += 1
+        assert cases == sum(len(coprime(q)) * (q + 1) for q in range(1, 65))
+
     def test_anchors(self):
         flux = Flux(3, 7)
-        assert chain_assign(0, flux) == 0
-        assert chain_assign(7, flux) == 0
+        assert self._chain(0, flux) == 0
+        assert self._chain(7, flux) == 0
 
     def test_first_links(self):
         for p, q in [(1, 5), (3, 7), (5, 13), (2, 9)]:
             flux = Flux(p, q)
-            assert chain_assign(p, flux) == 1
-            assert chain_assign(q - p, flux) == -1
+            assert self._chain(p, flux) == 1
+            assert self._chain(q - p, flux) == -1
 
     def test_unresolved_middle(self):
-        flux = Flux(1, 13)  # gap 6 would need sigma = 6 > cutoff 3
-        assert chain_assign(6, flux) is None
+        flux = Flux(1, 13)  # gap 6 would need sigma = 6 > c = 3
+        assert self._chain(6, flux) is None
 
     def test_agrees_with_square_window(self):
         for q in range(1, 14):
@@ -131,20 +173,10 @@ class TestChainAssign:
             for p in coprime(q):
                 flux = Flux(p, q)
                 for j in range(q + 1):
-                    a = chain_assign(j, flux)
+                    a = self._chain(j, flux)
                     b = resolve_in_window(solve_residue(j, flux), w)
                     if a is not None and b is not None:
                         assert a == b
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 64), st.integers(0, 200), st.integers(1, 40))
-    def test_chain_respects_residue(self, q, j_seed, cutoff):
-        ps = coprime(q)
-        flux = Flux(ps[j_seed % len(ps)], q)
-        j = j_seed % (q + 1)
-        sigma = chain_assign(j, flux, cutoff)
-        if sigma is not None:
-            assert (sigma - flux.s * j) % q == 0
 
 
 def _record(p, q, j, lo, hi, chern):
