@@ -2,9 +2,12 @@
 
 A diagram is the list of gap records of every reduced flux p/q with
 q <= q_max, each open gap carrying a Chern number from the configured
-resolution strategy.  Sweeps parallelize over fluxes, stream to JSON
-lines, and can be audited for wing-coloring errors by exact Streda
-comparisons between Farey-adjacent fluxes.
+resolution strategy.  A sweep's unit of work is a denominator: all
+fluxes p/q of one q share their band-edge momenta and take their band
+edges from one batched eigensolve.  Sweeps parallelize over
+denominators, stream to JSON lines in flux order, and can be audited
+for wing-coloring errors by exact Streda comparisons between
+Farey-adjacent fluxes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -31,12 +35,15 @@ from .diophantine import (
 from .magnetic_algebra import Flux, HofstadterModel, check_model_parameters
 from .spectrum import (
     GAP_EPS_DEFAULT,
+    BandOverlapError,
+    BandSpectrum,
     GapRecord,
     check_eps_gap,
     compute_bands,
     compute_bands_dense,
     compute_bands_or_dense,
     compute_gaps,
+    denominator_bands,
     gap_from_dict,
 )
 
@@ -146,78 +153,132 @@ def _window_for(strategy: str, q: int):
     return None
 
 
-def _resolve_flux(records: list[GapRecord], model: HofstadterModel,
-                  cfg: ButterflyConfig) -> list[GapRecord]:
-    """Assign Chern numbers to the open interior gaps of one flux.
-
-    The resolver's window colors what it can.  Where
-    ``cfg.reaches_edge(q)``, the open gaps still gray go to
-    ``edge_chern_table`` in one call per flux, and those it certifies
-    are tagged ``edge_winding``.
-    """
-    q = model.q
+def _window_colored(records: list[GapRecord], flux: Flux,
+                    cfg: ButterflyConfig) -> list[GapRecord]:
+    """The gap records of one flux with the open interior gaps that the
+    resolver's window holds colored."""
+    q = flux.q
     window = _window_for(cfg.resolver, q)
-    # the computed resolver has no window, so its tag here is never written
+    if window is None:
+        return records
     tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
     out = []
     for rec in records:
         sigma = None
-        if window is not None and 0 < rec.j < q and not rec.closed:
-            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
+        if 0 < rec.j < q and not rec.closed:
+            sigma = resolve_in_window(solve_residue(rec.j, flux), window)
         out.append(rec if sigma is None else GapRecord(*rec[:8], sigma, tag))
-    gray = [rec for rec in out if rec.chern is None and not rec.closed]
-    if gray and cfg.reaches_edge(q):
-        table = edge_chern_table(model, gray)
-        sigmas = {j: res.value for j, res in table.items() if res.value is not None}
-        out = [GapRecord(*rec[:8], sigmas[rec.j], "edge_winding")
-               if rec.j in sigmas else rec for rec in out]
     return out
 
 
-def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
-    """The gap records of flux p/q, colored by the configured resolver.
+def _edge_sigmas(spectrum: BandSpectrum, cfg: ButterflyConfig) -> dict:
+    """{j: sigma} of the open gaps that the window leaves gray and the
+    edge-state winding certifies, from one ``edge_chern_table`` call;
+    empty unless ``cfg.reaches_edge(q)``."""
+    model = spectrum.model
+    if not cfg.reaches_edge(model.q):
+        return {}
+    records = _window_colored(compute_gaps(spectrum, cfg.eps_gap), model.flux, cfg)
+    gray = [rec for rec in records if rec.chern is None and not rec.closed]
+    if not gray:
+        return {}
+    return {j: res.value for j, res in edge_chern_table(model, gray).items()
+            if res.value is not None}
 
-    Every sweep and ``hofbutter dioph`` turn a flux into records here:
-    band edges (dense scan if the searched edges fail), gaps, then
-    ``_resolve_flux``.
+
+def _denominator_edges(args) -> list:
+    """Worker for one denominator: per flux p/q of ``ps``, in that order,
+    its certified edge-winding values and its 2q band edges as packed
+    doubles (lo_1, hi_1, lo_2, ...), ``(edges, sigmas)``, or the
+    exception that failed the flux.
+
+    ``denominator_bands`` gives every flux its edges from one batched
+    eigensolve.  A flux whose edges fail its own checks takes the dense
+    scan; if the batch raises, each flux retries alone through
+    ``compute_bands``, so a failure stays with its own flux.
     """
-    model = HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
-    spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
-    return _resolve_flux(compute_gaps(spectrum, cfg.eps_gap), model, cfg)
-
-
-def _compute_flux(args):
-    """Worker: (``flux_records(*args)``, None), or ([], (p, q, reason))
-    when the flux fails.  The records stay ``GapRecord`` tuples all the
-    way to the JSONL writer, and a pool pickles them as tuples.  BLAS
-    threads are not pinned; test_determinism_across_jobs checks jobs=N."""
-    (p, q) = args[:2]
+    q, ps, cfg = args
+    models = [HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
+              for p in ps]
     try:
-        return flux_records(*args), None
+        spectra = denominator_bands(models)
+    except Exception:  # whatever the batch raised, each flux retries alone below
+        spectra = [None] * len(models)
+    out = []
+    for model, spectrum in zip(models, spectra):
+        try:
+            if spectrum is None:
+                spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
+            elif isinstance(spectrum, BandOverlapError):
+                spectrum = compute_bands_dense(model)
+            out.append((array("d", itertools.chain.from_iterable(spectrum.bands)),
+                        _edge_sigmas(spectrum, cfg)))
+        except Exception as exc:  # record, never abort the sweep
+            out.append(exc)
+    return out
+
+
+def _flux_records(flux: Flux, cfg: ButterflyConfig, entry) -> list[GapRecord]:
+    """The records of one flux from its ``_denominator_edges`` entry:
+    gaps, window colors, then the certified edge-winding values tagged
+    ``edge_winding``.  An entry that is an exception is raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    edges, sigmas = entry
+    bands = tuple(zip(edges[0::2], edges[1::2]))
+    model = HofstadterModel(flux, cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
+    records = _window_colored(compute_gaps(BandSpectrum(model, bands), cfg.eps_gap),
+                              flux, cfg)
+    return [GapRecord(*rec[:8], sigmas[rec.j], "edge_winding")
+            if rec.j in sigmas else rec for rec in records]
+
+
+def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
+    """The gap records of flux p/q, colored by the configured resolver:
+    the one-flux case of a sweep's denominator (``hofbutter dioph``)."""
+    (entry,) = _denominator_edges((q, [p], cfg))
+    return _flux_records(Flux(p, q), cfg, entry)
+
+
+def _flux_result(flux: Flux, cfg: ButterflyConfig, entry):
+    """(records, None), or ([], (p, q, reason)) when the flux fails.  The
+    records stay ``GapRecord`` tuples all the way to the JSONL writer."""
+    try:
+        return _flux_records(flux, cfg, entry), None
     except Exception as exc:  # record, never abort the sweep
-        return [], (p, q, f"{type(exc).__name__}: {exc}")
+        return [], (flux.p, flux.q, f"{type(exc).__name__}: {exc}")
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
     """Yield (records, failure) per flux in flux order.
 
     The lazy backbone of every sweep: giant diagrams stream through
-    without materializing.  jobs=1 maps ``_compute_flux`` over the
-    fluxes in-process with the builtin ``map``; jobs>1 with ``pool.map``
-    of one process pool, in chunks of consecutive fluxes that amortise
-    its IPC.  Both return results in flux order, so the output is
-    deterministic for a fixed config regardless of ``jobs``.
+    without materializing.  The unit of work is a denominator:
+    ``_denominator_edges`` runs once per q, largest q first, through the
+    builtin ``map`` at jobs=1 and one ``pool.map`` of a process pool at
+    jobs>1.  The fluxes are then assembled into records and yielded in
+    Farey order.  Until its turn a flux is held only as its 2q band
+    edges and its certified edge-winding values, never as records, so
+    the output is deterministic for a fixed config regardless of
+    ``jobs``.  BLAS threads are not pinned; test_determinism_across_jobs
+    checks jobs=N.
     """
-    args = [(f.p, f.q, config) for f in enumerate_fluxes(config.q_max)]
-    n = len(args)
+    fluxes = enumerate_fluxes(config.q_max)
+    tasks = [(q, [p for p in range(1, q + 1) if math.gcd(p, q) == 1], config)
+             for q in range(config.q_max, 0, -1)]
+    n = len(fluxes)
     with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
           else contextlib.nullcontext()) as pool:
-        results = (pool.map(_compute_flux, args,
-                            chunksize=max(1, n // (config.jobs * 64)))
-                   if pool else map(_compute_flux, args))
-        for done, result in enumerate(results, 1):
+        done = zip(tasks, pool.map(_denominator_edges, tasks) if pool
+                   else map(_denominator_edges, tasks))
+        held = {}  # q -> {p: entry} of the denominators computed so far
+        for i, flux in enumerate(fluxes, 1):
+            while flux.q not in held:
+                (q, ps, _), entries = next(done)
+                held[q] = dict(zip(ps, entries))
+            result = _flux_result(flux, config, held[flux.q].pop(flux.p))
             if progress:
-                progress(done, n)
+                progress(i, n)
             yield result
 
 

@@ -148,8 +148,12 @@ def build_hamiltonian(model: HofstadterModel, k) -> np.ndarray:
     return hamiltonian_batch(model, *k)
 
 
-def hamiltonian_batch(model: HofstadterModel, k1, k2) -> np.ndarray:
+def hamiltonian_batch(model, k1, k2) -> np.ndarray:
     """H evaluated on broadcastable arrays of momenta; shape (..., q, q).
+
+    ``model`` may also be a sequence of models of one q, such as the
+    fluxes p/q of a denominator; H then takes a leading axis over them,
+    shape (len(model), ..., q, q), each model at every momentum.
 
     H(k) = A + A^dagger with A = e^{i k2} M1 + e^{i(k1+k2)} M2 + e^{i k1} M3
     (see _hopping_terms) is periodic tridiagonal: A holds the hops
@@ -158,28 +162,34 @@ def hamiltonian_batch(model: HofstadterModel, k1, k2) -> np.ndarray:
     clock diagonal.  Only these O(q) entries are written, each by the
     floating-point operations of the dense sum, so the values are the
     dense form's (only the sign of an exact zero can differ).  For q > 2
-    H is written directly, one q x q allocation a call, not summed as
+    H is written directly, one allocation a call, not summed as
     A + A^dagger (see notes/decisions.md, "Two edge momenta, H from its
     diagonals").
     """
-    q = model.q
-    s = _clock(model.flux)
+    single = isinstance(model, HofstadterModel)
+    models = [model] if single else model
+    q = models[0].q
     i = np.arange(q)
     k1 = np.asarray(k1, dtype=float)[..., None]
     k2 = np.asarray(k2, dtype=float)[..., None]
-    hop = (np.exp(1j * k2) * model.t1
-           + np.exp(1j * (k1 + k2)) * (model.t3 * model.omega_u * s[i - 1]))
-    diag = np.exp(1j * k1) * (model.t2 * s)
+    # per-model factors on a leading axis, broadcast against the momenta
+    axes = (len(models),) + (1,) * (np.broadcast(k1, k2).ndim - 1)
+    s = np.array([_clock(m.flux) for m in models]).reshape(axes + (q,))
+    t1, t2, t3w = (np.array(t).reshape(axes + (1,)) for t in zip(
+        *((m.t1, m.t2, m.t3 * m.omega_u) for m in models)))
+    hop = np.exp(1j * k2) * t1 + np.exp(1j * (k1 + k2)) * (t3w * s[..., i - 1])
+    diag = np.exp(1j * k1) * (t2 * s)
     H = np.zeros(hop.shape[:-1] + (q, q), dtype=complex)
     if q > 2:  # hops, their conjugates and the diagonal fill distinct entries
         H[..., i, i - 1] = hop
         H[..., i - 1, i] = np.conj(hop)
         H[..., i, i] = diag + np.conj(diag)
-        return H
-    # q = 2: the two hops are each other's conjugate partners; q = 1: A is 1 x 1
-    H[..., i, i - 1] = hop
-    H[..., i, i] += diag
-    return H + np.conj(np.swapaxes(H, -1, -2))
+    else:
+        # q = 2: the two hops are each other's conjugate partners; q = 1: A is 1 x 1
+        H[..., i, i - 1] = hop
+        H[..., i, i] += diag
+        H = H + np.conj(np.swapaxes(H, -1, -2))
+    return H[0] if single else H
 
 
 def hamiltonian_derivatives(model: HofstadterModel, k) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,10 @@ with P independent of k, so every band edge is attained where det H(k)
 is extremal (Chambers, Phys. Rev. 140, A135, 1965).  Closed forms give
 those momenta for the square limit and the isotropic model at phi_d =
 +/-pi/2; elsewhere a 1-D search over the k-dependent part finds them.
+That part does not depend on p, so all fluxes p/q of one denominator
+share their two edge momenta, and ``denominator_bands`` takes the band
+edges of all of them from one batched eigensolve; ``compute_bands`` is
+its one-flux case.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ GAP_EPS_DEFAULT = 1e-8
 CONTAINMENT_REL_TOL = 1e-9
 EDGE_GRID = 256  # samples of y = q k2 that locate the peaks before bisection
 REFINE_ROUNDS, REFINE_POINTS = 14, 7  # shrinking grids of compute_bands_dense
-# (k1s, k2s) of two generic momenta at which compute_bands checks searched
+# bytes of the largest H stack that denominator_bands diagonalizes in one
+# call: one call per q up to q ~ 47, and a q_max 128 sweep's peak RSS stays
+# near that of one flux at a time (notes/decisions.md)
+EDGE_STACK_BYTES = 1 << 22
+# (k1s, k2s) of two generic momenta at which denominator_bands checks searched
 # edges; plain literals, as an rng here would import numpy.random
 _PROBE_K = ((-1.5146502, -0.9436313), (-1.1435780, -2.6196691))
 
@@ -99,12 +107,14 @@ def _chambers_terms(model: HofstadterModel):
     """(a, b, c, scale): the k-dependent part of det H(k) is
     (-1)^(q+1) 2 scale Re(a e^{ix} + b e^{iy} + c e^{i(x+y)}) with
     x = q k1, y = q k2 and scale = max(t)^q, so |a|, |b|, |c| <= 1.
-    All-zero hoppings (H = 0) give a = b = c = 0."""
+    The phase of c is w_u^q = e^{2 pi i p} e^{-i q phi_d} = e^{-i q phi_d},
+    taken in that exact form, so the terms are the same for every p/q
+    of one q.  All-zero hoppings (H = 0) give a = b = c = 0."""
     q = model.q
     t_max = max(model.t1, model.t2, model.t3) or 1.0
     a = (model.t2 / t_max) ** q
     b = (model.t1 / t_max) ** q
-    c = complex((-1.0) ** (q - 1) * (model.t3 / t_max) ** q * model.omega_u ** q)
+    c = (-1.0) ** (q - 1) * (model.t3 / t_max) ** q * cmath.exp(-1j * (q * model.phi_d))
     return a, b, c, t_max ** q
 
 
@@ -207,7 +217,7 @@ def _edge_candidates(model: HofstadterModel) -> list[tuple[float, float]]:
 
 def band_edge_kpoints(model: HofstadterModel) -> list[BlochMomentum]:
     """The global min and max momenta of det H(k), where every band edge
-    occurs.
+    occurs; they depend on q, phi_d and the hoppings, not on p.
 
     For a closed-form family (_edge_candidates) they are the argmin and
     argmax of _oscillatory among its candidates: the others tie with them
@@ -253,36 +263,62 @@ class GapRecord(NamedTuple):
     chern_source: str = "unresolved"
 
 
-def compute_bands(model: HofstadterModel) -> BandSpectrum:
-    """Band intervals from one batched eigensolve at the band-edge
-    momenta, plus the two probe momenta when the edges were searched.
+def denominator_bands(models) -> list:
+    """Band intervals of fluxes p/q that share q, phi_d and the hoppings,
+    from one batched eigensolve: H of every flux at the two band-edge
+    momenta of the denominator, plus the two probe momenta when the
+    edges were searched, in one (len(models), 2 or 4, q, q) stack.  A
+    stack over EDGE_STACK_BYTES is solved in slices of fluxes that fit.
 
-    Raises BandOverlapError if the assembled intervals overlap by more
-    than 1e-8, the signature of a band-edge k-point failure; callers
-    should then retry with compute_bands_dense, as compute_bands_or_dense
-    does.  Searched edges must also contain the spectrum at two probe
-    momenta, else BandContainmentError.
+    Each flux keeps its own checks, so its entry is its BandSpectrum, or
+    the error its own edges raised: BandOverlapError if its intervals
+    overlap by more than 1e-8, the signature of a band-edge k-point
+    failure, and BandContainmentError if searched edges miss one of its
+    probe eigenvalues.  A failed eigensolve raises for the whole batch.
     """
-    pts = band_edge_kpoints(model)
-    probed = not _edges_in_closed_form(model)
+    pts = band_edge_kpoints(models[0])
+    probed = not _edges_in_closed_form(models[0])
     k1s, k2s = zip(*pts)
     if probed:
         k1s, k2s = k1s + _PROBE_K[0], k2s + _PROBE_K[1]
-    evs = np.linalg.eigvalsh(hamiltonian_batch(model, k1s, k2s))
-    los = evs[:len(pts)].min(axis=0)
-    his = evs[:len(pts)].max(axis=0)
-    for n in range(model.q - 1):
-        if his[n] > los[n + 1] + BAND_OVERLAP_TOL:
-            raise BandOverlapError(
-                f"bands {n + 1} and {n + 2} overlap by {his[n] - los[n + 1]:.3e}")
+    q = models[0].q
+    per_call = max(1, EDGE_STACK_BYTES // (16 * len(k1s) * q * q))
+    evs = np.concatenate([
+        np.linalg.eigvalsh(hamiltonian_batch(models[i:i + per_call], k1s, k2s))
+        for i in range(0, len(models), per_call)])
+    # + 0.0 turns an edge of -0.0 (all-zero hoppings) into 0.0
+    los = evs[:, :len(pts)].min(axis=1) + 0.0
+    his = evs[:, :len(pts)].max(axis=1) + 0.0
+    overlap = his[:, :-1] > los[:, 1:] + BAND_OVERLAP_TOL
     if probed:
-        probe = evs[len(pts):]
-        outside = np.maximum(los - probe, probe - his)
-        if (outside > CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))).any():
-            raise BandContainmentError(
-                f"probe eigenvalues up to {outside.max():.3e} outside their bands")
-    bands = tuple((float(lo), float(hi)) for lo, hi in zip(los, his))
-    return BandSpectrum(model, bands)
+        probe = evs[:, len(pts):]
+        outside = np.maximum(los[:, None] - probe, probe - his[:, None])
+        tol = CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))
+        missed = (outside > tol).any(axis=(1, 2))
+    out = []
+    for m, (model, lo, hi) in enumerate(zip(models, los.tolist(), his.tolist())):
+        if overlap[m].any():
+            n = int(overlap[m].argmax())
+            out.append(BandOverlapError(
+                f"bands {n + 1} and {n + 2} overlap by {hi[n] - lo[n + 1]:.3e}"))
+        elif probed and missed[m]:
+            out.append(BandContainmentError(
+                f"probe eigenvalues up to {outside[m].max():.3e} outside their bands"))
+        else:
+            out.append(BandSpectrum(model, tuple(zip(lo, hi))))
+    return out
+
+
+def compute_bands(model: HofstadterModel) -> BandSpectrum:
+    """Band intervals of one flux: ``denominator_bands`` of it alone.
+
+    Raises its BandOverlapError or BandContainmentError; callers should
+    then retry with compute_bands_dense, as compute_bands_or_dense does.
+    """
+    (spectrum,) = denominator_bands([model])
+    if isinstance(spectrum, BandOverlapError):
+        raise spectrum
+    return spectrum
 
 
 def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
@@ -305,7 +341,7 @@ def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
         imax = int(np.argmax(band))
         los[n] = _refine_extremum(level, (A.ravel()[imin], B.ravel()[imin]), step, True)
         his[n] = _refine_extremum(level, (A.ravel()[imax], B.ravel()[imax]), step, False)
-    bands = tuple((float(lo), float(hi)) for lo, hi in zip(los, his))
+    bands = tuple(zip((los + 0.0).tolist(), (his + 0.0).tolist()))
     return BandSpectrum(model, bands)
 
 

@@ -140,20 +140,19 @@ class TestBuildDiagram:
                    for r in interior)
 
     def test_determinism_across_jobs(self, tmp_path, monkeypatch):
-        # jobs=1 maps the fluxes in-process, jobs=2 sends them to a pool:
-        # all-edge sweeps at -pi/2, at +pi/2 anisotropic and at phi_d = 0.3,
-        # and a triangular q_max 30 sweep whose pool chunks are runs of two
-        # fluxes, windows and edge winding mixed.
-        chunksizes = []
+        # jobs=1 maps the denominators in-process, jobs=2 sends them to a
+        # pool, largest q first: all-edge sweeps at -pi/2, at +pi/2
+        # anisotropic and at phi_d = 0.3, and a triangular q_max 30 sweep
+        # with windows and edge winding mixed.
+        tasks = []
 
         class Pool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                chunksizes.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+            def map(self, fn, *iterables, **kwargs):
+                tasks.append([(q, ps) for q, ps, _ in iterables[0]])
+                return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
         mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
-        assert len(enumerate_fluxes(30)) // (2 * 64) == 2
         for cfg1 in [ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6),
                      ButterflyConfig(q_max=6, resolver="computed", phi_d=math.pi / 2,
                                      t2=0.8, t3=0.6),
@@ -166,7 +165,11 @@ class TestBuildDiagram:
             write_records_jsonl(d2.records, p2)
             assert p1.read_bytes() == p2.read_bytes()
             assert render(d1.records, cfg1) == render(d2.records, cfg2)
-        assert chunksizes == [1, 1, 1, 2]
+        # one task per denominator, largest first, holding its fluxes p/q
+        assert [[q for q, _ in run] for run in tasks] == \
+            [list(range(6, 0, -1))] * 3 + [list(range(30, 0, -1))]
+        assert all(ps == [f.p for f in enumerate_fluxes(q) if f.q == q]
+                   for run in tasks for q, ps in run)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
@@ -177,25 +180,33 @@ class TestBuildDiagram:
         assert seen == [(i, n) for i in range(1, n + 1)]
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
-    def test_one_edge_call_and_one_spectrum_per_flux(self, monkeypatch, resolver):
-        calls = {"table": 0, "spectrum": 0}
-        compute_bands = butterfly.compute_bands
+    def test_one_edge_call_per_flux_one_batch_per_denominator(self, monkeypatch, resolver):
+        # a denominator's fluxes share one denominator_bands call; each
+        # flux takes one edge_chern_table call, and none a compute_bands
+        calls = {"table": 0, "batch": 0, "alone": 0}
+        denominator_bands = butterfly.denominator_bands
 
         def certifies_nothing(model, gaps):
             calls["table"] += 1
             return {}
 
-        def counted(model):
-            calls["spectrum"] += 1
-            return compute_bands(model)
+        def batch(models):
+            calls["batch"] += 1
+            return denominator_bands(models)
+
+        def alone(model):
+            calls["alone"] += 1
 
         monkeypatch.setattr(butterfly, "edge_chern_table", certifies_nothing)
+        monkeypatch.setattr(butterfly, "denominator_bands", batch)
         for module in (butterfly, chern):
-            monkeypatch.setattr(module, "compute_bands", counted)
+            monkeypatch.setattr(module, "compute_bands", alone)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
-        records, failure = butterfly._compute_flux((3, 7, cfg))
-        assert failure is None
-        assert calls == {"table": 1, "spectrum": 1}
+        entries = butterfly._denominator_edges((7, list(range(1, 7)), cfg))
+        assert calls == {"table": 6, "batch": 1, "alone": 0}
+        assert all(sigmas == {} for _, sigmas in entries)
+        records = butterfly.flux_records(3, 7, cfg)  # the one-flux case
+        assert calls == {"table": 7, "batch": 2, "alone": 0}
         assert all(r.chern is None for r in records if 0 < r.j < 7)
 
     def test_finished_sweep_leaves_no_model_alive(self):
@@ -247,9 +258,10 @@ class TestDiagramSymmetry:
 
     @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
     def test_one_edge_call_per_flux(self, monkeypatch, phi_d):
-        # every flux with an open interior gap takes one call, in flux
-        # order, at the symmetric phase as elsewhere: no flux borrows its
-        # inversion partner's values
+        # every flux with an open interior gap takes one call, in the
+        # order of the denominators (largest q first, then p), at the
+        # symmetric phase as elsewhere: no flux borrows its inversion
+        # partner's values
         calls = []
         edge_chern_table = butterfly.edge_chern_table
 
@@ -260,7 +272,8 @@ class TestDiagramSymmetry:
         monkeypatch.setattr(butterfly, "edge_chern_table", spy)
         diagram = build_diagram(ButterflyConfig(q_max=5, phi_d=phi_d, resolver="computed",
                                                 computed_q_max=5))
-        assert calls == [(f.p, f.q) for f in enumerate_fluxes(5) if f.q > 1]
+        assert calls == sorted(((f.p, f.q) for f in enumerate_fluxes(5) if f.q > 1),
+                               key=lambda f: (-f[1], f[0]))
         assert all(r.chern is not None for r in diagram.records if not r.closed)
 
 
@@ -413,7 +426,7 @@ def _written(records) -> list:
     return sink.getvalue().splitlines(keepends=True)
 
 
-# every tag _resolve_flux writes, and the default of an unresolved record
+# every tag a sweep writes, and the default of an unresolved record
 TAGS = ("window_square", "window_triangular", "chain", "edge_winding", "unresolved")
 
 

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from hofbutter import (PHI_D_SYMMETRIC, ButterflyConfig, Flux, HofstadterModel, butterfly,
-                       chern, cli, spectrum)
-from hofbutter.butterfly import RESOLVERS, _compute_flux, decode_records
+                       build_diagram, chern, cli, spectrum)
+from hofbutter.butterfly import RESOLVERS, decode_records
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
 
@@ -246,11 +246,13 @@ class TestDioph:
     @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
     def test_sigma_is_the_sweep_record(self, capsys, strategy, phi_d):
         # dioph is a view of the sweep without the edge-winding fallback; at 3/7 the
-        # triangular strategy defers every gap
-        cfg = ButterflyConfig(phi_d=phi_d, resolver=strategy, computed_q_max=0)
+        # triangular strategy defers every gap.  The sweep batches each
+        # denominator, dioph takes its one flux alone
+        diagram = build_diagram(ButterflyConfig(q_max=9, phi_d=phi_d, resolver=strategy,
+                                                computed_q_max=0))
+        assert not diagram.failures
         for p, q in [(1, 4), (2, 5), (3, 7), (4, 9)]:
-            records, failure = _compute_flux((p, q, cfg))
-            assert failure is None
+            records = diagram.records_for(p, q)
             code, out = run(["dioph", "--p", str(p), "--q", str(q),
                              f"--phi-d={phi_d!r}", "--strategy", strategy], capsys)
             lines = [json.loads(line) for line in out.strip().split("\n")]
@@ -430,6 +432,16 @@ class TestZeroHoppings:
         assert code == 0
         assert data["bands"] == [[0.0, 0.0]] * 5
         assert [g["closed"] for g in data["gaps"]] == [False] + [True] * 4 + [False]
+
+    def test_no_signed_zeros(self, tmp_path, capsys):
+        # the edges of H = 0 came out of eigvalsh as -0.0: spectrum printed
+        # band 1 of 1/3 as [-0.0, -0.0], and the sweep wrote "width": -0.0
+        code, out = run(["spectrum", "--p", "1", "--q", "3", *ZERO_HOPPINGS], capsys)
+        assert code == 0 and "-0.0" not in out
+        assert main(["butterfly", "--qmax", "3", *ZERO_HOPPINGS, "--format", "json",
+                     "--out", str(tmp_path / "bf")]) == 0
+        text = (tmp_path / "bf.jsonl").read_text()
+        assert '"width": 0.0' in text and "-0.0" not in text
 
     @pytest.mark.parametrize("method", ["fhs", "transport", "edge"])
     @pytest.mark.parametrize("target", [["--gap", "1"], ["--band", "2"]])

@@ -14,6 +14,7 @@ from hofbutter import (
     HofstadterModel,
     PHI_D_SYMMETRIC,
     band_edge_kpoints,
+    build_diagram,
     build_hamiltonian,
     certify_gap,
     chambers_polynomial,
@@ -21,6 +22,7 @@ from hofbutter import (
     compute_bands_dense,
     compute_gaps,
     det_closed_form,
+    enumerate_fluxes,
     gaps_to_csv,
     spectrum_to_json,
 )
@@ -30,6 +32,7 @@ from hofbutter.spectrum import (
     BandContainmentError,
     _edge_candidates,
     _oscillatory,
+    denominator_bands,
     det_offset,
     gap_from_dict,
     gap_to_dict,
@@ -42,10 +45,11 @@ def direct_det(model, k):
     return float(np.real(np.linalg.det(build_hamiltonian(model, k))))
 
 
-def containment_excess(model, n=16, seed=0):
+def containment_excess(model, n=16, seed=0, bands=None):
     """Largest relative distance of an eigenvalue at n seeded random
-    momenta outside its band; <= 0 when every one lies inside."""
-    bands = np.array(compute_bands(model).bands)
+    momenta outside its band (compute_bands unless ``bands`` is given);
+    <= 0 when every one lies inside."""
+    bands = np.array(compute_bands(model).bands if bands is None else bands)
     k = np.random.default_rng(seed).uniform(-PI, PI, (2, n))
     evs = np.linalg.eigvalsh(hamiltonian_batch(model, k[0], k[1]))
     outside = np.maximum(bands[:, 0] - evs, evs - bands[:, 1])
@@ -116,6 +120,24 @@ class TestChambersPolynomial:
                    direct_det(model, (0.0, 0.0))) < 1e-9
 
 
+def coprime_models(q, phi_d, t):
+    """The models of every flux p/q of one denominator, in p order."""
+    return [HofstadterModel(Flux(p, q), phi_d, *t)
+            for p in range(1, q + 1) if math.gcd(p, q) == 1]
+
+
+def chambers_terms_per_p(model):
+    """spectrum._chambers_terms with the phase of c from the flux's own
+    w_u^q, as each flux searched its band-edge momenta before they were
+    shared per denominator."""
+    q = model.q
+    t_max = max(model.t1, model.t2, model.t3) or 1.0
+    a = (model.t2 / t_max) ** q
+    b = (model.t1 / t_max) ** q
+    c = complex((-1.0) ** (q - 1) * (model.t3 / t_max) ** q * model.omega_u ** q)
+    return a, b, c, t_max ** q
+
+
 class TestBandEdgeKpoints:
     def test_q2(self):
         pts = {(round(k1, 9), round(k2, 9))
@@ -183,28 +205,122 @@ class TestBandEdgeKpoints:
         model = HofstadterModel(Flux(ps[i % len(ps)], q), phi_d, t1, t2, t3)
         assert containment_excess(model, n=8, seed=i) <= 1e-9
 
+    @pytest.mark.parametrize("phi_d,t", [(0.3, (1.0, 1.0, 1.0)), (0.3, (1.0, 0.8, 0.6)),
+                                         (-PI / 2, (1.0, 1.0, 1.0)), (0.3, (1.0, 1.0, 0.0))])
+    def test_edge_momenta_depend_only_on_q(self, monkeypatch, phi_d, t):
+        # the k-dependent part of det H has the phase w_u^q = e^{-i q phi_d}
+        # for every p, so the edges from the momenta shared by a
+        # denominator are those from momenta each flux searches with its
+        # own w_u^q, and they contain the spectrum
+        for q in range(1, 37):
+            models = coprime_models(q, phi_d, t)
+            shared = denominator_bands(models)
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "_chambers_terms", chambers_terms_per_p)
+                own = [band_edge_kpoints(model) for model in models]
+            for model, spec, pts in zip(models, shared, own):
+                evs = np.linalg.eigvalsh(hamiltonian_batch(model, *zip(*pts)))
+                bands = np.array(spec.bands)
+                assert np.abs(bands[:, 0] - evs.min(axis=0)).max() <= 1e-12, model.flux
+                assert np.abs(bands[:, 1] - evs.max(axis=0)).max() <= 1e-12, model.flux
+                assert containment_excess(model, n=8, seed=q, bands=bands) <= 1e-9
+                if q <= 8:  # the dense scan takes seconds a flux at q = 36
+                    dense = np.array(compute_bands_dense(model, grid=32).bands)
+                    assert (dense[:, 0] >= bands[:, 0] - 1e-9).all(), model.flux
+                    assert (dense[:, 1] <= bands[:, 1] + 1e-9).all(), model.flux
+                    assert np.abs(dense - bands).max() <= 1e-6, model.flux
+
     def test_bad_edge_momenta_raise_and_fall_back(self, monkeypatch):
         model = HofstadterModel(Flux(2, 7), 0.3)
         monkeypatch.setattr(spectrum, "_extremize_det",
                             lambda m: [BlochMomentum(0.0, 0.0)] * 2)
         with pytest.raises(BandContainmentError):
             compute_bands(model)
-        # compute_bands_or_dense retries with the dense scan
-        cfg = ButterflyConfig(phi_d=0.3, computed_q_max=0)
-        records, failure = butterfly._compute_flux((2, 7, cfg))
-        assert failure is None and len(records) == 8
+        # the sweep's denominator retries with the dense scan
+        records = butterfly.flux_records(2, 7, ButterflyConfig(phi_d=0.3, computed_q_max=0))
+        assert len(records) == 8
 
     def test_bad_edge_momenta_fall_back_on_edge_path(self, monkeypatch):
         cfg = ButterflyConfig(phi_d=0.3)  # odd q <= computed_q_max: edge winding colors
-        good, _ = butterfly._compute_flux((2, 7, cfg))
+        good = butterfly.flux_records(2, 7, cfg)
         monkeypatch.setattr(spectrum, "_extremize_det",
                             lambda m: [BlochMomentum(0.0, 0.0)] * 2)
-        records, failure = butterfly._compute_flux((2, 7, cfg))
-        assert failure is None
+        records = butterfly.flux_records(2, 7, cfg)
         interior = [r for r in records if 0 < r.j < 7 and not r.closed]
         assert interior and all(r.chern_source == "edge_winding" for r in interior)
         assert [r.chern for r in records] == [r.chern for r in good]
         assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == records[1].chern
+
+    @pytest.mark.parametrize("phi_d,row", [(0.3, slice(2, None)), (PHI_D_SYMMETRIC, 1)])
+    def test_one_failed_row_falls_back_alone(self, monkeypatch, phi_d, row):
+        # stretching the H of flux 2/7 in its denominator's batch, at the
+        # probe momenta (phi_d = 0.3) or at one edge momentum (-pi/2),
+        # fails its own containment or overlap check: only that flux takes
+        # the dense scan, its siblings keep their batched edges, and the
+        # sweep colors it as before
+        cfg = ButterflyConfig(q_max=7, phi_d=phi_d)
+        good = build_diagram(cfg)
+        batch = spectrum.hamiltonian_batch
+        dense = []
+
+        def stretched(models, k1, k2):
+            H = batch(models, k1, k2)
+            if isinstance(models, list) and len(models) > 1 and models[0].q == 7:
+                H[1, row] *= 3.0  # models[1] is 2/7
+            return H
+
+        def spy(model):
+            dense.append((model.flux.p, model.q))
+            return compute_bands_dense(model)
+
+        monkeypatch.setattr(spectrum, "hamiltonian_batch", stretched)
+        monkeypatch.setattr(butterfly, "compute_bands_dense", spy)
+        diagram = build_diagram(cfg)
+        assert dense == [(2, 7)] and not diagram.failures
+        assert [r for r in diagram.records if (r.p, r.q) != (2, 7)] == \
+            [r for r in good.records if (r.p, r.q) != (2, 7)]
+        fell_back, batched = diagram.records_for(2, 7), good.records_for(2, 7)
+        assert [(r.closed, r.chern, r.chern_source) for r in fell_back] == \
+            [(r.closed, r.chern, r.chern_source) for r in batched]
+        assert max(abs(a.hi - b.hi) for a, b in zip(fell_back[:-1], batched)) <= 1e-6
+
+    def test_failed_batch_retries_each_flux(self, monkeypatch):
+        # a LinAlgError from the batched eigensolve of a denominator sends
+        # its fluxes to compute_bands one by one: no flux fails, and one
+        # that fails alone fails alone
+        cfg = ButterflyConfig(q_max=7, phi_d=0.3)
+        good = build_diagram(cfg)
+        eigvalsh, compute_one = np.linalg.eigvalsh, butterfly.compute_bands
+        retried = []
+
+        def fails_on_batches(a):
+            if np.ndim(a) == 4 and len(a) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        def alone(model):
+            retried.append((model.flux.p, model.q))
+            return compute_one(model)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_batches)
+        monkeypatch.setattr(butterfly, "compute_bands", alone)
+        diagram = build_diagram(cfg)
+        assert not diagram.failures
+        assert sorted(retried) == sorted((f.p, f.q) for f in enumerate_fluxes(7) if f.q > 2)
+        assert [r[:4] + r[7:] for r in diagram.records] == [r[:4] + r[7:] for r in good.records]
+        assert max(abs(a.hi - b.hi) for a, b in zip(diagram.records, good.records)
+                   if b.j < b.q) <= 1e-12
+
+        def fails_for_2_7(model):
+            if (model.flux.p, model.q) == (2, 7):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return compute_one(model)
+
+        monkeypatch.setattr(butterfly, "compute_bands", fails_for_2_7)
+        diagram = build_diagram(cfg)
+        assert diagram.failures == ((2, 7, "LinAlgError: Eigenvalues did not converge"),)
+        assert [r for r in diagram.records if r.q == 7] == \
+            [r for r in good.records if r.q == 7 and r.p != 2]
 
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
@@ -268,6 +384,34 @@ class TestComputeBands:
             assert len(calls) == 1
             assert bands == tuple(zip(np.min(expected, axis=0).tolist(),
                                       np.max(expected, axis=0).tolist()))
+
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1, 1, 1)), (0.3, (1, 0.8, 0.6))])
+    def test_one_batched_eigensolve_per_denominator(self, monkeypatch, phi_d, t):
+        # every flux p/q of one q at the shared edge momenta (and probes):
+        # one hamiltonian_batch of shape (phi(q), 2 or 4, q, q), one
+        # eigvalsh, and each flux's bands those it has alone
+        for q in (5, 8, 12):
+            models = coprime_models(q, phi_d, t)
+            shapes = []
+            monkeypatch.setattr(spectrum, "hamiltonian_batch",
+                                lambda *a: shapes.append(hamiltonian_batch(*a).shape)
+                                or hamiltonian_batch(*a))
+            spectra = denominator_bands(models)
+            monkeypatch.undo()
+            assert shapes == [(len(models), 2 if phi_d == PHI_D_SYMMETRIC else 4, q, q)]
+            for model, spec in zip(models, spectra):
+                alone = np.array(compute_bands(model).bands)
+                assert np.abs(np.array(spec.bands) - alone).max() <= 1e-13
+            # a stack over EDGE_STACK_BYTES goes in slices that fit, here
+            # one flux each, with the same bands
+            monkeypatch.setattr(spectrum, "EDGE_STACK_BYTES", 1)
+            monkeypatch.setattr(spectrum, "hamiltonian_batch",
+                                lambda *a: shapes.append(len(a[0])) or hamiltonian_batch(*a))
+            sliced = denominator_bands(models)
+            monkeypatch.undo()
+            assert shapes[1:] == [1] * len(models)
+            for spec, alone in zip(spectra, sliced):
+                assert np.abs(np.array(spec.bands) - np.array(alone.bands)).max() <= 1e-13
 
 
 class TestComputeGaps:
