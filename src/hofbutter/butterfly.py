@@ -153,44 +153,50 @@ def _window_for(strategy: str, q: int):
     return None
 
 
-def _window_colored(records: list[GapRecord], flux: Flux,
-                    cfg: ButterflyConfig) -> list[GapRecord]:
-    """The gap records of one flux with the open interior gaps that the
-    resolver's window holds colored."""
+def _window_colors(records: list[GapRecord], flux: Flux, cfg: ButterflyConfig) -> dict:
+    """{j: (sigma, tag)} of the open interior gaps of one flux that the
+    resolver's window holds."""
     q = flux.q
     window = _window_for(cfg.resolver, q)
     if window is None:
-        return records
+        return {}
     tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
-    out = []
+    colors = {}
     for rec in records:
-        sigma = None
         if 0 < rec.j < q and not rec.closed:
             sigma = resolve_in_window(solve_residue(rec.j, flux), window)
-        out.append(rec if sigma is None else GapRecord(*rec[:8], sigma, tag))
-    return out
+            if sigma is not None:
+                colors[rec.j] = (sigma, tag)
+    return colors
 
 
-def _edge_sigmas(spectrum: BandSpectrum, cfg: ButterflyConfig) -> dict:
-    """{j: sigma} of the open gaps that the window leaves gray and the
-    edge-state winding certifies, from one ``edge_chern_table`` call;
-    empty unless ``cfg.reaches_edge(q)``."""
+def _flux_colors(spectrum: BandSpectrum, cfg: ButterflyConfig) -> Optional[dict]:
+    """{j: (sigma, tag)} of every gap of one flux that the resolver
+    colors, its window's and then, on the open gaps the window leaves
+    gray, those the edge-state winding certifies (one
+    ``edge_chern_table`` call, tagged ``edge_winding``); None unless
+    ``cfg.reaches_edge(q)``, for ``_flux_records`` to take the window
+    colors itself.  So each flux builds its window once."""
     model = spectrum.model
-    if not cfg.reaches_edge(model.q):
-        return {}
-    records = _window_colored(compute_gaps(spectrum, cfg.eps_gap), model.flux, cfg)
-    gray = [rec for rec in records if rec.chern is None and not rec.closed]
-    if not gray:
-        return {}
-    return {j: res.value for j, res in edge_chern_table(model, gray).items()
-            if res.value is not None}
+    q = model.q
+    if not cfg.reaches_edge(q):
+        return None
+    records = compute_gaps(spectrum, cfg.eps_gap)
+    colors = _window_colors(records, model.flux, cfg)
+    gray = [rec for rec in records
+            if 0 < rec.j < q and not rec.closed and rec.j not in colors]
+    if gray:
+        colors.update((j, (res.value, "edge_winding"))
+                      for j, res in edge_chern_table(model, gray).items()
+                      if res.value is not None)
+    return colors
 
 
 def _denominator_edges(args) -> list:
     """Worker for one denominator: per flux p/q of ``ps``, in that order,
-    its certified edge-winding values and its 2q band edges as packed
-    doubles (lo_1, hi_1, lo_2, ...), ``(edges, sigmas)``, or the
-    exception that failed the flux.
+    its 2q band edges as packed doubles (lo_1, hi_1, lo_2, ...) and its
+    ``_flux_colors``, ``(edges, colors)``, or the exception that failed
+    the flux.
 
     ``denominator_bands`` gives every flux its edges from one batched
     eigensolve.  A flux whose edges fail its own checks takes the dense
@@ -212,7 +218,7 @@ def _denominator_edges(args) -> list:
             elif isinstance(spectrum, BandOverlapError):
                 spectrum = compute_bands_dense(model)
             out.append((array("d", itertools.chain.from_iterable(spectrum.bands)),
-                        _edge_sigmas(spectrum, cfg)))
+                        _flux_colors(spectrum, cfg)))
         except Exception as exc:  # record, never abort the sweep
             out.append(exc)
     return out
@@ -220,17 +226,18 @@ def _denominator_edges(args) -> list:
 
 def _flux_records(flux: Flux, cfg: ButterflyConfig, entry) -> list[GapRecord]:
     """The records of one flux from its ``_denominator_edges`` entry:
-    gaps, window colors, then the certified edge-winding values tagged
-    ``edge_winding``.  An entry that is an exception is raised."""
+    its gaps with their colors, taken from the window here when the
+    entry holds none.  An entry that is an exception is raised."""
     if isinstance(entry, Exception):
         raise entry
-    edges, sigmas = entry
+    edges, colors = entry
     bands = tuple(zip(edges[0::2], edges[1::2]))
     model = HofstadterModel(flux, cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
-    records = _window_colored(compute_gaps(BandSpectrum(model, bands), cfg.eps_gap),
-                              flux, cfg)
-    return [GapRecord(*rec[:8], sigmas[rec.j], "edge_winding")
-            if rec.j in sigmas else rec for rec in records]
+    records = compute_gaps(BandSpectrum(model, bands), cfg.eps_gap)
+    if colors is None:
+        colors = _window_colors(records, flux, cfg)
+    return [GapRecord(*rec[:8], *colors[rec.j]) if rec.j in colors else rec
+            for rec in records]
 
 
 def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
@@ -258,10 +265,10 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     builtin ``map`` at jobs=1 and one ``pool.map`` of a process pool at
     jobs>1.  The fluxes are then assembled into records and yielded in
     Farey order.  Until its turn a flux is held only as its 2q band
-    edges and its certified edge-winding values, never as records, so
-    the output is deterministic for a fixed config regardless of
-    ``jobs``.  BLAS threads are not pinned; test_determinism_across_jobs
-    checks jobs=N.
+    edges and, if it reaches the edge-state winding, its colors, never
+    as records, so the output is deterministic for a fixed config
+    regardless of ``jobs``.  BLAS threads are not pinned;
+    test_determinism_across_jobs checks jobs=N.
     """
     fluxes = enumerate_fluxes(config.q_max)
     tasks = [(q, [p for p in range(1, q + 1) if math.gcd(p, q) == 1], config)

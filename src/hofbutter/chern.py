@@ -7,7 +7,9 @@ k1 the model is a chain in the row index, the eigenvalues of its
 number is the signed count of left-edge states crossing an energy
 inside it as k1 winds.  ``edge_chern_table`` finds every crossing as a
 unit-circle root of one quadratic pencil in z = e^{i k1}, with no k
-grid (notes/decisions.md, "Edge-state winding").
+grid: roots from companion eigenvalues alone, and a null vector only
+for the roots near the circle, by inverse iteration on the tridiagonal
+pencil (notes/decisions.md, "Edge-state winding").
 
 The independent oracle is the Fukui-Hatsugai-Suzuki plaquette
 (link-variable) discretization of the Berry curvature over the magnetic
@@ -379,21 +381,22 @@ def edge_chern_table(model: HofstadterModel, gaps) -> dict[int, EdgeResult]:
 
     ``gaps`` are gap records of this model's flux.  At each energy E of
     EDGE_FRACTIONS of a gap, the crossings mu(k1) = E of the Dirichlet
-    chain are the unit-circle roots z of the pencil z^2 A + z (B - E) +
-    A^H.  The pencil is mapped through z = (w + a)/(1 + conj(a) w), a =
-    EDGE_SHIFT, whose leading coefficient is invertible at t2 = 0 too,
-    and every gap and energy takes one 2(q-1) companion matrix of one
-    batched ``np.linalg.eig``; the roots within POLISH_BAND of the unit
-    circle take one ``_inverse_iteration`` step.  A crossing with null
-    vector x is a left-edge state when |c_q x_(q-1)| < |c_1 x_1|, c_1
-    and c_q the bonds to the cut row; the gap's value is the sum of
-    sign(d mu/dk1) over the left-edge crossings.  A value is kept only
-    when every root is within ON_CIRCLE_TOL of the unit circle or
-    OFF_CIRCLE_TOL off it, every crossing has |log|lambda|| >=
-    EDGE_SIDE_TOL and a nonzero slope, the energies agree, and sigma =
-    s*j (mod q).  Every open interior gap is in the table; those that
-    fail have value None and a reason (notes/decisions.md, "Edge-state
-    winding").
+    chain are the unit-circle roots z of the pencil P(z) = z^2 A +
+    z (B - E) + A^H.  The pencil is mapped through z = (w + a)/(1 +
+    conj(a) w), a = EDGE_SHIFT, whose leading coefficient is invertible
+    at t2 = 0 too, and every gap and energy takes one 2(q-1) companion
+    matrix of one batched ``np.linalg.eigvals``, roots without vectors.
+    Only the roots within POLISH_BAND of the unit circle take a null
+    vector, from inverse iteration on the tridiagonal P(z) itself, and
+    a Newton step (``_polish_roots``).  A crossing with null vector x is
+    a left-edge state when |c_q x_(q-1)| < |c_1 x_1|, c_1 and c_q the
+    bonds to the cut row; the gap's value is the sum of sign(d mu/dk1)
+    over the left-edge crossings.  A value is kept only when every root
+    is within ON_CIRCLE_TOL of the unit circle or OFF_CIRCLE_TOL off it,
+    every crossing has |log|lambda|| >= EDGE_SIDE_TOL and a nonzero
+    slope, the energies agree, and sigma = s*j (mod q).  Every open
+    interior gap is in the table; those that fail have value None and a
+    reason (notes/decisions.md, "Edge-state winding").
     """
     q = model.q
     recs = [r for r in gaps if 0 < r.j < q and not r.closed]
@@ -417,24 +420,24 @@ def edge_chern_table(model: HofstadterModel, gaps) -> dict[int, EdgeResult]:
         companion[..., n:, :] = -np.linalg.solve(lead, rhs)
     except np.linalg.LinAlgError:
         return {r.j: EdgeResult(r.j, None, (), (), 0.0, "singular pencil") for r in recs}
-    w, v = np.linalg.eig(companion)
+    w = np.linalg.eigvals(companion)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (w + a) / (1 + ac * w)   # inf for a root at w = -1/conj(a), z = infinity
-    x = np.swapaxes(v[..., :n, :], -1, -2)  # (gap, energy, root, row)
-    near = np.nonzero(np.abs(np.abs(z) - 1.0) < POLISH_BAND)
-    try:
-        z[near], x[near] = _inverse_iteration(A, BE[near[:2]], z[near], x[near])
-    except np.linalg.LinAlgError:
-        pass  # a root exact to the last bit; the thresholds judge it unpolished
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dist = np.abs(np.abs(z) - 1.0)
-        zc = z[..., None]
-        y = 1j * (zc * (x @ A.T) - np.conj(zc) * (x @ AH.T))
-        slope = (np.conj(x) * y).sum(-1).real / (np.abs(x) ** 2).sum(-1)
-        # log|lambda| of the Bloch multiplier -c_q x_(q-1) / (conj(c_1) x_1)
-        c_q = M1[0, q - 1] + z * M2[0, q - 1]
-        c_1 = M1[1, 0] + z * M2[1, 0]
-        log_lam = np.log(np.abs(c_q * x[..., n - 1])) - np.log(np.abs(c_1 * x[..., 0]))
+    # a root outside POLISH_BAND is off the circle: it has no slope and no side
+    near = np.nonzero(dist < POLISH_BAND)
+    zn, x = _polish_roots(A, B, energies[near[:2]], z[near])
+    dist[near] = np.abs(np.abs(zn) - 1.0)
+    zc = zn[:, None]
+    y = 1j * (zc * (x @ A.T) - np.conj(zc) * (x @ AH.T))
+    slope = np.zeros(dist.shape)
+    slope[near] = (np.conj(x) * y).sum(-1).real / (np.abs(x) ** 2).sum(-1)
+    # log|lambda| of the Bloch multiplier -c_q x_(q-1) / (conj(c_1) x_1)
+    c_q = M1[0, q - 1] + zn * M2[0, q - 1]
+    c_1 = M1[1, 0] + zn * M2[1, 0]
+    log_lam = np.zeros(dist.shape)
+    with np.errstate(divide="ignore"):
+        log_lam[near] = np.log(np.abs(c_q * x[:, n - 1])) - np.log(np.abs(c_1 * x[:, 0]))
     on = dist <= ON_CIRCLE_TOL
     left = on & (log_lam < 0)
     counts = np.where(left, np.sign(slope), 0).sum(-1).astype(int)
@@ -460,17 +463,132 @@ def edge_chern_table(model: HofstadterModel, gaps) -> dict[int, EdgeResult]:
     return out
 
 
-def _inverse_iteration(A, BE, z, x):
-    """One Newton step on P(z) x = 0 for stacked roots z with vectors x,
-    P(z) = z^2 A + z BE + A^H: u = P(z)^-1 P'(z) x, then z - x^H x / x^H u
-    and u / |u|.  The companion's roots carry the condition of its
-    leading coefficient, up to 1e-6 off the circle for crossings on it;
-    the step leaves them within about 4e-11."""
-    zc = z[:, None, None]
-    u = np.linalg.solve(zc * zc * A + zc * BE + A.conj().T,
-                        (2 * zc * A + BE) @ x[..., None])[..., 0]
-    z = z - (np.abs(x) ** 2).sum(-1) / (np.conj(x) * u).sum(-1)
-    return z, u / np.linalg.norm(u, axis=-1, keepdims=True)
+def _polish_roots(A, B, E, z):
+    """Roots z of P(z) = z^2 A + z (B - E) + A^H, one energy of E each,
+    after a Newton step, and their unit null vectors, shape (root, row).
+
+    Each root takes one LU of the tridiagonal P(z), O(q).  The start
+    vector solves U x = (1, ..., 1), the first step of LAPACK's inverse
+    iteration, and the Newton step reuses the LU.  The companion's
+    roots carry the condition of its leading coefficient, up to 1e-6
+    off the circle for crossings on it; the step leaves those of the
+    reference set within 6e-13.  The roots it leaves between
+    ON_CIRCLE_TOL and OFF_CIRCLE_TOL, slow crossings in narrow gaps,
+    take a second step from a fresh LU.
+    """
+    lu = _pencil_lu(A, B, E, z)
+    x = _unit(_back_substitute(lu, np.ones_like(lu[2])))
+    z, x = _newton_step(A, B, E, z, x, lu)
+    dist = np.abs(np.abs(z) - 1.0)
+    again = (dist > ON_CIRCLE_TOL) & (dist < OFF_CIRCLE_TOL)
+    if again.any():
+        z[again], x[:, again] = _newton_step(A, B, E[again], z[again], x[:, again],
+                                             _pencil_lu(A, B, E[again], z[again]))
+    return z, x.T
+
+
+def _newton_step(A, B, E, z, x, lu):
+    """One Newton step on P(z) x = 0 from unit vectors x, row-first, with
+    ``lu`` the ``_pencil_lu`` of P(z): u = P(z)^-1 P'(z) x, then
+    z - x^H x / x^H u and u / |u|.  A root whose correction is not
+    finite, such as the 0/0 of an exact root, keeps its z and x."""
+    u = _tridiagonal_solve(lu, _tridiagonal_matvec(*_pencil_diagonals(A, B, E, z, True), x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (np.abs(x) ** 2).sum(0) / (np.conj(x) * u).sum(0)
+        u = _unit(u)
+    ok = np.isfinite(step) & np.isfinite(u).all(0)
+    return np.where(ok, z - step, z), np.where(ok, u, x)
+
+
+def _pencil_diagonals(A, B, E, z, derivative=False):
+    """(sub, main, super) diagonals of P(z) = z^2 A + z (B - E) + A^H,
+    or of P'(z) = 2 z A + B - E, for roots z with energies E; row-first,
+    shape (row, root)."""
+    ca, cb, ch = (2 * z, 1.0, 0.0) if derivative else (z * z, z, 1.0)
+    AH = A.conj().T
+    dl, d, du = (ca * np.diagonal(A, k)[:, None] + cb * np.diagonal(B, k)[:, None]
+                 + ch * np.diagonal(AH, k)[:, None] for k in (-1, 0, 1))
+    return dl, d - cb * E, du
+
+
+def _pencil_lu(A, B, E, z):
+    """``_tridiagonal_lu`` of P(z) per root.  The pivot floor is eps
+    times (1 + |z|^2) |A| + |z| (|B| + |E|), in max-entry norms: a bound
+    on ||P(z)|| that stays positive at an exact root of a 1 x 1 P."""
+    r = np.abs(z)
+    norm = (1 + r * r) * np.abs(A).max() + r * (np.abs(B).max() + np.abs(E))
+    return _tridiagonal_lu(*_pencil_diagonals(A, B, E, z), np.finfo(float).eps * norm)
+
+
+def _tridiagonal_lu(dl, d, du, tol):
+    """LU with partial pivoting of stacked tridiagonal matrices, as
+    LAPACK's zgttrf.
+
+    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonals,
+    row-first: shapes (n-1, m), (n, m) and (n-1, m) for m matrices.
+    Returns (swap, l, u0, u1, u2): step i swaps rows i and i+1 where
+    swap[i] and subtracts l[i] times row i from row i+1; U has the
+    diagonals u0, u1 and u2.  As in inverse iteration, a pivot smaller
+    than ``tol`` (one per matrix) is replaced by it, so a singular
+    matrix factors too and its solves are large but finite.
+    """
+    n = len(d)
+    u0 = d.astype(complex)
+    u1 = np.zeros_like(u0)
+    u2 = np.zeros_like(u0)
+    u1[:-1] = du
+    swap = np.zeros(dl.shape, dtype=bool)
+    l = np.zeros_like(u1[:-1])
+    for i in range(n - 1):
+        r0, r1 = u0[i], u1[i]                      # row i, columns i and i+1
+        s0, s1, s2 = dl[i], u0[i + 1], u1[i + 1]   # row i+1, columns i to i+2
+        sw = swap[i] = np.abs(s0) > np.abs(r0)
+        p0 = np.where(sw, s0, r0)
+        p0 = np.where(np.abs(p0) < tol, tol, p0)
+        l[i] = np.where(sw, r0, s0) / p0
+        p1, o1 = np.where(sw, s1, r1), np.where(sw, r1, s1)
+        p2, o2 = np.where(sw, s2, 0), np.where(sw, 0, s2)
+        u0[i], u1[i], u2[i] = p0, p1, p2
+        u0[i + 1], u1[i + 1] = o1 - l[i] * p1, o2 - l[i] * p2
+    u0[-1] = np.where(np.abs(u0[-1]) < tol, tol, u0[-1])
+    return swap, l, u0, u1, u2
+
+
+def _tridiagonal_solve(lu, b):
+    """x with P x = b for the ``_tridiagonal_lu`` factors of P; b is
+    row-first, shape (n, m)."""
+    swap, l = lu[:2]
+    y = b.astype(complex)
+    for i in range(len(l)):
+        lo = np.where(swap[i], y[i + 1], y[i])
+        y[i + 1] = np.where(swap[i], y[i], y[i + 1]) - l[i] * lo
+        y[i] = lo
+    return _back_substitute(lu, y)
+
+
+def _back_substitute(lu, y):
+    """x with U x = y for the ``_tridiagonal_lu`` factors; row-first."""
+    u0, u1, u2 = lu[2:]
+    n = len(y)
+    x = np.zeros((n + 2,) + y.shape[1:], dtype=complex)  # two zero rows below
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+    return x[:n]
+
+
+def _tridiagonal_matvec(dl, d, du, x):
+    """P x for the diagonals of P, row-first."""
+    y = d * x
+    y[:-1] += du * x[1:]
+    y[1:] += dl * x[:-1]
+    return y
+
+
+def _unit(x):
+    """The columns of x at unit norm, each scaled by its largest entry
+    first, so the norm cannot overflow."""
+    x = x / np.abs(x).max(0)
+    return x / np.linalg.norm(x, axis=0)
 
 
 def edge_chern(model: HofstadterModel, gaps,

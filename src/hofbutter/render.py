@@ -24,8 +24,7 @@ NEUTRAL = (245, 245, 245)   # sigma = 0
 SENTINEL = (128, 128, 128)  # unresolved
 SATURATION = 0.88
 VALUE = 0.95
-LUT_ROWS = 64  # rows per palette lookup; bounds its intp index temporary
-PAINT_BLOCK = 1024  # records per .tolist() gather of the paint loop
+PAINT_BLOCK = 1024  # records per slice-end block and per .tolist() gather
 
 
 def chern_color(sigma, period: int) -> tuple:
@@ -61,18 +60,37 @@ def _row_bounds(p: int, q: int, height: int, thickness: Fraction):
     return spans
 
 
-def _paint(records, config: ButterflyConfig):
-    """Palette-code canvas of the records, the code of each Chern value
+def _columns(records, config: ButterflyConfig):
+    """Packed paint columns of the records, the code of each Chern value
     and the largest |sigma|.
 
-    The records are streamed once into packed columns, then painted in
-    stable descending-q order: the last write to a pixel comes from the
-    lowest q and, among equal q, from the later record, whatever the
-    record order.  Code 0 is unpainted; the others follow first use.
+    The columns are (q, p, first pixel column, end pixel column, palette
+    code) of every open gap that paints a pixel column, as int32 and
+    uint16 arrays.  The records are streamed once into a block of
+    PAINT_BLOCK open gaps (q, p, lo, hi, code); each full block takes
+    its column slices from one ``searchsorted`` per end and hands the
+    gaps whose slice is not empty to the columns, with the int32 slice
+    ends in place of lo and hi.  Codes count from 0 in order of first
+    use.
     """
-    qs, ps, los, his, marks = (array("i"), array("i"), array("d"), array("d"),
-                               array("H"))
+    columns = (array("i"), array("i"), array("i"), array("i"), array("H"))
+    block = (array("i"), array("i"), array("d"), array("d"), array("H"))
+    qs, ps, los, his, marks = block
     codes, biggest = {}, 1  # chern -> palette code
+    width, emax = config.mu_bins, config.energy_clamp
+    # strictly increasing and inside (-emax, emax), so the columns inside
+    # [lo, hi] are one searchsorted slice, also for ends past the clamp
+    centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
+
+    def flush():
+        q, p, lo, hi, code = map(np.array, block)
+        c0, c1 = centers.searchsorted(lo, "left"), centers.searchsorted(hi, "right")
+        keep = c0 < c1
+        for col, values in zip(columns, (q, p, c0, c1, code)):
+            col.frombytes(values[keep].astype(col.typecode).tobytes())
+        for buffer in block:
+            del buffer[:]
+
     for rec in records:
         if rec.chern:
             biggest = max(biggest, abs(rec.chern))
@@ -82,29 +100,11 @@ def _paint(records, config: ButterflyConfig):
         ps.append(rec.p)
         los.append(rec.lo)
         his.append(rec.hi)
-        marks.append(codes.setdefault(rec.chern, len(codes) + 1))
-    height, width, emax = config.height, config.mu_bins, config.energy_clamp
-    # strictly increasing and inside (-emax, emax), so the columns inside
-    # [lo, hi] are one searchsorted slice, also for ends past the clamp
-    centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
-    c0 = centers.searchsorted(np.frombuffer(los), "left")
-    c1 = centers.searchsorted(np.frombuffer(his), "right")
-    qcol = np.frombuffer(qs, dtype=np.int32)
-    painted = np.flatnonzero(c0 < c1)
-    order = painted[np.argsort(-qcol[painted], kind="stable")]
-    columns = (qcol, np.frombuffer(ps, dtype=np.int32), c0, c1,
-               np.frombuffer(marks, dtype=np.uint16))
-    labels = np.zeros((height, width), dtype=np.uint16)
-    scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
-    spans = {}  # (p, q) -> row spans
-    for start in range(0, len(order), PAINT_BLOCK):
-        block = order[start:start + PAINT_BLOCK]
-        for q, p, a, b, code in zip(*(col[block].tolist() for col in columns)):
-            if (p, q) not in spans:
-                spans[p, q] = _row_bounds(p, q, height, max(scale / q, Fraction(1)))
-            for y0, y1 in spans[p, q]:
-                labels[y0:y1 + 1, a:b] = code
-    return labels, codes, biggest
+        marks.append(codes.setdefault(rec.chern, len(codes)))
+        if len(qs) == PAINT_BLOCK:
+            flush()
+    flush()
+    return tuple(np.frombuffer(col, dtype=col.typecode) for col in columns), codes, biggest
 
 
 def render(records, config: ButterflyConfig) -> bytearray:
@@ -114,17 +114,28 @@ def render(records, config: ButterflyConfig) -> bytearray:
     dominate visually; equal q overwrites (rows of equal q never
     overlap in a sweep).  The result depends on the records and the
     config, not on the record order.  The palette period depends on the
-    largest |sigma| of all records, painted or not, so colors are
-    assigned only after the last record.
+    largest |sigma| of all records, painted or not, so the records are
+    streamed into packed columns first (``_columns``) and painted after
+    the last one, when the palette is fixed: in stable descending-q
+    order, each record's RGB straight into the pixels of the PPM
+    buffer.  The last write to a pixel comes from the lowest q and,
+    among equal q, from the later record, whatever the record order.
     """
-    labels, codes, biggest = _paint(records, config)
+    columns, codes, biggest = _columns(records, config)
     period = config.colormap_period or 2 * biggest + 1
-    lut = np.zeros((len(codes) + 1, 3), dtype=np.uint8)
-    for sigma, code in codes.items():
-        lut[code] = chern_color(sigma, period)
-    data, pixels = _ppm_buffer(*labels.shape)
-    for y in range(0, len(labels), LUT_ROWS):
-        pixels[y:y + LUT_ROWS] = lut[labels[y:y + LUT_ROWS]]
+    rgb = [np.array(chern_color(sigma, period), dtype=np.uint8) for sigma in codes]
+    height = config.height
+    data, pixels = _ppm_buffer(height, config.mu_bins)
+    order = np.argsort(-columns[0], kind="stable")
+    scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
+    spans = {}  # (p, q) -> row spans
+    for start in range(0, len(order), PAINT_BLOCK):
+        block = order[start:start + PAINT_BLOCK]
+        for q, p, a, b, code in zip(*(col[block].tolist() for col in columns)):
+            if (p, q) not in spans:
+                spans[p, q] = _row_bounds(p, q, height, max(scale / q, Fraction(1)))
+            for y0, y1 in spans[p, q]:
+                pixels[y0:y1 + 1, a:b] = rgb[code]
     return data
 
 

@@ -343,20 +343,34 @@ class TestEdgeWinding:
     """Edge-state winding against FHS tables computed without the program,
     against FHS itself, and against the exact inversion symmetry."""
 
-    def test_reference_table(self):
+    def test_reference_table(self, monkeypatch):
         # every gap of the three benchmark models, 1,607 in all, among them
         # 7/15 j = 5 (sigma = -10) and the anisotropic 3/8 j = 4, which no
-        # FHS grid up to 256 of the program certifies
+        # FHS grid up to 256 of the program certifies; the roots come
+        # without eigenvectors, and no step divides by zero, overflows or
+        # underflows
+        def no_eigenvectors(*args):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eigenvectors)
         with open(REFERENCE_CHERN) as fh:
             models = json.load(fh)["models"]
         checked = 0
         for spec in models.values():
             for key, entry in spec["fluxes"].items():
                 p, q = map(int, key.split("/"))
-                table = _edge_table(HofstadterModel(Flux(p, q), spec["phi_d"], *spec["t"]))
+                with np.errstate(all="raise"):
+                    table = _edge_table(HofstadterModel(Flux(p, q), spec["phi_d"], *spec["t"]))
                 assert {str(j): r.value for j, r in table.items()} == entry["sigma"], key
                 checked += len(entry["sigma"])
         assert checked == 1607
+
+    @pytest.mark.parametrize("phi_d,t,value", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0), 1),
+                                               (PI / 2, (1.0, 0.8, 0.6), -1)])
+    def test_one_row_chain(self, phi_d, t, value):
+        # 1/2 cuts to a 1 x 1 chain, whose roots eigvals may give exactly
+        res = chern.edge_chern(HofstadterModel(Flux(1, 2), phi_d, *t), (1,))[1]
+        assert res.value == value and res.crossings == (1, 1, 1)
 
     @pytest.mark.parametrize("hopping", ["t2", "t3"])
     def test_equals_fhs_without_a_hopping(self, hopping):
@@ -412,15 +426,41 @@ class TestEdgeWinding:
         assert table and all(r.value is None and r.reason == "singular pencil"
                              for r in table.values())
 
-    def test_unpolished_roots_are_judged_as_they_are(self, monkeypatch):
-        # a root exact to the last bit makes P(z) singular; the table then
-        # judges the companion's roots unpolished instead of failing the flux
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
+    def test_exact_roots_keep_their_place(self, monkeypatch):
+        # roots polished once are exact to the last bit, so P(z) is singular;
+        # the pivot floor factors it and a second polish keeps every value
+        polish = chern._polish_roots
+
+        def twice(A, B, E, z):
+            return polish(A, B, E, polish(A, B, E, z)[0])
 
         model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
-        monkeypatch.setattr(chern, "_inverse_iteration", singular)
-        assert {j: r.value for j, r in _edge_table(model).items()} == TRIANGULAR_TABLES[(2, 5)]
+        monkeypatch.setattr(chern, "_polish_roots", twice)
+        with np.errstate(all="raise"):
+            table = _edge_table(model)
+        assert {j: r.value for j, r in table.items()} == TRIANGULAR_TABLES[(2, 5)]
+
+    @pytest.mark.parametrize("p,q,j,phi_d,sigma", [(2, 23, 1, PHI_D_SYMMETRIC, -11),
+                                                   (21, 23, 22, PHI_D_SYMMETRIC, -11),
+                                                   (19, 21, 20, 0.3, -10),
+                                                   (2, 21, 1, PI - 0.3, -10)])
+    def test_narrow_gap_takes_a_second_step(self, p, q, j, phi_d, sigma):
+        # gaps 2e-7 and 7.8e-7 wide whose slow crossings one Newton step
+        # leaves between ON_CIRCLE_TOL and OFF_CIRCLE_TOL; in pairs of
+        # inversion partners, the partner of p/q at phi_d being (q-p)/q at
+        # pi - phi_d
+        model = HofstadterModel(Flux(p, q), phi_d)
+        gap = compute_gaps(compute_bands_or_dense(model))[j]
+        assert chern.edge_chern_table(model, [gap])[j].value == sigma
+
+    @pytest.mark.parametrize("b,root", [(-2.5, 2.0), (-2.0, 1.0)])
+    def test_exact_root_of_a_one_row_pencil(self, b, root):
+        # P(z) = z^2 + b z + 1 is exactly 0 at the root; at the double root
+        # z = 1 also P'(z) = 0, and the 0/0 correction is skipped
+        A, B = np.array([[1.0 + 0j]]), np.array([[b + 0j]])
+        with np.errstate(all="raise"):
+            z, x = chern._polish_roots(A, B, np.zeros(1), np.array([root + 0j]))
+        assert abs(z[0] - root) <= 1e-14 and np.allclose(np.abs(x), 1.0)
 
     @pytest.mark.parametrize("name,value", [("ON_CIRCLE_TOL", 0.0),
                                             ("OFF_CIRCLE_TOL", 10.0),
@@ -458,3 +498,43 @@ class TestEdgeWinding:
             j: chern.EdgeResult(j, 0, (), (), math.inf) for j in (0, 3)}
         with pytest.raises(GapClosed):
             chern.edge_chern(model, (2,))
+
+
+def _dense(dl, d, du):
+    """The stacked dense matrices, (matrix, row, column), of row-first
+    tridiagonals."""
+    return np.stack([np.diag(d[:, r]) + np.diag(dl[:, r], -1) + np.diag(du[:, r], 1)
+                     for r in range(d.shape[1])])
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_equals_dense_solve(self, n):
+        # row-first stacks of m = 5 matrices; in two of them, for n > 1, the
+        # leading pivot is zero, so the first step must swap rows
+        rng = np.random.default_rng(n)
+        dl, d, du, b = (rng.normal(size=(k, 5)) + 1j * rng.normal(size=(k, 5))
+                        for k in (n - 1, n, n - 1, n))
+        if n > 1:
+            d[0, :2] = 0
+        lu = chern._tridiagonal_lu(dl, d, du, np.zeros(5))
+        x = chern._tridiagonal_solve(lu, b)
+        expected = np.linalg.solve(_dense(dl, d, du), b.T[..., None])[..., 0].T
+        assert np.allclose(x, expected, rtol=0, atol=1e-12)
+        assert np.allclose(chern._tridiagonal_matvec(dl, d, du, x), b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_singular_matrix_gives_a_null_vector(self, n):
+        # n = 1: P = 0; n = 2: [[1, 1], [1, 1]]; n = 8: column 3 is zero
+        dl, d, du = np.ones(n - 1, complex), np.ones(n, complex), np.ones(n - 1, complex)
+        if n == 1:
+            d[0] = 0
+        if n == 8:
+            d = np.arange(1, 9) + 1j
+            du[2] = d[3] = dl[3] = 0
+        dl, d, du = dl[:, None], d[:, None], du[:, None]
+        with np.errstate(all="raise"):
+            lu = chern._tridiagonal_lu(dl, d, du, np.full(1, 1e-16))
+            x = chern._unit(chern._back_substitute(lu, np.ones((n, 1), complex)))
+        assert np.isfinite(x).all() and np.isclose(np.linalg.norm(x), 1.0)
+        assert np.abs(chern._tridiagonal_matvec(dl, d, du, x)).max() <= 1e-12

@@ -198,9 +198,10 @@ class TestMatchesMaskRasterizer:
 
 def test_render_jsonl_memory_peak(tmp_path):
     """The Python-level peak of render_jsonl on the q_max 40 sweep at
-    phi_d = -pi/2: the 2 MB code canvas, the 3 MB PPM buffer and the
-    per-block temporaries.  An owner-sized buffer (4 MB) or a second
-    copy of the image (3 MB) would not fit under the bound."""
+    phi_d = -pi/2, 3.46 MB: the 3 MB PPM buffer, the packed columns and
+    the per-block temporaries.  A uint16 code canvas (2 MB), an
+    owner-sized buffer (4 MB) or a second copy of the image (3 MB)
+    would not fit under the bound, the peak plus 10 %."""
     cfg = ButterflyConfig(q_max=40, phi_d=PHI_D_SYMMETRIC, computed_q_max=0)
     path = str(tmp_path / "records.jsonl")
     sweep_to_jsonl(cfg, path)
@@ -211,4 +212,4 @@ def test_render_jsonl_memory_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(data) == len(b"P6\n1024 1024\n255\n") + 1024 * 1024 * 3
-    assert peak <= 5.6 * 2**20
+    assert peak <= 3.8 * 2**20
