@@ -106,6 +106,8 @@ class ButterflyConfig:
             raise ValueError("height must be >= 1")
         if not math.isfinite(self.row_scale):
             raise ValueError(f"row_scale must be finite, got {self.row_scale}")
+        if self.colormap_period is not None and self.colormap_period < 1:
+            raise ValueError(f"colormap_period must be >= 1, got {self.colormap_period}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.resolver not in RESOLVERS:

@@ -148,6 +148,26 @@ def build_hamiltonian(model: HofstadterModel, k) -> np.ndarray:
     return hamiltonian_batch(model, *k)
 
 
+def _bloch_entries(model, k1, k2):
+    """The O(q) entries of H(k) that both assemblies read: (single, hop,
+    diag), with the hops h_i at (i, i-1) and the diagonal of A in the last
+    axis (see hamiltonian_batch), and ``single`` whether ``model`` is one
+    model rather than a sequence of models of one q."""
+    single = isinstance(model, HofstadterModel)
+    models = [model] if single else model
+    q = models[0].q
+    k1 = np.asarray(k1, dtype=float)[..., None]
+    k2 = np.asarray(k2, dtype=float)[..., None]
+    # per-model factors on a leading axis, broadcast against the momenta
+    axes = (len(models),) + (1,) * (np.broadcast(k1, k2).ndim - 1)
+    s = np.array([_clock(m.flux) for m in models]).reshape(axes + (q,))
+    t1, t2, t3w = (np.array(t).reshape(axes + (1,)) for t in zip(
+        *((m.t1, m.t2, m.t3 * m.omega_u) for m in models)))
+    hop = np.exp(1j * k2) * t1 + np.exp(1j * (k1 + k2)) * (t3w * s[..., np.arange(q) - 1])
+    diag = np.exp(1j * k1) * (t2 * s)
+    return single, hop, diag
+
+
 def hamiltonian_batch(model, k1, k2) -> np.ndarray:
     """H evaluated on broadcastable arrays of momenta; shape (..., q, q).
 
@@ -159,26 +179,18 @@ def hamiltonian_batch(model, k1, k2) -> np.ndarray:
     (see _hopping_terms) is periodic tridiagonal: A holds the hops
     h_i = e^{i k2} t1 + e^{i(k1+k2)} t3 w_u s_(i-1) at (i, i-1), the corner
     (0, q-1) included, and e^{i k1} t2 s_i on its diagonal, with s the
-    clock diagonal.  Only these O(q) entries are written, each by the
-    floating-point operations of the dense sum, so the values are the
-    dense form's (only the sign of an exact zero can differ).  For q > 2
-    H is written directly, one allocation a call, not summed as
-    A + A^dagger (see notes/decisions.md, "Two edge momenta, H from its
-    diagonals").
+    clock diagonal.  Only these O(q) entries (_bloch_entries) are
+    written, each by the floating-point operations of the dense sum, so
+    the values are the dense form's (only the sign of an exact zero can
+    differ).  For q > 2 H is written directly, one allocation a call, not
+    summed as A + A^dagger (see notes/decisions.md, "Two edge momenta, H
+    from its diagonals").  The band edges take the real form of H,
+    jacobi_batch; this complex form serves momenta where that does not
+    apply.
     """
-    single = isinstance(model, HofstadterModel)
-    models = [model] if single else model
-    q = models[0].q
+    single, hop, diag = _bloch_entries(model, k1, k2)
+    q = hop.shape[-1]
     i = np.arange(q)
-    k1 = np.asarray(k1, dtype=float)[..., None]
-    k2 = np.asarray(k2, dtype=float)[..., None]
-    # per-model factors on a leading axis, broadcast against the momenta
-    axes = (len(models),) + (1,) * (np.broadcast(k1, k2).ndim - 1)
-    s = np.array([_clock(m.flux) for m in models]).reshape(axes + (q,))
-    t1, t2, t3w = (np.array(t).reshape(axes + (1,)) for t in zip(
-        *((m.t1, m.t2, m.t3 * m.omega_u) for m in models)))
-    hop = np.exp(1j * k2) * t1 + np.exp(1j * (k1 + k2)) * (t3w * s[..., i - 1])
-    diag = np.exp(1j * k1) * (t2 * s)
     H = np.zeros(hop.shape[:-1] + (q, q), dtype=complex)
     if q > 2:  # hops, their conjugates and the diagonal fill distinct entries
         H[..., i, i - 1] = hop
@@ -190,6 +202,40 @@ def hamiltonian_batch(model, k1, k2) -> np.ndarray:
         H[..., i, i] += diag
         H = H + np.conj(np.swapaxes(H, -1, -2))
     return H[0] if single else H
+
+
+def jacobi_batch(model, k1, k2) -> np.ndarray:
+    """The real symmetric periodic Jacobi matrix J that H gauges to, on
+    the momenta and models of hamiltonian_batch; float64, same shape.
+
+    The diagonal gauge d_i = d_(i-1) h_i / |h_i| turns the hops into
+    |h_i| and leaves the loop phase, that of L = h_0 h_1 ... h_(q-1), on
+    the corner.  Where L is real, as at the extremal momenta of det H
+    (notes/decisions.md, "Real band edges"), J is H in that gauge, with
+    diagonal 2 Re(e^{i k1} t2 s_i), hops |h_i| and corner
+    sign(Re L) |h_0|.  Elsewhere L sits at an angle theta off the real
+    axis and J is H(k1, k2 - theta/q) in that gauge, since a shift of k2
+    turns every hop by the same phase and leaves the diagonal.  So the
+    eigenvalues of J are always those of H at some momentum.  At q <= 2
+    no loop is left: J holds the diagonal of H and the modulus of its
+    one off-diagonal entry, so it is H in a gauge at every momentum.
+    """
+    single, hop, diag = _bloch_entries(model, k1, k2)
+    q = hop.shape[-1]
+    i = np.arange(q)
+    J = np.zeros(hop.shape[:-1] + (q, q))
+    J[..., i, i] = 2.0 * diag.real
+    if q > 2:
+        off = np.abs(hop)
+        # Re L < 0 exactly where the summed phases of the hops point left
+        off[..., 0] = np.copysign(off[..., 0], np.cos(np.angle(hop).sum(axis=-1)))
+        J[..., i, i - 1] = off
+        J[..., i - 1, i] = off
+    elif q == 2:  # both hops land on one entry of H, h_1 + conj(h_0)
+        J[..., 1, 0] = J[..., 0, 1] = np.abs(hop[..., 1] + np.conj(hop[..., 0]))
+    else:  # q = 1: the hop lands on the diagonal
+        J[..., 0, 0] += 2.0 * hop[..., 0].real
+    return J[0] if single else J
 
 
 def hamiltonian_derivatives(model: HofstadterModel, k) -> tuple[np.ndarray, np.ndarray]:

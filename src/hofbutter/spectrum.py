@@ -8,7 +8,9 @@ those momenta for the square limit and the isotropic model at phi_d =
 That part does not depend on p, so all fluxes p/q of one denominator
 share their two edge momenta, and ``denominator_bands`` takes the band
 edges of all of them from one batched eigensolve; ``compute_bands`` is
-its one-flux case.
+its one-flux case.  At those momenta the loop phase of the hops of H is
+real, so H gauges to a real symmetric periodic Jacobi matrix
+(``jacobi_batch``), and the edge eigensolves are real ones.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .magnetic_algebra import (
     _is_half_pi,
     build_hamiltonian,
     hamiltonian_batch,
+    jacobi_batch,
 )
 
 CHAMBERS_REL_TOL = 1e-9
@@ -35,9 +38,10 @@ GAP_EPS_DEFAULT = 1e-8
 CONTAINMENT_REL_TOL = 1e-9
 EDGE_GRID = 256  # samples of y = q k2 that locate the peaks before bisection
 REFINE_ROUNDS, REFINE_POINTS = 14, 7  # shrinking grids of compute_bands_dense
-# bytes of the largest H stack that denominator_bands diagonalizes in one
-# call: one call per q up to q ~ 47, and a q_max 128 sweep's peak RSS stays
-# near that of one flux at a time (notes/decisions.md)
+# bytes of the largest stacks (J at the edges, H at the probes) that
+# denominator_bands diagonalizes in one call: one call per q up to q = 66
+# (46 with probes), and a q_max 128 sweep's peak RSS stays near that of
+# one flux at a time (notes/decisions.md)
 EDGE_STACK_BYTES = 1 << 22
 # (k1s, k2s) of two generic momenta at which denominator_bands checks searched
 # edges; plain literals, as an rng here would import numpy.random
@@ -265,10 +269,12 @@ class GapRecord(NamedTuple):
 
 def denominator_bands(models) -> list:
     """Band intervals of fluxes p/q that share q, phi_d and the hoppings,
-    from one batched eigensolve: H of every flux at the two band-edge
-    momenta of the denominator, plus the two probe momenta when the
-    edges were searched, in one (len(models), 2 or 4, q, q) stack.  A
-    stack over EDGE_STACK_BYTES is solved in slices of fluxes that fit.
+    from one batched real eigensolve: J (jacobi_batch) of every flux at
+    the two band-edge momenta of the denominator, a float64
+    (len(models), 2, q, q) stack.  When the edges were searched, H at
+    the two probe momenta follows as a complex stack of the same shape.
+    Stacks over EDGE_STACK_BYTES together are solved in slices of fluxes
+    that fit.
 
     Each flux keeps its own checks, so its entry is its BandSpectrum, or
     the error its own edges raised: BandOverlapError if its intervals
@@ -278,20 +284,20 @@ def denominator_bands(models) -> list:
     """
     pts = band_edge_kpoints(models[0])
     probed = not _edges_in_closed_form(models[0])
-    k1s, k2s = zip(*pts)
-    if probed:
-        k1s, k2s = k1s + _PROBE_K[0], k2s + _PROBE_K[1]
     q = models[0].q
-    per_call = max(1, EDGE_STACK_BYTES // (16 * len(k1s) * q * q))
-    evs = np.concatenate([
-        np.linalg.eigvalsh(hamiltonian_batch(models[i:i + per_call], k1s, k2s))
-        for i in range(0, len(models), per_call)])
+    # a flux adds 8 bytes an entry of J and 16 an entry of a probe H
+    per_flux = (8 * len(pts) + 16 * len(_PROBE_K[0]) * probed) * q * q
+    per_call = max(1, EDGE_STACK_BYTES // per_flux)
+    slices = [models[i:i + per_call] for i in range(0, len(models), per_call)]
+    evs = np.concatenate([np.linalg.eigvalsh(jacobi_batch(s, *zip(*pts)))
+                          for s in slices])
     # + 0.0 turns an edge of -0.0 (all-zero hoppings) into 0.0
-    los = evs[:, :len(pts)].min(axis=1) + 0.0
-    his = evs[:, :len(pts)].max(axis=1) + 0.0
+    los = evs.min(axis=1) + 0.0
+    his = evs.max(axis=1) + 0.0
     overlap = his[:, :-1] > los[:, 1:] + BAND_OVERLAP_TOL
     if probed:
-        probe = evs[:, len(pts):]
+        probe = np.concatenate([np.linalg.eigvalsh(hamiltonian_batch(s, *_PROBE_K))
+                                for s in slices])
         outside = np.maximum(los[:, None] - probe, probe - his[:, None])
         tol = CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))
         missed = (outside > tol).any(axis=(1, 2))

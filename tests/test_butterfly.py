@@ -83,6 +83,11 @@ class TestConfig:
                     {"eps_gap": -1e-9}, {"eps_gap": math.inf}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ButterflyConfig(**bad)
+        # a period of 0 rendered the default and a negative one reversed the hues
+        for period in (0, -3):
+            with pytest.raises(ValueError, match="colormap_period"):
+                ButterflyConfig(colormap_period=period)
+        assert ButterflyConfig(colormap_period=1).colormap_period == 1
 
     @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
     def test_reaches_edge(self, resolver):

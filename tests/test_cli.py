@@ -310,6 +310,9 @@ class TestButterfly:
         # these flagged every gap open, closed ones included
         (["--eps-gap", "nan"], "eps_gap must be finite and >= 0, got nan"),
         (["--eps-gap=-1"], "eps_gap must be finite and >= 0, got -1.0"),
+        # 0 rendered the default period and a negative one reversed the hues
+        (["--colormap-period", "0"], "colormap_period must be >= 1, got 0"),
+        (["--colormap-period", "-3"], "colormap_period must be >= 1, got -3"),
     ])
     def test_bad_config_rejected_before_sweep(self, tmp_path, capsys, monkeypatch,
                                               flags, message):

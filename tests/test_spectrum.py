@@ -27,7 +27,7 @@ from hofbutter import (
     spectrum_to_json,
 )
 from hofbutter import butterfly, spectrum
-from hofbutter.magnetic_algebra import hamiltonian_batch
+from hofbutter.magnetic_algebra import hamiltonian_batch, jacobi_batch
 from hofbutter.spectrum import (
     BandContainmentError,
     _edge_candidates,
@@ -251,16 +251,17 @@ class TestBandEdgeKpoints:
         assert [r.chern for r in records] == [r.chern for r in good]
         assert certify_gap(HofstadterModel(Flux(2, 7), 0.3), 1).value == records[1].chern
 
-    @pytest.mark.parametrize("phi_d,row", [(0.3, slice(2, None)), (PHI_D_SYMMETRIC, 1)])
+    @pytest.mark.parametrize("phi_d,row", [(0.3, slice(None)), (PHI_D_SYMMETRIC, 1)])
     def test_one_failed_row_falls_back_alone(self, monkeypatch, phi_d, row):
-        # stretching the H of flux 2/7 in its denominator's batch, at the
-        # probe momenta (phi_d = 0.3) or at one edge momentum (-pi/2),
-        # fails its own containment or overlap check: only that flux takes
-        # the dense scan, its siblings keep their batched edges, and the
-        # sweep colors it as before
+        # stretching the matrices of flux 2/7 in its denominator's batch, H
+        # at the probe momenta (phi_d = 0.3) or J at one edge momentum
+        # (-pi/2), fails its own containment or overlap check: only that
+        # flux takes the dense scan, its siblings keep their batched edges,
+        # and the sweep colors it as before
         cfg = ButterflyConfig(q_max=7, phi_d=phi_d)
         good = build_diagram(cfg)
-        batch = spectrum.hamiltonian_batch
+        builder = "jacobi_batch" if phi_d == PHI_D_SYMMETRIC else "hamiltonian_batch"
+        batch = getattr(spectrum, builder)
         dense = []
 
         def stretched(models, k1, k2):
@@ -273,7 +274,7 @@ class TestBandEdgeKpoints:
             dense.append((model.flux.p, model.q))
             return compute_bands_dense(model)
 
-        monkeypatch.setattr(spectrum, "hamiltonian_batch", stretched)
+        monkeypatch.setattr(spectrum, builder, stretched)
         monkeypatch.setattr(butterfly, "compute_bands_dense", spy)
         diagram = build_diagram(cfg)
         assert dense == [(2, 7)] and not diagram.failures
@@ -369,49 +370,111 @@ class TestComputeBands:
     @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1, 1, 1)), (0.0, (1, 1, 0)),
                                          (0.3, (1, 1, 1)), (0.3, (1, 0.8, 0.6))])
     def test_one_batched_eigensolve(self, monkeypatch, phi_d, t):
-        # every edge momentum (and probe) in one hamiltonian_batch and one
-        # eigvalsh, with the bands of one eigensolve per edge momentum
+        # both edge momenta in one jacobi_batch and one eigvalsh (the probes
+        # of searched edges in one hamiltonian_batch), with the bands of one
+        # eigensolve of J per edge momentum
         for p, q in [(1, 3), (2, 5), (3, 8), (5, 12)]:
             model = HofstadterModel(Flux(p, q), phi_d, *t)
-            expected = [np.linalg.eigvalsh(build_hamiltonian(model, k))
+            expected = [np.linalg.eigvalsh(jacobi_batch(model, *k))
                         for k in band_edge_kpoints(model)]
             calls = []
-            monkeypatch.setattr(spectrum, "hamiltonian_batch",
-                                lambda *a: calls.append(a) or hamiltonian_batch(*a))
+            for name, builder in (("jacobi_batch", jacobi_batch),
+                                  ("hamiltonian_batch", hamiltonian_batch)):
+                monkeypatch.setattr(spectrum, name, lambda *a, name=name, builder=builder:
+                                    calls.append(name) or builder(*a))
             monkeypatch.setattr(spectrum, "build_hamiltonian", None)
             bands = compute_bands(model).bands
             monkeypatch.undo()
-            assert len(calls) == 1
+            probed = phi_d == 0.3
+            assert calls == ["jacobi_batch"] + ["hamiltonian_batch"] * probed
             assert bands == tuple(zip(np.min(expected, axis=0).tolist(),
                                       np.max(expected, axis=0).tolist()))
 
     @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1, 1, 1)), (0.3, (1, 0.8, 0.6))])
     def test_one_batched_eigensolve_per_denominator(self, monkeypatch, phi_d, t):
-        # every flux p/q of one q at the shared edge momenta (and probes):
-        # one hamiltonian_batch of shape (phi(q), 2 or 4, q, q), one
-        # eigvalsh, and each flux's bands those it has alone
+        # every flux p/q of one q at the shared edge momenta: one float64 J
+        # stack of shape (phi(q), 2, q, q), plus one complex H stack of the
+        # same shape at the probes of searched edges, one eigvalsh each,
+        # and each flux's bands exactly those it has alone
+        def spy(builder):
+            def built(*a):
+                out = builder(*a)
+                stacks.append((builder.__name__, out.dtype, out.shape))
+                return out
+            return built
+
         for q in (5, 8, 12):
             models = coprime_models(q, phi_d, t)
-            shapes = []
-            monkeypatch.setattr(spectrum, "hamiltonian_batch",
-                                lambda *a: shapes.append(hamiltonian_batch(*a).shape)
-                                or hamiltonian_batch(*a))
+            stacks = []
+            monkeypatch.setattr(spectrum, "jacobi_batch", spy(jacobi_batch))
+            monkeypatch.setattr(spectrum, "hamiltonian_batch", spy(hamiltonian_batch))
             spectra = denominator_bands(models)
-            monkeypatch.undo()
-            assert shapes == [(len(models), 2 if phi_d == PHI_D_SYMMETRIC else 4, q, q)]
+            shape = (len(models), 2, q, q)
+            assert stacks == [("jacobi_batch", np.float64, shape)] + \
+                [("hamiltonian_batch", np.complex128, shape)] * (phi_d != PHI_D_SYMMETRIC)
             for model, spec in zip(models, spectra):
-                alone = np.array(compute_bands(model).bands)
-                assert np.abs(np.array(spec.bands) - alone).max() <= 1e-13
-            # a stack over EDGE_STACK_BYTES goes in slices that fit, here
-            # one flux each, with the same bands
+                assert spec.bands == compute_bands(model).bands
+            # stacks over EDGE_STACK_BYTES go in slices that fit, here one
+            # flux each, with the same bands
+            stacks = []
             monkeypatch.setattr(spectrum, "EDGE_STACK_BYTES", 1)
-            monkeypatch.setattr(spectrum, "hamiltonian_batch",
-                                lambda *a: shapes.append(len(a[0])) or hamiltonian_batch(*a))
             sliced = denominator_bands(models)
             monkeypatch.undo()
-            assert shapes[1:] == [1] * len(models)
-            for spec, alone in zip(spectra, sliced):
-                assert np.abs(np.array(spec.bands) - np.array(alone.bands)).max() <= 1e-13
+            assert [s[2][0] for s in stacks] == [1] * len(stacks)
+            assert len(stacks) == len(models) * (1 + (phi_d != PHI_D_SYMMETRIC))
+            assert [s.bands for s in sliced] == [s.bands for s in spectra]
+
+
+def within_rounding(a, b):
+    return bool((np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))).all())
+
+
+class TestRealEdges:
+    """jacobi_batch: H in the gauge that makes it a real symmetric periodic
+    Jacobi matrix, exact where the loop phase of the hops is real."""
+
+    MODELS = [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)), (PI / 2, (1.0, 0.8, 0.6)),
+              (0.3, (1.0, 1.0, 1.0)), (0.3, (1.0, 0.8, 0.6)), (0.3, (1.0, 1.0, 0.0))]
+
+    @pytest.mark.parametrize("phi_d,t", MODELS)
+    def test_complex_eigensolve_at_edge_momenta(self, phi_d, t):
+        for q in range(1, 41):
+            models = coprime_models(q, phi_d, t)
+            k = tuple(zip(*band_edge_kpoints(models[0])))
+            assert within_rounding(np.linalg.eigvalsh(jacobi_batch(models, *k)),
+                                   np.linalg.eigvalsh(hamiltonian_batch(models, *k))), q
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_small_q_at_every_momentum(self, q):
+        # no loop is left at q <= 2: J is H in a gauge at any momentum
+        rng = np.random.default_rng(q)
+        for phi_d, t in self.MODELS:
+            models = coprime_models(q, phi_d, t)
+            k = rng.uniform(-PI, PI, (2, 16))
+            assert within_rounding(np.linalg.eigvalsh(jacobi_batch(models, *k)),
+                                   np.linalg.eigvalsh(hamiltonian_batch(models, *k)))
+
+    def test_gauge_identity_off_the_real_axis(self):
+        # at generic momenta the loop phase L of the hops sits at an angle
+        # theta off the real axis, and J is H(k1, k2 - theta/q) in the gauge
+        rng = np.random.default_rng(5)
+        for phi_d, t in self.MODELS:
+            for q in range(3, 25):
+                for model in coprime_models(q, phi_d, t)[:3]:
+                    k1, k2 = rng.uniform(-PI, PI, (2, 8))
+                    hops = hamiltonian_batch(model, k1, k2)[:, np.arange(q), np.arange(q) - 1]
+                    loop = np.prod(hops / np.abs(hops), axis=-1)
+                    theta = np.angle(loop * np.sign(loop.real))
+                    assert np.abs(theta).max() > 0.1, (model, theta)
+                    shifted = hamiltonian_batch(model, k1, k2 - theta / q)
+                    assert within_rounding(np.linalg.eigvalsh(jacobi_batch(model, k1, k2)),
+                                           np.linalg.eigvalsh(shifted)), model
+
+    def test_zero_hoppings_give_no_signed_zeros(self):
+        for q in range(1, 8):
+            for spec in denominator_bands(coprime_models(q, 0.3, (0.0, 0.0, 0.0))):
+                assert [math.copysign(1.0, x) for band in spec.bands for x in band] == \
+                    [1.0] * 2 * q
 
 
 class TestComputeGaps:
