@@ -5,8 +5,9 @@ q <= q_max, each open gap carrying a Chern number from the configured
 resolution strategy.  A sweep's unit of work is a denominator: all
 fluxes p/q of one q share their band-edge momenta and take their band
 edges from one batched eigensolve.  Sweeps parallelize over
-denominators, stream to JSON lines in flux order, and can be audited
-for wing-coloring errors by exact Streda comparisons between
+denominators, stream to JSON lines in the order they are computed
+(q_max down to 1, then p, then j), and can be audited for
+wing-coloring errors by exact Streda comparisons between
 Farey-adjacent fluxes.
 """
 
@@ -17,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +36,6 @@ from .magnetic_algebra import Flux, HofstadterModel, check_model_parameters
 from .spectrum import (
     GAP_EPS_DEFAULT,
     BandOverlapError,
-    BandSpectrum,
     GapRecord,
     check_eps_gap,
     compute_bands,
@@ -130,7 +129,8 @@ class ButterflyConfig:
 
 @dataclass(frozen=True)
 class ButterflyDiagram:
-    """Gap records of all fluxes plus per-flux resolution failures."""
+    """Gap records of all fluxes plus per-flux resolution failures, in
+    the order of ``iter_flux_results``: q descending, then p, then j."""
 
     config: ButterflyConfig
     records: tuple
@@ -155,55 +155,42 @@ def _window_for(strategy: str, q: int):
     return None
 
 
-def _window_colors(records: list[GapRecord], flux: Flux, cfg: ButterflyConfig) -> dict:
+def _colors(records: list[GapRecord], model: HofstadterModel, cfg: ButterflyConfig) -> dict:
     """{j: (sigma, tag)} of the open interior gaps of one flux that the
-    resolver's window holds."""
-    q = flux.q
-    window = _window_for(cfg.resolver, q)
-    if window is None:
-        return {}
-    tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
+    resolver colors: those its window holds, then, within
+    ``cfg.reaches_edge(q)``, those of the rest that the edge-state
+    winding certifies (one ``edge_chern_table`` call, tagged
+    ``edge_winding``).  So each flux builds its window once."""
+    q = model.q
+    open_gaps = [rec for rec in records if 0 < rec.j < q and not rec.closed]
     colors = {}
-    for rec in records:
-        if 0 < rec.j < q and not rec.closed:
-            sigma = resolve_in_window(solve_residue(rec.j, flux), window)
+    window = _window_for(cfg.resolver, q)
+    if window is not None:
+        tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
+        for rec in open_gaps:
+            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
             if sigma is not None:
                 colors[rec.j] = (sigma, tag)
-    return colors
-
-
-def _flux_colors(spectrum: BandSpectrum, cfg: ButterflyConfig) -> Optional[dict]:
-    """{j: (sigma, tag)} of every gap of one flux that the resolver
-    colors, its window's and then, on the open gaps the window leaves
-    gray, those the edge-state winding certifies (one
-    ``edge_chern_table`` call, tagged ``edge_winding``); None unless
-    ``cfg.reaches_edge(q)``, for ``_flux_records`` to take the window
-    colors itself.  So each flux builds its window once."""
-    model = spectrum.model
-    q = model.q
-    if not cfg.reaches_edge(q):
-        return None
-    records = compute_gaps(spectrum, cfg.eps_gap)
-    colors = _window_colors(records, model.flux, cfg)
-    gray = [rec for rec in records
-            if 0 < rec.j < q and not rec.closed and rec.j not in colors]
-    if gray:
+    gray = [rec for rec in open_gaps if rec.j not in colors]
+    if gray and cfg.reaches_edge(q):
         colors.update((j, (res.value, "edge_winding"))
                       for j, res in edge_chern_table(model, gray).items()
                       if res.value is not None)
     return colors
 
 
-def _denominator_edges(args) -> list:
+def _denominator_records(args) -> list:
     """Worker for one denominator: per flux p/q of ``ps``, in that order,
-    its 2q band edges as packed doubles (lo_1, hi_1, lo_2, ...) and its
-    ``_flux_colors``, ``(edges, colors)``, or the exception that failed
-    the flux.
+    (records, None), or ([], (p, q, reason)) when the flux fails; a
+    failed flux never aborts a sweep.  The records stay ``GapRecord``
+    tuples all the way to the JSONL writer.
 
     ``denominator_bands`` gives every flux its edges from one batched
     eigensolve.  A flux whose edges fail its own checks takes the dense
     scan; if the batch raises, each flux retries alone through
-    ``compute_bands``, so a failure stays with its own flux.
+    ``compute_bands``, so a failure stays with its own flux.  Each flux
+    then takes its gaps from one ``compute_gaps`` and its colors from
+    one ``_colors``.
     """
     q, ps, cfg = args
     models = [HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
@@ -219,73 +206,50 @@ def _denominator_edges(args) -> list:
                 spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
             elif isinstance(spectrum, BandOverlapError):
                 spectrum = compute_bands_dense(model)
-            out.append((array("d", itertools.chain.from_iterable(spectrum.bands)),
-                        _flux_colors(spectrum, cfg)))
+            records = compute_gaps(spectrum, cfg.eps_gap)
+            colors = _colors(records, model, cfg)
+            out.append(([GapRecord(*rec[:8], *colors[rec.j]) if rec.j in colors else rec
+                         for rec in records], None))
         except Exception as exc:  # record, never abort the sweep
-            out.append(exc)
+            out.append(([], (model.flux.p, q, f"{type(exc).__name__}: {exc}")))
     return out
-
-
-def _flux_records(flux: Flux, cfg: ButterflyConfig, entry) -> list[GapRecord]:
-    """The records of one flux from its ``_denominator_edges`` entry:
-    its gaps with their colors, taken from the window here when the
-    entry holds none.  An entry that is an exception is raised."""
-    if isinstance(entry, Exception):
-        raise entry
-    edges, colors = entry
-    bands = tuple(zip(edges[0::2], edges[1::2]))
-    model = HofstadterModel(flux, cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
-    records = compute_gaps(BandSpectrum(model, bands), cfg.eps_gap)
-    if colors is None:
-        colors = _window_colors(records, flux, cfg)
-    return [GapRecord(*rec[:8], *colors[rec.j]) if rec.j in colors else rec
-            for rec in records]
 
 
 def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
     """The gap records of flux p/q, colored by the configured resolver:
-    the one-flux case of a sweep's denominator (``hofbutter dioph``)."""
-    (entry,) = _denominator_edges((q, [p], cfg))
-    return _flux_records(Flux(p, q), cfg, entry)
-
-
-def _flux_result(flux: Flux, cfg: ButterflyConfig, entry):
-    """(records, None), or ([], (p, q, reason)) when the flux fails.  The
-    records stay ``GapRecord`` tuples all the way to the JSONL writer."""
-    try:
-        return _flux_records(flux, cfg, entry), None
-    except Exception as exc:  # record, never abort the sweep
-        return [], (flux.p, flux.q, f"{type(exc).__name__}: {exc}")
+    the one-flux case of a sweep's denominator (``hofbutter dioph``).
+    A failed flux raises RuntimeError with the sweep's reason."""
+    ((records, failure),) = _denominator_records((q, [p], cfg))
+    if failure:
+        raise RuntimeError(f"flux {p}/{q} failed: {failure[2]}")
+    return records
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
-    """Yield (records, failure) per flux in flux order.
+    """Yield (records, failure) per flux in the order the sweep computes
+    them: denominators q_max ... 1, each q's fluxes by ascending p, each
+    flux's records by j.
 
     The lazy backbone of every sweep: giant diagrams stream through
-    without materializing.  The unit of work is a denominator:
-    ``_denominator_edges`` runs once per q, largest q first, through the
-    builtin ``map`` at jobs=1 and one ``pool.map`` of a process pool at
-    jobs>1.  The fluxes are then assembled into records and yielded in
-    Farey order.  Until its turn a flux is held only as its 2q band
-    edges and, if it reaches the edge-state winding, its colors, never
-    as records, so the output is deterministic for a fixed config
-    regardless of ``jobs``.  BLAS threads are not pinned;
+    without materializing, each flux yielded with the denominator that
+    computed it.  The unit of work is a denominator:
+    ``_denominator_records`` runs once per q, largest q first, through
+    the builtin ``map`` at jobs=1 and one ``pool.map`` of a process pool
+    at jobs>1, and its entries are yielded as they arrive.  The order is that of the tasks, so the
+    output is deterministic for a fixed config regardless of ``jobs``.
+    No reader depends on it: ``render`` paints in stable descending-q
+    order and the audit sorts the fluxes.  BLAS threads are not pinned;
     test_determinism_across_jobs checks jobs=N.
     """
-    fluxes = enumerate_fluxes(config.q_max)
-    tasks = [(q, [p for p in range(1, q + 1) if math.gcd(p, q) == 1], config)
-             for q in range(config.q_max, 0, -1)]
+    fluxes = sorted(enumerate_fluxes(config.q_max), key=lambda f: (-f.q, f.p))
+    tasks = [(q, [f.p for f in group], config)
+             for q, group in itertools.groupby(fluxes, key=lambda f: f.q)]
     n = len(fluxes)
     with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
           else contextlib.nullcontext()) as pool:
-        done = zip(tasks, pool.map(_denominator_edges, tasks) if pool
-                   else map(_denominator_edges, tasks))
-        held = {}  # q -> {p: entry} of the denominators computed so far
-        for i, flux in enumerate(fluxes, 1):
-            while flux.q not in held:
-                (q, ps, _), entries = next(done)
-                held[q] = dict(zip(ps, entries))
-            result = _flux_result(flux, config, held[flux.q].pop(flux.p))
+        done = (pool.map(_denominator_records, tasks) if pool
+                else map(_denominator_records, tasks))
+        for i, result in enumerate(itertools.chain.from_iterable(done), 1):
             if progress:
                 progress(i, n)
             yield result

@@ -22,6 +22,7 @@ from hofbutter import (
     build_diagram,
     detect_coloring_errors,
     enumerate_fluxes,
+    iter_flux_results,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -178,11 +179,23 @@ class TestBuildDiagram:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
+        # fluxes in the order they are computed, at jobs=1 as from a pool:
+        # denominators q_max ... 1, each q's fluxes by ascending p, each
+        # flux's records by j
         cfg = ButterflyConfig(q_max=9, resolver="triangular", computed_q_max=5, jobs=jobs)
         seen = []
-        build_diagram(cfg, progress=lambda done, total: seen.append((done, total)))
+        results = list(iter_flux_results(
+            cfg, progress=lambda done, total: seen.append((done, total))))
         n = len(enumerate_fluxes(9))
         assert seen == [(i, n) for i in range(1, n + 1)]
+        assert all(failure is None for _, failure in results)
+        fluxes = [(recs[0].p, recs[0].q) for recs, _ in results]
+        assert fluxes == sorted(((f.p, f.q) for f in enumerate_fluxes(9)),
+                                key=lambda f: (-f[1], f[0]))
+        assert all(r[:2] == (p, q) for (p, q), (recs, _) in zip(fluxes, results)
+                   for r in recs)
+        assert all([r.j for r in recs] == list(range(q + 1))
+                   for (_, q), (recs, _) in zip(fluxes, results))
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
     def test_one_edge_call_per_flux_one_batch_per_denominator(self, monkeypatch, resolver):
@@ -207,12 +220,34 @@ class TestBuildDiagram:
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", alone)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
-        entries = butterfly._denominator_edges((7, list(range(1, 7)), cfg))
+        entries = butterfly._denominator_records((7, list(range(1, 7)), cfg))
         assert calls == {"table": 6, "batch": 1, "alone": 0}
-        assert all(sigmas == {} for _, sigmas in entries)
+        assert [failure for _, failure in entries] == [None] * 6
+        assert all(r.chern is None and r.chern_source == "unresolved"
+                   for records, _ in entries for r in records if 0 < r.j < 7)
         records = butterfly.flux_records(3, 7, cfg)  # the one-flux case
         assert calls == {"table": 7, "batch": 2, "alone": 0}
         assert all(r.chern is None for r in records if 0 < r.j < 7)
+
+    def test_sweep_is_lazy_by_denominator(self, monkeypatch):
+        # at jobs=1 the phi(q_max) fluxes of q_max come out of the first
+        # worker call, before the second denominator is computed
+        calls = []
+        worker = butterfly._denominator_records
+
+        def spy(args):
+            calls.append(args[0])
+            return worker(args)
+
+        monkeypatch.setattr(butterfly, "_denominator_records", spy)
+        results = iter_flux_results(ButterflyConfig(q_max=12))
+        first = list(itertools.islice(results, 4))  # phi(12) = 4: 1, 5, 7, 11
+        assert calls == [12]
+        assert [(recs[0].p, recs[0].q) for recs, _ in first] == \
+            [(1, 12), (5, 12), (7, 12), (11, 12)]
+        next(results)
+        assert calls == [12, 11]
+        results.close()
 
     def test_finished_sweep_leaves_no_model_alive(self):
         # no per-model cache holds a model, or its q x q matrices, past its flux

@@ -322,6 +322,14 @@ class TestBandEdgeKpoints:
         assert diagram.failures == ((2, 7, "LinAlgError: Eigenvalues did not converge"),)
         assert [r for r in diagram.records if r.q == 7] == \
             [r for r in good.records if r.q == 7 and r.p != 2]
+        # the one-flux case, its batch of one failing too, raises the
+        # reason the sweep records
+        def batch_of_one_fails(models):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(butterfly, "denominator_bands", batch_of_one_fails)
+        with pytest.raises(RuntimeError, match="^flux 2/7 failed: LinAlgError: Eigenvalues"):
+            butterfly.flux_records(2, 7, cfg)
 
     def test_square_limit_points(self):
         model = HofstadterModel(Flux(1, 4), 0.9, t3=0.0)
