@@ -3,34 +3,41 @@
 A diagram is the list of gap records of every reduced flux p/q with
 q <= q_max, each open gap carrying a Chern number from the configured
 resolution strategy.  A sweep's unit of work is a denominator: all
-fluxes p/q of one q share their band-edge momenta and take their band
-edges from one batched eigensolve.  Sweeps parallelize over
-denominators, stream to JSON lines in the order they are computed
-(q_max down to 1, then p, then j), and can be audited for
-wing-coloring errors by exact Streda comparisons between
-Farey-adjacent fluxes.
+fluxes p/q of one q share their band-edge momenta, take their band
+edges from one batched eigensolve, and come out as one table of columns
+(``Denominator``): the gaps, window colors and edge-winding colors of
+every flux.  Sweeps parallelize over denominators and stream to JSON
+lines in the order they are computed (q_max down to 1, then p, then j),
+straight from the columns; ``GapRecord`` tuples are built only where an
+API returns records.  Diagrams can be audited for wing-coloring errors
+by exact Streda comparisons between Farey-adjacent fluxes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .chern import edge_chern_table
+# compute_gaps and resolve_in_window, the one-flux and one-gap forms of
+# what the sweep does per table, stay names of this module, where
+# perfbench/tracing.py patches them
 from .diophantine import (
     StredaOutcome,
     chain_window,
     resolve_in_window,
-    solve_residue,
     square_window,
     streda_check,
     triangular_window,
+    window_representatives,
 )
 from .magnetic_algebra import Flux, HofstadterModel, check_model_parameters
 from .spectrum import (
@@ -44,17 +51,20 @@ from .spectrum import (
     compute_gaps,
     denominator_bands,
     gap_from_dict,
+    gap_table,
 )
 
 RESOLVERS = ("square", "triangular", "chain", "computed")
 DECODE_BLOCK = 256  # JSON lines per json.loads in decode_records
+WRITE_BLOCK = 2048  # JSON lines per write of a sweep, at most (one flux at least)
 
 # one JSON line: gap_to_dict's keys sorted, as json.dumps(sort_keys=True) writes them
 _LINE = ('{"chern": %s, "closed": %s, "hi": %s, "j": %s, "lo": %s, %s, '
          '"source": %s, "width": %s}\n')
-_FLUX = '"p": %s, "phi_d": %s, "q": %s'  # adjacent keys, formatted once per run
+_FLUX = '"p": %s, "phi_d": %s, "q": %s'  # adjacent keys, one fragment
 _NULL_ENDS = {math.inf: "null", -math.inf: "null"}  # gap_to_dict's +/-inf -> None
 _quoted = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per tag
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 # phi_d whose down-triangle phase makes the butterfly inversion symmetric
 # and reproduces the reference shifted-window coloring (see notes/decisions.md).
@@ -155,74 +165,186 @@ def _window_for(strategy: str, q: int):
     return None
 
 
-def _colors(records: list[GapRecord], model: HofstadterModel, cfg: ButterflyConfig) -> dict:
-    """{j: (sigma, tag)} of the open interior gaps of one flux that the
-    resolver colors: those its window holds, then, within
-    ``cfg.reaches_edge(q)``, those of the rest that the edge-state
-    winding certifies (one ``edge_chern_table`` call, tagged
-    ``edge_winding``).  So each flux builds its window once."""
-    q = model.q
-    open_gaps = [rec for rec in records if 0 < rec.j < q and not rec.closed]
-    colors = {}
-    window = _window_for(cfg.resolver, q)
-    if window is not None:
-        tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
-        for rec in open_gaps:
-            sigma = resolve_in_window(solve_residue(rec.j, model.flux), window)
-            if sigma is not None:
-                colors[rec.j] = (sigma, tag)
-    gray = [rec for rec in open_gaps if rec.j not in colors]
-    if gray and cfg.reaches_edge(q):
-        colors.update((j, (res.value, "edge_winding"))
-                      for j, res in edge_chern_table(model, gray).items()
-                      if res.value is not None)
-    return colors
+# the tag codes of a table: an outer gap, a window color, an edge-winding
+# color and a gray (or closed) gap; Denominator.tags spells them
+OUTER, WINDOW, EDGE, GRAY = range(4)
 
 
-def _denominator_records(args) -> list:
-    """Worker for one denominator: per flux p/q of ``ps``, in that order,
-    (records, None), or ([], (p, q, reason)) when the flux fails; a
-    failed flux never aborts a sweep.  The records stay ``GapRecord``
-    tuples all the way to the JSONL writer.
+class Denominator(NamedTuple):
+    """The gap records of the fluxes p/q of one q, as columns.
+
+    Row f holds the q + 1 gaps of flux ``ps[f]``: ``lo``, ``hi``,
+    ``width`` and ``closed`` from ``gap_table``, sigma in ``chern`` and
+    the index into ``tags`` of its source in ``tag``, all arrays of shape
+    (len(ps), q + 1); ``chern`` is meaningful only where ``tag`` is not
+    GRAY.  ``failures`` holds the (p, q, reason) of the fluxes that
+    failed, which have no row.
+    """
+
+    q: int
+    phi_d: float
+    ps: list
+    lo: np.ndarray
+    hi: np.ndarray
+    width: np.ndarray
+    closed: np.ndarray
+    chern: np.ndarray
+    tag: np.ndarray
+    tags: tuple
+    failures: list
+
+
+def _denominator_records(args) -> Denominator:
+    """Worker for one denominator: the records of every flux p/q of
+    ``ps`` as one ``Denominator`` table; a failed flux loses its row
+    and never aborts a sweep.
 
     ``denominator_bands`` gives every flux its edges from one batched
     eigensolve.  A flux whose edges fail its own checks takes the dense
     scan; if the batch raises, each flux retries alone through
-    ``compute_bands``, so a failure stays with its own flux.  Each flux
-    then takes its gaps from one ``compute_gaps`` and its colors from
-    one ``_colors``.
+    ``compute_bands``, so a failure stays with its own flux.  The gaps
+    of all fluxes come from one ``gap_table``, and the resolver's
+    window, built once, colors every open interior gap of the table in
+    one step: sigma = lo + (s*j - lo) mod q where that lies in the
+    window.  Within ``cfg.reaches_edge(q)`` each flux then hands the
+    open gaps the window leaves gray to one ``edge_chern_table`` call,
+    tagged ``edge_winding``.
     """
     q, ps, cfg = args
     models = [HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
               for p in ps]
+    failures = {}
+    alone = False
     try:
-        spectra = denominator_bands(models)
+        los, his, errors = denominator_bands(models)
     except Exception:  # whatever the batch raised, each flux retries alone below
-        spectra = [None] * len(models)
-    out = []
-    for model, spectrum in zip(models, spectra):
+        los, his, errors = np.zeros((len(ps), q)), np.zeros((len(ps), q)), [None] * len(ps)
+        alone = True
+    for f, (model, error) in enumerate(zip(models, errors)):
+        if error is None and not alone:
+            continue
         try:
-            if spectrum is None:
-                spectrum = compute_bands_or_dense(model, compute_bands, compute_bands_dense)
-            elif isinstance(spectrum, BandOverlapError):
-                spectrum = compute_bands_dense(model)
-            records = compute_gaps(spectrum, cfg.eps_gap)
-            colors = _colors(records, model, cfg)
-            out.append(([GapRecord(*rec[:8], *colors[rec.j]) if rec.j in colors else rec
-                         for rec in records], None))
+            spectrum = (compute_bands_or_dense(model, compute_bands, compute_bands_dense)
+                        if alone else compute_bands_dense(model))
+            los[f], his[f] = zip(*spectrum.bands)
         except Exception as exc:  # record, never abort the sweep
-            out.append(([], (model.flux.p, q, f"{type(exc).__name__}: {exc}")))
-    return out
+            failures[f] = f"{type(exc).__name__}: {exc}"
+    lo, hi, width, closed = gap_table(los, his, cfg.eps_gap)
+    tag = np.full(lo.shape, GRAY, dtype=np.int8)
+    tag[:, ::q] = OUTER  # j = 0 and j = q: sigma = 0, the chain anchors
+    chern = np.zeros(lo.shape, dtype=np.int64)
+    open_gap = ~closed
+    open_gap[:, ::q] = False
+    window = _window_for(cfg.resolver, q)
+    if window is not None:
+        # gap j of p/q has sigma = s*j (mod q), s = p^-1 (mod q)
+        s = np.array([model.flux.s for model in models])
+        sigma, inside = window_representatives(np.outer(s, np.arange(q + 1)) % q, window)
+        colored = open_gap & inside
+        chern[colored] = sigma[colored]
+        tag[colored] = WINDOW
+    gray = open_gap & (tag == GRAY)
+    if cfg.reaches_edge(q):
+        for f in np.flatnonzero(gray.any(axis=1)).tolist():
+            if f in failures:
+                continue
+            recs = [GapRecord(ps[f], q, cfg.phi_d, j, lo[f, j], hi[f, j], width[f, j], False)
+                    for j in np.flatnonzero(gray[f]).tolist()]
+            try:
+                table = edge_chern_table(models[f], recs)
+            except Exception as exc:  # record, never abort the sweep
+                failures[f] = f"{type(exc).__name__}: {exc}"
+                continue
+            for j, res in table.items():
+                if res.value is not None:
+                    chern[f, j] = res.value
+                    tag[f, j] = EDGE
+    rows = [f for f in range(len(ps)) if f not in failures]
+    window_tag = "chain" if cfg.resolver == "chain" else "window_" + cfg.resolver
+    return Denominator(q, cfg.phi_d, [ps[f] for f in rows],
+                       *(x[rows] for x in (lo, hi, width, closed, chern, tag)),
+                       ("chain", window_tag, "edge_winding", "unresolved"),
+                       [(ps[f], q, failures[f]) for f in sorted(failures)])
+
+
+def _flux_results(d: Denominator) -> list:
+    """(records, None) per flux of ``d`` by ascending p, or ([], (p, q,
+    reason)) for a flux that failed; the records are ``GapRecord``s made
+    from the table's columns."""
+    n = d.q + 1
+    chern = _masked(d.chern, d.tag == GRAY, None)
+    source = np.array(d.tags, dtype=object)[d.tag.ravel()].tolist()
+    ps = [p for p in d.ps for _ in range(n)]
+    records = list(map(GapRecord._make, zip(
+        ps, [d.q] * len(ps), [d.phi_d] * len(ps), list(range(n)) * len(d.ps),
+        *(x.ravel().tolist() for x in (d.lo, d.hi, d.width, d.closed)), chern, source)))
+    results = {p: (records[f * n:(f + 1) * n], None) for f, p in enumerate(d.ps)}
+    results.update((failure[0], ([], failure)) for failure in d.failures)
+    return [results[p] for p in sorted(results)]
+
+
+def _line_columns(d: Denominator, rows: slice) -> list:
+    """The eight columns of ``_LINE``, in its order, for the records of
+    ``d`` in ``rows``: each value JSON text, or a number that ``%s``
+    writes as ``json`` does."""
+    ps, tag = d.ps[rows], d.tag[rows]
+    n = d.q + 1
+    lo, hi, width = (_masked(x[rows], np.isinf(x[rows]), "null") for x in (d.lo, d.hi, d.width))
+    source = np.array([_quoted(t) for t in d.tags], dtype=object)[tag.ravel()].tolist()
+    closed = _JSON_BOOLS[d.closed[rows].ravel().astype(np.int8)].tolist()
+    flux = [text for text in (_FLUX % (p, d.phi_d, d.q) for p in ps) for _ in range(n)]
+    return [_masked(d.chern[rows], tag == GRAY, "null"), closed, hi,
+            list(range(n)) * len(ps), lo, flux, source, width]
+
+
+def _masked(x: np.ndarray, mask: np.ndarray, value) -> list:
+    """The values of x, row by row, as Python numbers, with ``value``
+    where ``mask`` holds."""
+    out = x.astype(object)
+    out[mask] = value
+    return out.ravel().tolist()
 
 
 def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
     """The gap records of flux p/q, colored by the configured resolver:
     the one-flux case of a sweep's denominator (``hofbutter dioph``).
     A failed flux raises RuntimeError with the sweep's reason."""
-    ((records, failure),) = _denominator_records((q, [p], cfg))
+    ((records, failure),) = _flux_results(_denominator_records((q, [p], cfg)))
     if failure:
         raise RuntimeError(f"flux {p}/{q} failed: {failure[2]}")
     return records
+
+
+def _in_order(fn, tasks: list, jobs: int):
+    """fn over tasks, results in task order: the builtin ``map`` at
+    jobs=1, else a pool of ``jobs`` processes with at most 2 * jobs
+    tasks submitted ahead of the result being yielded, so results that
+    finish early wait in bounded number."""
+    if jobs == 1:
+        yield from map(fn, tasks)
+        return
+    todo = iter(tasks)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        ahead = deque(pool.submit(fn, task) for task in itertools.islice(todo, 2 * jobs))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(fn, task) for task in itertools.islice(todo, 1))
+            yield result
+
+
+def _denominators(config: ButterflyConfig, progress=None):
+    """The ``Denominator`` tables of a sweep as they are computed, q_max
+    down to 1; ``progress(done, total)`` runs once per flux."""
+    fluxes = sorted(enumerate_fluxes(config.q_max), key=lambda f: (-f.q, f.p))
+    tasks = [(q, [f.p for f in group], config)
+             for q, group in itertools.groupby(fluxes, key=lambda f: f.q)]
+    done, total = 0, len(fluxes)
+    for d in _in_order(_denominator_records, tasks, config.jobs):
+        if progress:
+            for i in range(done + 1, done + len(d.ps) + len(d.failures) + 1):
+                progress(i, total)
+        done += len(d.ps) + len(d.failures)
+        yield d
 
 
 def iter_flux_results(config: ButterflyConfig, progress=None):
@@ -230,29 +352,20 @@ def iter_flux_results(config: ButterflyConfig, progress=None):
     them: denominators q_max ... 1, each q's fluxes by ascending p, each
     flux's records by j.
 
-    The lazy backbone of every sweep: giant diagrams stream through
-    without materializing, each flux yielded with the denominator that
-    computed it.  The unit of work is a denominator:
-    ``_denominator_records`` runs once per q, largest q first, through
-    the builtin ``map`` at jobs=1 and one ``pool.map`` of a process pool
-    at jobs>1, and its entries are yielded as they arrive.  The order is that of the tasks, so the
-    output is deterministic for a fixed config regardless of ``jobs``.
-    No reader depends on it: ``render`` paints in stable descending-q
-    order and the audit sorts the fluxes.  BLAS threads are not pinned;
-    test_determinism_across_jobs checks jobs=N.
+    The lazy backbone of every sweep that returns records: giant
+    diagrams stream through without materializing, each flux yielded
+    with the denominator that computed it.  The unit of work is a
+    denominator: ``_denominator_records`` runs once per q, largest q
+    first, in-process at jobs=1 and in a process pool at jobs>1, at most
+    2 * jobs denominators ahead of the one being yielded.  The order is
+    that of the tasks, so the output is deterministic for a fixed
+    config regardless of ``jobs``.  No reader depends on it: ``render``
+    paints in stable descending-q order and the audit sorts the fluxes.
+    BLAS threads are not pinned; test_determinism_across_jobs checks
+    jobs=N.
     """
-    fluxes = sorted(enumerate_fluxes(config.q_max), key=lambda f: (-f.q, f.p))
-    tasks = [(q, [f.p for f in group], config)
-             for q, group in itertools.groupby(fluxes, key=lambda f: f.q)]
-    n = len(fluxes)
-    with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
-          else contextlib.nullcontext()) as pool:
-        done = (pool.map(_denominator_records, tasks) if pool
-                else map(_denominator_records, tasks))
-        for i, result in enumerate(itertools.chain.from_iterable(done), 1):
-            if progress:
-                progress(i, n)
-            yield result
+    for d in _denominators(config, progress):
+        yield from _flux_results(d)
 
 
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:
@@ -267,15 +380,17 @@ def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:
 
 
 def sweep_to_jsonl(config: ButterflyConfig, path: str, progress=None):
-    """Stream a sweep straight to JSON lines; returns (n_records, failures)."""
+    """Stream a sweep straight to JSON lines; returns (n_records, failures).
+
+    Each denominator's table goes to the file from its columns, in
+    blocks of whole rows, with no ``GapRecord`` built (``_write_table``)."""
     n = 0
     failures = []
     with open(path, "w") as fh:
-        for recs, failure in iter_flux_results(config, progress):
-            _write_lines(fh, recs)
-            n += len(recs)
-            if failure:
-                failures.append(failure)
+        for d in _denominators(config, progress):
+            _write_table(fh, d)
+            n += len(d.ps) * (d.q + 1)
+            failures.extend(d.failures)
     return n, failures
 
 
@@ -342,36 +457,75 @@ def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
     return bad
 
 
+def _not_json(p, q, phi_d, j, lo, hi, width) -> ValueError:
+    return ValueError(f"gap record {p}/{q} j={j} is not JSON: phi_d={phi_d}, "
+                      f"lo={lo}, hi={hi}, width={width}")
+
+
+def _write_columns(fh, columns) -> None:
+    """One JSON line per row of the eight ``_LINE`` columns, in one
+    write: one C-level ``%`` per line over ready values."""
+    fh.write("".join(map(_LINE.__mod__, zip(*columns))))
+
+
 def _write_lines(fh, records) -> None:
     """One JSON line per gap record, in one write.
 
-    Each line is ``_LINE`` filled from the record's fields, with the
-    adjacent keys p, phi_d and q formatted once per run of records that
-    share them.  Its bytes are those of
-    ``json.dumps(gap_to_dict(r), sort_keys=True) + "\n"``:
-    ints and floats print as ``str``, which is ``int.__repr__`` and
-    ``float.__repr__`` as in ``json``; +/-inf ends print as null, a
+    Each line is ``_LINE`` filled from the record's fields, column by
+    column, with the adjacent keys p, phi_d and q as one fragment.  Its
+    bytes are those of ``json.dumps(gap_to_dict(r), sort_keys=True) +
+    "\n"``: ints and floats print as ``str``, which is ``int.__repr__``
+    and ``float.__repr__`` as in ``json``; +/-inf ends print as null, a
     missing sigma as null, ``closed`` as true or false, and each tag is
     quoted by ``json.dumps``.  ``json`` writes NaN and an infinite phi_d
     as NaN and Infinity, which are not JSON, so such a record raises
-    ValueError instead.
+    ValueError instead, before anything is written.  A sweep writes its
+    ``Denominator`` tables through the same ``_write_columns``.
     """
+    records = list(records)
+    if not records:
+        return
+    p, q, phi_d, j, lo, hi, width, closed, chern, source = zip(*records)
+    bad = next(itertools.compress(records, map(_not_finite, phi_d, lo, hi, width)), None)
+    if bad:
+        raise _not_json(*bad[:7])
     end = _NULL_ENDS.get
-    lines = []
-    key = flux = None
-    for p, q, phi_d, j, lo, hi, width, closed, chern, source in records:
-        if (p, phi_d, q) != key or not phi_d:  # 0.0 == -0.0: zeros anew
-            key = (p, phi_d, q)
-            flux = _FLUX % key
-        # x - x is 0.0 (false) for finite x and NaN (true) otherwise
-        if phi_d - phi_d or lo != lo or hi != hi or width != width:
-            raise ValueError(f"gap record {p}/{q} j={j} is not JSON: phi_d={phi_d}, "
-                             f"lo={lo}, hi={hi}, width={width}")
-        lines.append(_LINE % ("null" if chern is None else chern,
-                              "true" if closed else "false", end(hi, hi), j,
-                              end(lo, lo), flux, _quoted(source),
-                              end(width, width)))
-    fh.write("".join(lines))
+    _write_columns(fh, [["null" if c is None else c for c in chern],
+                        ["true" if c else "false" for c in closed],
+                        list(map(end, hi, hi)), j, list(map(end, lo, lo)),
+                        _fragments(p, phi_d, q),
+                        list(map(_quoted, source)), list(map(end, width, width))])
+
+
+def _fragments(p, phi_d, q) -> list:
+    """The p, phi_d, q fragment of each record, formatted once per run of
+    records that share it; 0.0 == -0.0, so the sign of phi_d is part of
+    a run's key."""
+    out = []
+    signs = map(math.copysign, itertools.repeat(1.0), phi_d)
+    for (*key, _), run in itertools.groupby(zip(p, phi_d, q, signs)):
+        out.extend(itertools.repeat(_FLUX % tuple(key), sum(1 for _ in run)))
+    return out
+
+
+def _not_finite(phi_d, lo, hi, width) -> bool:
+    """Whether a record has a NaN float or an infinite phi_d: x - x is
+    0.0 (false) for finite x and NaN (true) otherwise."""
+    return bool(phi_d - phi_d) or lo != lo or hi != hi or width != width
+
+
+def _write_table(fh, d: Denominator) -> None:
+    """The JSON lines of a ``Denominator`` table, one write per block of
+    rows of up to WRITE_BLOCK lines, with the bytes and the NaN rule of
+    ``_write_lines``; nothing is written if a value is not JSON."""
+    bad = np.isnan(d.lo) | np.isnan(d.hi) | np.isnan(d.width) | (not math.isfinite(d.phi_d))
+    if bad.any():
+        f, j = np.argwhere(bad)[0].tolist()
+        raise _not_json(d.ps[f], d.q, d.phi_d, j,
+                        *(x[f, j].item() for x in (d.lo, d.hi, d.width)))
+    step = max(1, WRITE_BLOCK // (d.q + 1))
+    for start in range(0, len(d.ps), step):
+        _write_columns(fh, _line_columns(d, slice(start, start + step)))
 
 
 def write_records_jsonl(records, path: str) -> None:

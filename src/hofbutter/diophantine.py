@@ -97,15 +97,22 @@ def chain_window(q: int) -> Window:
     return Window(-c, c, q)
 
 
+def window_representatives(residues, window: Window):
+    """(v, inside): v = lo + (r - lo) mod q, the representative of each
+    residue r mod q at or above the window's lo, and whether it lies in
+    the window.  ``residues`` is an int or an integer numpy array."""
+    v = window.lo + (residues - window.lo) % window.modulus
+    return v, v <= window.hi
+
+
 def resolve_in_window(rc: ResidueClass, window: Window) -> Optional[int]:
-    """The unique window member congruent to rc, lo + (r - lo) mod q,
-    or None if the window cannot color this class (the
-    wing-miscoloring failure mode)."""
+    """The unique window member congruent to rc, or None if the window
+    cannot color this class (the wing-miscoloring failure mode)."""
     if rc.modulus != window.modulus:
         raise ValueError(
             f"residue modulus {rc.modulus} != window modulus {window.modulus}")
-    v = window.lo + (rc.residue - window.lo) % window.modulus
-    return v if v <= window.hi else None
+    v, inside = window_representatives(rc.residue, window)
+    return v if inside else None
 
 
 class StredaOutcome(enum.Enum):

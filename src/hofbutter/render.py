@@ -12,7 +12,6 @@ pixel-exact in the image.
 from __future__ import annotations
 
 import colorsys
-import math
 from array import array
 from fractions import Fraction
 
@@ -43,18 +42,25 @@ def chern_color(sigma, period: int) -> tuple:
     return (round(255 * r), round(255 * g), round(255 * b))
 
 
-def _row_bounds(p: int, q: int, height: int, thickness: Fraction):
+def _row_bounds(p: int, q: int, height: int, a: int, b: int):
     """Pixel row ranges of flux p/q, exact so p/q and (q-p)/q mirror.
 
-    The full-flux row 1/1 doubles as flux 0 by periodicity, keeping the
-    rendered diagram exactly inversion symmetric."""
-    centers = [Fraction(q - p, q) * (height - 1)]  # image origin is top
+    A row is centered at (q-p)/q (height-1) (the image origin is top)
+    and is max(a/(b q), 1) pixels thick, for the row scale a/b (b > 0).
+    Over the common denominator d = 2 b q the center is c/d and half the
+    thickness h/d, so its first and last pixel rows are the integer
+    quotients ceil((c - h)/d) and floor((c + h)/d).  The full-flux row
+    1/1 doubles as flux 0 by periodicity, keeping the rendered diagram
+    exactly inversion symmetric."""
+    d = 2 * b * q
+    h = max(a, b * q)
+    centers = [2 * b * (q - p) * (height - 1)]
     if p == q:
-        centers.append(Fraction(height - 1))
+        centers.append(d * (height - 1))
     spans = []
-    for center in centers:
-        lo = math.ceil(center - thickness / 2)
-        hi = math.floor(center + thickness / 2)
+    for c in centers:
+        lo = -((h - c) // d)
+        hi = (c + h) // d
         if hi >= 0 and lo <= height - 1:
             spans.append((max(lo, 0), min(hi, height - 1)))
     return spans
@@ -128,12 +134,13 @@ def render(records, config: ButterflyConfig) -> bytearray:
     data, pixels = _ppm_buffer(height, config.mu_bins)
     order = np.argsort(-columns[0], kind="stable")
     scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
+    num, den = scale.numerator, scale.denominator
     spans = {}  # (p, q) -> row spans
     for start in range(0, len(order), PAINT_BLOCK):
         block = order[start:start + PAINT_BLOCK]
         for q, p, a, b, code in zip(*(col[block].tolist() for col in columns)):
             if (p, q) not in spans:
-                spans[p, q] = _row_bounds(p, q, height, max(scale / q, Fraction(1)))
+                spans[p, q] = _row_bounds(p, q, height, num, den)
             for y0, y1 in spans[p, q]:
                 pixels[y0:y1 + 1, a:b] = rgb[code]
     return data

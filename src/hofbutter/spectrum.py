@@ -267,8 +267,8 @@ class GapRecord(NamedTuple):
     chern_source: str = "unresolved"
 
 
-def denominator_bands(models) -> list:
-    """Band intervals of fluxes p/q that share q, phi_d and the hoppings,
+def denominator_bands(models):
+    """Band edges of fluxes p/q that share q, phi_d and the hoppings,
     from one batched real eigensolve: J (jacobi_batch) of every flux at
     the two band-edge momenta of the denominator, a float64
     (len(models), 2, q, q) stack.  When the edges were searched, H at
@@ -276,11 +276,13 @@ def denominator_bands(models) -> list:
     Stacks over EDGE_STACK_BYTES together are solved in slices of fluxes
     that fit.
 
-    Each flux keeps its own checks, so its entry is its BandSpectrum, or
-    the error its own edges raised: BandOverlapError if its intervals
-    overlap by more than 1e-8, the signature of a band-edge k-point
-    failure, and BandContainmentError if searched edges miss one of its
-    probe eigenvalues.  A failed eigensolve raises for the whole batch.
+    Returns (los, his, errors): the lower and upper edges of every band,
+    float64 arrays of shape (len(models), q) with row m for models[m],
+    and per flux None or the error its own edges raised, since each
+    flux keeps its own checks: BandOverlapError if its intervals overlap
+    by more than 1e-8, the signature of a band-edge k-point failure, and
+    BandContainmentError if searched edges miss one of its probe
+    eigenvalues.  A failed eigensolve raises for the whole batch.
     """
     pts = band_edge_kpoints(models[0])
     probed = not _edges_in_closed_form(models[0])
@@ -301,18 +303,16 @@ def denominator_bands(models) -> list:
         outside = np.maximum(los[:, None] - probe, probe - his[:, None])
         tol = CONTAINMENT_REL_TOL * np.maximum(1.0, np.abs(probe))
         missed = (outside > tol).any(axis=(1, 2))
-    out = []
-    for m, (model, lo, hi) in enumerate(zip(models, los.tolist(), his.tolist())):
-        if overlap[m].any():
-            n = int(overlap[m].argmax())
-            out.append(BandOverlapError(
-                f"bands {n + 1} and {n + 2} overlap by {hi[n] - lo[n + 1]:.3e}"))
-        elif probed and missed[m]:
-            out.append(BandContainmentError(
-                f"probe eigenvalues up to {outside[m].max():.3e} outside their bands"))
-        else:
-            out.append(BandSpectrum(model, tuple(zip(lo, hi))))
-    return out
+    errors = [None] * len(models)
+    for m in np.flatnonzero(overlap.any(axis=1)).tolist():
+        n = int(overlap[m].argmax())
+        errors[m] = BandOverlapError(
+            f"bands {n + 1} and {n + 2} overlap by {his[m, n] - los[m, n + 1]:.3e}")
+    if probed:
+        for m in np.flatnonzero(missed).tolist():
+            errors[m] = errors[m] or BandContainmentError(
+                f"probe eigenvalues up to {outside[m].max():.3e} outside their bands")
+    return los, his, errors
 
 
 def compute_bands(model: HofstadterModel) -> BandSpectrum:
@@ -321,10 +321,10 @@ def compute_bands(model: HofstadterModel) -> BandSpectrum:
     Raises its BandOverlapError or BandContainmentError; callers should
     then retry with compute_bands_dense, as compute_bands_or_dense does.
     """
-    (spectrum,) = denominator_bands([model])
-    if isinstance(spectrum, BandOverlapError):
-        raise spectrum
-    return spectrum
+    los, his, (error,) = denominator_bands([model])
+    if error is not None:
+        raise error
+    return BandSpectrum(model, tuple(zip(los[0].tolist(), his[0].tolist())))
 
 
 def compute_bands_dense(model: HofstadterModel, grid: int = 64) -> BandSpectrum:
@@ -368,27 +368,37 @@ def check_eps_gap(eps_gap: float) -> None:
         raise ValueError(f"eps_gap must be finite and >= 0, got {eps_gap}")
 
 
-def compute_gaps(spectrum: BandSpectrum, eps_gap: float = GAP_EPS_DEFAULT) -> list[GapRecord]:
-    """The q+1 gap records of a band spectrum.
+def gap_table(los, his, eps_gap: float = GAP_EPS_DEFAULT):
+    """lo, hi, width and closed of gaps j = 0..q of every row of band
+    edges, arrays of shape (rows, q + 1) from (rows, q) ``los`` and
+    ``his`` (as ``denominator_bands`` returns them).
 
-    Interior gap j spans [e_max(j), e_min(j+1)] and is flagged closed
-    when its width falls below eps_gap.  The semi-infinite gaps j = 0
-    and j = q carry sigma = 0 from the start (the chain anchors).
+    Interior gap j spans [e_max(j), e_min(j+1)], with width
+    max(hi - lo, 0), and is closed when its width falls below eps_gap.
+    The semi-infinite gaps j = 0 and j = q reach -inf and +inf, have
+    width inf and are open."""
+    ends = np.full((len(los), 1), np.inf)
+    lo = np.concatenate([-ends, his], axis=1)
+    hi = np.concatenate([los, ends], axis=1)
+    width = np.full(lo.shape, np.inf)
+    width[:, 1:-1] = np.maximum(los[:, 1:] - his[:, :-1], 0.0)
+    return lo, hi, width, width < eps_gap
+
+
+def compute_gaps(spectrum: BandSpectrum, eps_gap: float = GAP_EPS_DEFAULT) -> list[GapRecord]:
+    """The q+1 gap records of a band spectrum: one row of ``gap_table``.
+
+    The semi-infinite gaps j = 0 and j = q carry sigma = 0 from the
+    start (the chain anchors); interior gaps are unresolved.
     """
     check_eps_gap(eps_gap)
     model = spectrum.model
     p, q, phi_d = model.flux.p, model.q, model.phi_d
-    bands = spectrum.bands
-    records = [GapRecord(p, q, phi_d, 0, -math.inf, bands[0][0], math.inf,
-                         False, 0, "chain")]
-    for j in range(1, q):
-        lo = bands[j - 1][1]
-        hi = bands[j][0]
-        width = max(hi - lo, 0.0)
-        records.append(GapRecord(p, q, phi_d, j, lo, hi, width,
-                                 width < eps_gap))
-    records.append(GapRecord(p, q, phi_d, q, bands[-1][1], math.inf, math.inf,
-                             False, 0, "chain"))
+    los, his = np.array(spectrum.bands, dtype=float).T
+    lo, hi, width, closed = (x[0].tolist() for x in gap_table(los[None], his[None], eps_gap))
+    records = [GapRecord(p, q, phi_d, j, *gap) for j, gap in enumerate(zip(lo, hi, width, closed))]
+    records[0] = records[0]._replace(chern=0, chern_source="chain")
+    records[q] = records[q]._replace(chern=0, chern_source="chain")
     return records
 
 

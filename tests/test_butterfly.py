@@ -24,11 +24,14 @@ from hofbutter import (
     enumerate_fluxes,
     iter_flux_results,
     read_records_jsonl,
+    resolve_in_window,
+    solve_residue,
+    sweep_to_jsonl,
     write_records_jsonl,
 )
 from hofbutter import butterfly, chern
 from hofbutter.render import read_ppm, render
-from hofbutter.spectrum import gap_to_dict
+from hofbutter.spectrum import BandOverlapError, gap_to_dict
 
 
 class TestEnumerateFluxes:
@@ -146,16 +149,20 @@ class TestBuildDiagram:
                    for r in interior)
 
     def test_determinism_across_jobs(self, tmp_path, monkeypatch):
-        # jobs=1 maps the denominators in-process, jobs=2 sends them to a
+        # jobs=1 maps the denominators in-process, jobs=2 submits them to a
         # pool, largest q first: all-edge sweeps at -pi/2, at +pi/2
         # anisotropic and at phi_d = 0.3, and a triangular q_max 30 sweep
         # with windows and edge winding mixed.
         tasks = []
 
         class Pool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                tasks.append([(q, ps) for q, ps, _ in iterables[0]])
-                return super().map(fn, *iterables, **kwargs)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tasks.append([])
+
+            def submit(self, fn, task, **kwargs):
+                tasks[-1].append(task[:2])
+                return super().submit(fn, task, **kwargs)
 
         monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
         mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
@@ -176,6 +183,28 @@ class TestBuildDiagram:
             [list(range(6, 0, -1))] * 3 + [list(range(30, 0, -1))]
         assert all(ps == [f.p for f in enumerate_fluxes(q) if f.q == q]
                    for run in tasks for q, ps in run)
+
+    def test_pool_runs_at_most_two_denominators_a_job_ahead(self, monkeypatch):
+        # at jobs=2 the first yielded flux leaves four denominators
+        # submitted ahead of it; the rest are submitted one per
+        # denominator taken, in order, so finished ones never pile up
+        submitted = []
+
+        class Pool(ProcessPoolExecutor):
+            def submit(self, fn, task, **kwargs):
+                submitted.append(task[0])
+                return super().submit(fn, task, **kwargs)
+
+        monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
+        cfg = ButterflyConfig(q_max=12, computed_q_max=0, jobs=2)
+        results = iter_flux_results(cfg)
+        (recs, failure), = itertools.islice(results, 1)
+        assert (recs[0].p, recs[0].q, failure) == (1, 12, None)
+        assert submitted == [12, 11, 10, 9, 8]
+        rest = list(results)
+        assert submitted == list(range(12, 0, -1))
+        assert [recs for recs, _ in [(recs, failure)] + rest] == \
+            [recs for recs, _ in iter_flux_results(replace(cfg, jobs=1))]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
@@ -220,7 +249,8 @@ class TestBuildDiagram:
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", alone)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
-        entries = butterfly._denominator_records((7, list(range(1, 7)), cfg))
+        entries = butterfly._flux_results(butterfly._denominator_records(
+            (7, list(range(1, 7)), cfg)))
         assert calls == {"table": 6, "batch": 1, "alone": 0}
         assert [failure for _, failure in entries] == [None] * 6
         assert all(r.chern is None and r.chern_source == "unresolved"
@@ -359,6 +389,140 @@ class TestPersistence:
         write_records_jsonl(diagram.records, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == len(diagram.records)
+
+
+def _sweep_lines(cfg, tmp_path):
+    """The bytes of sweep_to_jsonl, which writes each denominator from its
+    columns, after checking that they equal those of write_records_jsonl
+    on build_diagram's records and the json.dumps lines of those
+    records; and the diagram."""
+    diagram = build_diagram(cfg)
+    swept, written = tmp_path / "swept.jsonl", tmp_path / "written.jsonl"
+    n, failures = sweep_to_jsonl(cfg, str(swept))
+    write_records_jsonl(diagram.records, str(written))
+    expected = "".join(_json_lines(diagram.records)).encode()
+    assert swept.read_bytes() == written.read_bytes() == expected
+    assert (n, tuple(failures)) == (len(diagram.records), diagram.failures)
+    return diagram
+
+
+class TestSweepBytes:
+    """sweep_to_jsonl, write_records_jsonl and json.dumps write the same bytes."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                         (0.3, (1.0, 1.0, 1.0)),
+                                         (math.pi / 2, (1.0, 0.8, 0.6))])
+    def test_every_resolver(self, tmp_path, jobs, resolver, phi_d, t):
+        # eps_gap 0.02 closes some narrow gaps of every model
+        cfg = ButterflyConfig(q_max=8, phi_d=phi_d, t1=t[0], t2=t[1], t3=t[2],
+                              resolver=resolver, computed_q_max=5, eps_gap=0.02, jobs=jobs)
+        diagram = _sweep_lines(cfg, tmp_path)
+        interior = [r for r in diagram.records if 0 < r.j < r.q]
+        sources = {r.chern_source for r in interior if not r.closed}
+        assert any(r.closed for r in interior)
+        assert "edge_winding" in sources
+        assert ("unresolved" in sources) == (resolver != "computed")
+        # the window colors of the table, gap by gap through the scalar
+        # resolve_in_window: a value where it holds one, else not a window tag
+        tag = "chain" if resolver == "chain" else "window_" + resolver
+        for r in interior:
+            window = butterfly._window_for(resolver, r.q)
+            sigma = window and resolve_in_window(solve_residue(r.j, Flux(r.p, r.q)), window)
+            if r.closed or sigma is None:
+                assert r.chern_source != tag
+            else:
+                assert (r.chern, r.chern_source) == (sigma, tag)
+
+    @pytest.mark.parametrize("block", [1, 10, 30])
+    def test_blocks_of_whole_rows(self, tmp_path, monkeypatch, block):
+        # each write holds whole fluxes, at most WRITE_BLOCK lines unless
+        # one flux alone is longer, and the bytes do not depend on it
+        cfg = ButterflyConfig(q_max=9, computed_q_max=0)
+        whole, blocks = tmp_path / "whole.jsonl", tmp_path / "blocks.jsonl"
+        n, _ = sweep_to_jsonl(cfg, str(whole))
+        writes = []
+        write_columns = butterfly._write_columns
+
+        def spy(fh, columns):
+            writes.append(columns[3])  # the j column
+            write_columns(fh, columns)
+
+        monkeypatch.setattr(butterfly, "WRITE_BLOCK", block)
+        monkeypatch.setattr(butterfly, "_write_columns", spy)
+        sweep_to_jsonl(cfg, str(blocks))
+        assert blocks.read_bytes() == whole.read_bytes()
+        assert sum(map(len, writes)) == n
+        for js in writes:
+            q = max(js)
+            assert js == list(range(q + 1)) * (len(js) // (q + 1))
+            assert len(js) <= max(block, q + 1)
+
+    def test_nan_edge_is_not_written(self, tmp_path, monkeypatch):
+        # a NaN band edge of 2/3 makes its table's lines not JSON: the
+        # sweep raises before writing any line of q = 3, as the record
+        # writer does for such a record
+        denominator_bands = butterfly.denominator_bands
+
+        def nan_edge(models):
+            los, his, errors = denominator_bands(models)
+            if models[0].q == 3:
+                his[1, 1] = math.nan
+            return los, his, errors
+
+        monkeypatch.setattr(butterfly, "denominator_bands", nan_edge)
+        path = tmp_path / "nan.jsonl"
+        with pytest.raises(ValueError, match="^gap record 2/3 j=2 is not JSON"):
+            sweep_to_jsonl(ButterflyConfig(q_max=4, computed_q_max=0), str(path))
+        assert '"q": 3' not in path.read_text() and '"q": 4' in path.read_text()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fallbacks_and_failures(self, tmp_path, monkeypatch, jobs):
+        # the batch of q = 7 raises, so its fluxes retry alone, and 3/7
+        # fails there; 2/5 fails its own edge check and takes the dense
+        # scan; 1/5 fails in the edge winding
+        denominator_bands, compute_bands = butterfly.denominator_bands, butterfly.compute_bands
+        compute_bands_dense, edge_chern_table = \
+            butterfly.compute_bands_dense, butterfly.edge_chern_table
+
+        def batch(models):
+            q = models[0].q
+            if q == 7:
+                raise np.linalg.LinAlgError("forced batch failure")
+            los, his, errors = denominator_bands(models)
+            if q == 5:
+                errors[1] = BandOverlapError("forced overlap")
+            return los, his, errors
+
+        def alone(model):
+            if (model.flux.p, model.q) == (3, 7):
+                raise np.linalg.LinAlgError("forced flux failure")
+            return compute_bands(model)
+
+        def edge(model, gaps):
+            if (model.flux.p, model.q) == (1, 5):
+                raise RuntimeError("forced edge failure")
+            return edge_chern_table(model, gaps)
+
+        dense = []
+        monkeypatch.setattr(butterfly, "denominator_bands", batch)
+        monkeypatch.setattr(butterfly, "compute_bands", alone)
+        monkeypatch.setattr(butterfly, "edge_chern_table", edge)
+        monkeypatch.setattr(butterfly, "compute_bands_dense",
+                            lambda model: dense.append(model.flux) or
+                            compute_bands_dense(model, grid=16))
+        cfg = ButterflyConfig(q_max=8, computed_q_max=7, jobs=jobs)
+        diagram = _sweep_lines(cfg, tmp_path)
+        assert diagram.failures == ((3, 7, "LinAlgError: forced flux failure"),
+                                    (1, 5, "RuntimeError: forced edge failure"))
+        fluxes = {(r.p, r.q) for r in diagram.records}
+        assert {(1, 7), (2, 7), (4, 7), (2, 5), (3, 5)} <= fluxes
+        assert not {(3, 7), (1, 5)} & fluxes
+        assert all(r.chern is not None for r in diagram.records
+                   if r.q in (5, 7) and not r.closed)
+        if jobs == 1:  # once in build_diagram, once in sweep_to_jsonl
+            assert [(f.p, f.q) for f in dense] == [(2, 5)] * 2
 
 
 def _synthetic_records(n_fluxes: int) -> list:

@@ -1,4 +1,5 @@
 import colorsys
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -85,6 +86,43 @@ class TestRender:
         assert (img == np.array(SENTINEL, dtype=np.uint8)).all(axis=2).any()
 
 
+def fraction_row_bounds(p, q, height, thickness):
+    """Reference row spans of flux p/q in Fraction arithmetic: a row of
+    the given thickness centered at (q-p)/q (height-1), and for p = q a
+    second one at height-1, each clipped to the canvas."""
+    centers = [Fraction(q - p, q) * (height - 1)]
+    if p == q:
+        centers.append(Fraction(height - 1))
+    spans = []
+    for center in centers:
+        lo = math.ceil(center - thickness / 2)
+        hi = math.floor(center + thickness / 2)
+        if hi >= 0 and lo <= height - 1:
+            spans.append((max(lo, 0), min(hi, height - 1)))
+    return spans
+
+
+def test_row_bounds_match_fractions():
+    # every p/q <= 64, p = q included at every q, at several heights and
+    # row scales: integer quotients over one common denominator equal
+    # the Fraction ceil and floor, for rows thinner than a pixel (drawn
+    # one pixel thick) and for thicker ones
+    q_max = 64
+    thin = thick = 0
+    for height, row_scale in itertools.product([1, 2, 7, 256, 1024],
+                                               [2.0, 0.1, 1 / 3, 0.0, -1.5, 37.25]):
+        scale = Fraction(row_scale * height).limit_denominator(10**6) / q_max
+        for q in range(1, q_max + 1):
+            thickness = scale / q
+            thin += thickness < 1
+            thick += thickness > 1
+            for p in range(1, q + 1):
+                assert _row_bounds(p, q, height, scale.numerator, scale.denominator) == \
+                    fraction_row_bounds(p, q, height, max(thickness, Fraction(1))), \
+                    (p, q, height, row_scale)
+    assert thin and thick
+
+
 def mask_render(records, cfg):
     """Reference rasterizer: one boolean column mask per record, colors
     painted directly, the palette period from a pass over all records."""
@@ -101,7 +139,8 @@ def mask_render(records, cfg):
             continue
         thickness = Fraction(cfg.row_scale * cfg.height).limit_denominator(10**6) \
             / (rec.q * cfg.q_max)
-        for y0, y1 in _row_bounds(rec.p, rec.q, cfg.height, max(thickness, Fraction(1))):
+        for y0, y1 in fraction_row_bounds(rec.p, rec.q, cfg.height,
+                                          max(thickness, Fraction(1))):
             claim = owner[y0:y1 + 1, cols] >= rec.q
             block = canvas[y0:y1 + 1, cols]
             block[claim] = chern_color(rec.chern, period)

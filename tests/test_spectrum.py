@@ -35,6 +35,7 @@ from hofbutter.spectrum import (
     denominator_bands,
     det_offset,
     gap_from_dict,
+    gap_table,
     gap_to_dict,
 )
 
@@ -214,13 +215,13 @@ class TestBandEdgeKpoints:
         # own w_u^q, and they contain the spectrum
         for q in range(1, 37):
             models = coprime_models(q, phi_d, t)
-            shared = denominator_bands(models)
+            los, his, _ = denominator_bands(models)
+            shared = np.stack([los, his], axis=-1)
             with monkeypatch.context() as m:
                 m.setattr(spectrum, "_chambers_terms", chambers_terms_per_p)
                 own = [band_edge_kpoints(model) for model in models]
-            for model, spec, pts in zip(models, shared, own):
+            for model, bands, pts in zip(models, shared, own):
                 evs = np.linalg.eigvalsh(hamiltonian_batch(model, *zip(*pts)))
-                bands = np.array(spec.bands)
                 assert np.abs(bands[:, 0] - evs.min(axis=0)).max() <= 1e-12, model.flux
                 assert np.abs(bands[:, 1] - evs.max(axis=0)).max() <= 1e-12, model.flux
                 assert containment_excess(model, n=8, seed=q, bands=bands) <= 1e-9
@@ -416,12 +417,14 @@ class TestComputeBands:
             stacks = []
             monkeypatch.setattr(spectrum, "jacobi_batch", spy(jacobi_batch))
             monkeypatch.setattr(spectrum, "hamiltonian_batch", spy(hamiltonian_batch))
-            spectra = denominator_bands(models)
+            los, his, errors = denominator_bands(models)
+            spectra = [tuple(zip(lo, hi)) for lo, hi in zip(los.tolist(), his.tolist())]
             shape = (len(models), 2, q, q)
             assert stacks == [("jacobi_batch", np.float64, shape)] + \
                 [("hamiltonian_batch", np.complex128, shape)] * (phi_d != PHI_D_SYMMETRIC)
-            for model, spec in zip(models, spectra):
-                assert spec.bands == compute_bands(model).bands
+            assert errors == [None] * len(models)
+            for model, bands in zip(models, spectra):
+                assert bands == compute_bands(model).bands
             # stacks over EDGE_STACK_BYTES go in slices that fit, here one
             # flux each, with the same bands
             stacks = []
@@ -430,7 +433,7 @@ class TestComputeBands:
             monkeypatch.undo()
             assert [s[2][0] for s in stacks] == [1] * len(stacks)
             assert len(stacks) == len(models) * (1 + (phi_d != PHI_D_SYMMETRIC))
-            assert [s.bands for s in sliced] == [s.bands for s in spectra]
+            assert np.array_equal(sliced[0], los) and np.array_equal(sliced[1], his)
 
 
 def within_rounding(a, b):
@@ -480,12 +483,39 @@ class TestRealEdges:
 
     def test_zero_hoppings_give_no_signed_zeros(self):
         for q in range(1, 8):
-            for spec in denominator_bands(coprime_models(q, 0.3, (0.0, 0.0, 0.0))):
-                assert [math.copysign(1.0, x) for band in spec.bands for x in band] == \
-                    [1.0] * 2 * q
+            los, his, _ = denominator_bands(coprime_models(q, 0.3, (0.0, 0.0, 0.0)))
+            for lo, hi in zip(los.tolist(), his.tolist()):
+                assert [math.copysign(1.0, x) for x in lo + hi] == [1.0] * 2 * q
+
+
+def loop_gaps(bands, eps_gap):
+    """Reference (lo, hi, width, closed) of gaps j = 0..q, one at a time
+    in Python floats, as compute_gaps made them before gap_table."""
+    gaps = [(-math.inf, bands[0][0], math.inf, False)]
+    for j in range(1, len(bands)):
+        lo, hi = bands[j - 1][1], bands[j][0]
+        width = max(hi - lo, 0.0)
+        gaps.append((lo, hi, width, width < eps_gap))
+    return gaps + [(bands[-1][1], math.inf, math.inf, False)]
 
 
 class TestComputeGaps:
+    @pytest.mark.parametrize("eps_gap", [0.0, 1e-8, 0.3])
+    def test_gap_table_matches_loop(self, eps_gap):
+        # random rows of edges with touching, overlapping and zero bands
+        rng = np.random.default_rng(5)
+        for q in (1, 2, 3, 8):
+            edges = np.sort(rng.choice([-1.0, 0.0, 0.25, 1.0, 2.0], size=(6, 2 * q)), axis=1)
+            los, his = edges[:, 0::2], edges[:, 1::2]
+            his[1] = los[1]                                # bands of zero width
+            los[2, 1:] = his[2, :-1] - 0.125               # overlapping bands
+            los[3, 0], his[3, -1] = -math.inf, math.inf    # infinite outer edges
+            table = [x.tolist() for x in gap_table(los, his, eps_gap)]
+            for f in range(len(los)):
+                bands = list(zip(los[f].tolist(), his[f].tolist()))
+                assert list(zip(*(column[f] for column in table))) == \
+                    loop_gaps(bands, eps_gap)
+
     def test_q1_two_trivial_gaps(self):
         gaps = compute_gaps(compute_bands(HofstadterModel(Flux(1, 1))))
         assert [g.j for g in gaps] == [0, 1]
