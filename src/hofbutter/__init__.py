@@ -67,9 +67,7 @@ from .butterfly import (
     build_diagram,
     detect_coloring_errors,
     enumerate_fluxes,
-    iter_flux_results,
     read_records_jsonl,
     sweep_to_jsonl,
-    write_records_jsonl,
 )
 from .render import chern_color, render, render_jsonl

@@ -5,12 +5,12 @@ q <= q_max, each open gap carrying a Chern number from the configured
 resolution strategy.  A sweep's unit of work is a denominator: all
 fluxes p/q of one q share their band-edge momenta, take their band
 edges from one batched eigensolve, and come out as one table of columns
-(``Denominator``): the gaps, window colors and edge-winding colors of
-every flux.  Sweeps parallelize over denominators and stream to JSON
-lines in the order they are computed (q_max down to 1, then p, then j),
-straight from the columns; ``GapRecord`` tuples are built only where an
-API returns records.  Diagrams can be audited for wing-coloring errors
-by exact Streda comparisons between Farey-adjacent fluxes.
+(``Denominator``).  Every sweep runs through ``_denominators``, in the
+order the tables are computed (q_max down to 1, then p, then j), and
+``sweep_to_jsonl`` writes each table through the one JSON-line encoder,
+``_write_table``; ``GapRecord`` tuples are built only where an API
+returns records.  Diagrams can be audited for wing-coloring errors by
+exact Streda comparisons between Farey-adjacent fluxes.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ WRITE_BLOCK = 2048  # JSON lines per write of a sweep, at most (one flux at leas
 _LINE = ('{"chern": %s, "closed": %s, "hi": %s, "j": %s, "lo": %s, %s, '
          '"source": %s, "width": %s}\n')
 _FLUX = '"p": %s, "phi_d": %s, "q": %s'  # adjacent keys, one fragment
-_NULL_ENDS = {math.inf: "null", -math.inf: "null"}  # gap_to_dict's +/-inf -> None
 _quoted = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per tag
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
@@ -140,7 +139,7 @@ class ButterflyConfig:
 @dataclass(frozen=True)
 class ButterflyDiagram:
     """Gap records of all fluxes plus per-flux resolution failures, in
-    the order of ``iter_flux_results``: q descending, then p, then j."""
+    the order a sweep computes them: q descending, then p, then j."""
 
     config: ButterflyConfig
     records: tuple
@@ -267,20 +266,16 @@ def _denominator_records(args) -> Denominator:
                        [(ps[f], q, failures[f]) for f in sorted(failures)])
 
 
-def _flux_results(d: Denominator) -> list:
-    """(records, None) per flux of ``d`` by ascending p, or ([], (p, q,
-    reason)) for a flux that failed; the records are ``GapRecord``s made
-    from the table's columns."""
+def _records(d: Denominator) -> list[GapRecord]:
+    """The ``GapRecord``s of the table ``d`` by p, then j, made from its
+    columns."""
     n = d.q + 1
     chern = _masked(d.chern, d.tag == GRAY, None)
     source = np.array(d.tags, dtype=object)[d.tag.ravel()].tolist()
     ps = [p for p in d.ps for _ in range(n)]
-    records = list(map(GapRecord._make, zip(
+    return list(map(GapRecord._make, zip(
         ps, [d.q] * len(ps), [d.phi_d] * len(ps), list(range(n)) * len(d.ps),
         *(x.ravel().tolist() for x in (d.lo, d.hi, d.width, d.closed)), chern, source)))
-    results = {p: (records[f * n:(f + 1) * n], None) for f, p in enumerate(d.ps)}
-    results.update((failure[0], ([], failure)) for failure in d.failures)
-    return [results[p] for p in sorted(results)]
 
 
 def _line_columns(d: Denominator, rows: slice) -> list:
@@ -297,6 +292,29 @@ def _line_columns(d: Denominator, rows: slice) -> list:
             list(range(n)) * len(ps), lo, flux, source, width]
 
 
+def _write_table(fh, d: Denominator) -> None:
+    """The JSON lines of a ``Denominator`` table, one write per block of
+    whole rows of up to WRITE_BLOCK lines (one row at least).
+
+    A line is byte for byte ``json.dumps(gap_to_dict(r), sort_keys=True)
+    + "\n"`` of its record r: ints and floats print as ``str``, that is
+    ``repr`` as in ``json``; +/-inf ends and a gray sigma as null,
+    ``closed`` as true or false, each tag quoted by ``json.dumps``.
+    ``json`` writes a NaN and an infinite phi_d as NaN and Infinity,
+    which are not JSON, so such a table raises ValueError instead,
+    before anything is written."""
+    bad = np.isnan(d.lo) | np.isnan(d.hi) | np.isnan(d.width) | (not math.isfinite(d.phi_d))
+    if bad.any():
+        f, j = np.argwhere(bad)[0].tolist()
+        lo, hi, width = (x[f, j].item() for x in (d.lo, d.hi, d.width))
+        raise ValueError(f"gap record {d.ps[f]}/{d.q} j={j} is not JSON: phi_d={d.phi_d}, "
+                         f"lo={lo}, hi={hi}, width={width}")
+    step = max(1, WRITE_BLOCK // (d.q + 1))
+    for start in range(0, len(d.ps), step):
+        columns = _line_columns(d, slice(start, start + step))
+        fh.write("".join(map(_LINE.__mod__, zip(*columns))))
+
+
 def _masked(x: np.ndarray, mask: np.ndarray, value) -> list:
     """The values of x, row by row, as Python numbers, with ``value``
     where ``mask`` holds."""
@@ -309,10 +327,10 @@ def flux_records(p: int, q: int, cfg: ButterflyConfig) -> list[GapRecord]:
     """The gap records of flux p/q, colored by the configured resolver:
     the one-flux case of a sweep's denominator (``hofbutter dioph``).
     A failed flux raises RuntimeError with the sweep's reason."""
-    ((records, failure),) = _flux_results(_denominator_records((q, [p], cfg)))
-    if failure:
-        raise RuntimeError(f"flux {p}/{q} failed: {failure[2]}")
-    return records
+    d = _denominator_records((q, [p], cfg))
+    if d.failures:
+        raise RuntimeError(f"flux {p}/{q} failed: {d.failures[0][2]}")
+    return _records(d)
 
 
 def _in_order(fn, tasks: list, jobs: int):
@@ -333,8 +351,16 @@ def _in_order(fn, tasks: list, jobs: int):
 
 
 def _denominators(config: ButterflyConfig, progress=None):
-    """The ``Denominator`` tables of a sweep as they are computed, q_max
-    down to 1; ``progress(done, total)`` runs once per flux."""
+    """Yield the ``Denominator`` tables of a sweep as they are computed,
+    q_max down to 1; ``progress(done, total)`` runs once per flux.
+
+    ``_denominator_records`` runs once per q, in-process at jobs=1 and in
+    a process pool at jobs>1 with at most 2 * jobs denominators ahead of
+    the one being yielded, so giant sweeps stream through.  The order is
+    that of the tasks, the same at any ``jobs`` (BLAS threads are not
+    pinned; test_determinism_across_jobs checks it); no reader depends
+    on it: ``render`` paints in descending-q order and the audit sorts.
+    """
     fluxes = sorted(enumerate_fluxes(config.q_max), key=lambda f: (-f.q, f.p))
     tasks = [(q, [f.p for f in group], config)
              for q, group in itertools.groupby(fluxes, key=lambda f: f.q)]
@@ -347,35 +373,12 @@ def _denominators(config: ButterflyConfig, progress=None):
         yield d
 
 
-def iter_flux_results(config: ButterflyConfig, progress=None):
-    """Yield (records, failure) per flux in the order the sweep computes
-    them: denominators q_max ... 1, each q's fluxes by ascending p, each
-    flux's records by j.
-
-    The lazy backbone of every sweep that returns records: giant
-    diagrams stream through without materializing, each flux yielded
-    with the denominator that computed it.  The unit of work is a
-    denominator: ``_denominator_records`` runs once per q, largest q
-    first, in-process at jobs=1 and in a process pool at jobs>1, at most
-    2 * jobs denominators ahead of the one being yielded.  The order is
-    that of the tasks, so the output is deterministic for a fixed
-    config regardless of ``jobs``.  No reader depends on it: ``render``
-    paints in stable descending-q order and the audit sorts the fluxes.
-    BLAS threads are not pinned; test_determinism_across_jobs checks
-    jobs=N.
-    """
-    for d in _denominators(config, progress):
-        yield from _flux_results(d)
-
-
 def build_diagram(config: ButterflyConfig, progress=None) -> ButterflyDiagram:
     """Sweep all fluxes up to q_max and resolve their gap Chern numbers."""
-    records = []
-    failures = []
-    for recs, failure in iter_flux_results(config, progress):
-        records.extend(recs)
-        if failure:
-            failures.append(failure)
+    records, failures = [], []
+    for d in _denominators(config, progress):
+        records.extend(_records(d))
+        failures.extend(d.failures)
     return ButterflyDiagram(config, tuple(records), tuple(failures))
 
 
@@ -455,85 +458,6 @@ def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
                 if streda_check(ra, rb) is StredaOutcome.INCONSISTENT:
                     bad.append(InconsistentPair(ra, rb))
     return bad
-
-
-def _not_json(p, q, phi_d, j, lo, hi, width) -> ValueError:
-    return ValueError(f"gap record {p}/{q} j={j} is not JSON: phi_d={phi_d}, "
-                      f"lo={lo}, hi={hi}, width={width}")
-
-
-def _write_columns(fh, columns) -> None:
-    """One JSON line per row of the eight ``_LINE`` columns, in one
-    write: one C-level ``%`` per line over ready values."""
-    fh.write("".join(map(_LINE.__mod__, zip(*columns))))
-
-
-def _write_lines(fh, records) -> None:
-    """One JSON line per gap record, in one write.
-
-    Each line is ``_LINE`` filled from the record's fields, column by
-    column, with the adjacent keys p, phi_d and q as one fragment.  Its
-    bytes are those of ``json.dumps(gap_to_dict(r), sort_keys=True) +
-    "\n"``: ints and floats print as ``str``, which is ``int.__repr__``
-    and ``float.__repr__`` as in ``json``; +/-inf ends print as null, a
-    missing sigma as null, ``closed`` as true or false, and each tag is
-    quoted by ``json.dumps``.  ``json`` writes NaN and an infinite phi_d
-    as NaN and Infinity, which are not JSON, so such a record raises
-    ValueError instead, before anything is written.  A sweep writes its
-    ``Denominator`` tables through the same ``_write_columns``.
-    """
-    records = list(records)
-    if not records:
-        return
-    p, q, phi_d, j, lo, hi, width, closed, chern, source = zip(*records)
-    bad = next(itertools.compress(records, map(_not_finite, phi_d, lo, hi, width)), None)
-    if bad:
-        raise _not_json(*bad[:7])
-    end = _NULL_ENDS.get
-    _write_columns(fh, [["null" if c is None else c for c in chern],
-                        ["true" if c else "false" for c in closed],
-                        list(map(end, hi, hi)), j, list(map(end, lo, lo)),
-                        _fragments(p, phi_d, q),
-                        list(map(_quoted, source)), list(map(end, width, width))])
-
-
-def _fragments(p, phi_d, q) -> list:
-    """The p, phi_d, q fragment of each record, formatted once per run of
-    records that share it; 0.0 == -0.0, so the sign of phi_d is part of
-    a run's key."""
-    out = []
-    signs = map(math.copysign, itertools.repeat(1.0), phi_d)
-    for (*key, _), run in itertools.groupby(zip(p, phi_d, q, signs)):
-        out.extend(itertools.repeat(_FLUX % tuple(key), sum(1 for _ in run)))
-    return out
-
-
-def _not_finite(phi_d, lo, hi, width) -> bool:
-    """Whether a record has a NaN float or an infinite phi_d: x - x is
-    0.0 (false) for finite x and NaN (true) otherwise."""
-    return bool(phi_d - phi_d) or lo != lo or hi != hi or width != width
-
-
-def _write_table(fh, d: Denominator) -> None:
-    """The JSON lines of a ``Denominator`` table, one write per block of
-    rows of up to WRITE_BLOCK lines, with the bytes and the NaN rule of
-    ``_write_lines``; nothing is written if a value is not JSON."""
-    bad = np.isnan(d.lo) | np.isnan(d.hi) | np.isnan(d.width) | (not math.isfinite(d.phi_d))
-    if bad.any():
-        f, j = np.argwhere(bad)[0].tolist()
-        raise _not_json(d.ps[f], d.q, d.phi_d, j,
-                        *(x[f, j].item() for x in (d.lo, d.hi, d.width)))
-    step = max(1, WRITE_BLOCK // (d.q + 1))
-    for start in range(0, len(d.ps), step):
-        _write_columns(fh, _line_columns(d, slice(start, start + step)))
-
-
-def write_records_jsonl(records, path: str) -> None:
-    """Stream gap records to JSON lines, one record per line and one
-    write per flux."""
-    with open(path, "w") as fh:
-        for _, recs in itertools.groupby(records, key=lambda r: (r.p, r.q)):
-            _write_lines(fh, recs)
 
 
 def _decode_block(lines: list) -> list:

@@ -73,7 +73,7 @@ def _load_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{ln}: expected 'key = value'")
+                raise ValueError(f"{path}:{ln}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
             values[key.replace("-", "_")] = raw
     return values
@@ -364,7 +364,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     if "--config" in argv:
         i = argv.index("--config")
-        values = _load_config_file(argv[i + 1])
+        try:
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a path")
+            values = _load_config_file(argv[i + 1])
+        except (OSError, ValueError) as exc:  # one error line, as for any bad input
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         del argv[i:i + 2]
         argv = _with_file_flags(parser, argv, values)
     args = parser.parse_args(argv)

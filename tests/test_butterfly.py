@@ -1,6 +1,5 @@
 import gc
 import io
-import itertools
 import json
 import math
 import random
@@ -22,15 +21,12 @@ from hofbutter import (
     build_diagram,
     detect_coloring_errors,
     enumerate_fluxes,
-    iter_flux_results,
     read_records_jsonl,
     resolve_in_window,
     solve_residue,
     sweep_to_jsonl,
-    write_records_jsonl,
 )
 from hofbutter import butterfly, chern
-from hofbutter.render import read_ppm, render
 from hofbutter.spectrum import BandOverlapError, gap_to_dict
 
 
@@ -171,13 +167,10 @@ class TestBuildDiagram:
                                      t2=0.8, t3=0.6),
                      ButterflyConfig(q_max=6, resolver="computed", phi_d=0.3),
                      mixed]:
-            cfg2 = replace(cfg1, jobs=2)
-            d1, d2 = build_diagram(cfg1), build_diagram(cfg2)
             p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-            write_records_jsonl(d1.records, p1)
-            write_records_jsonl(d2.records, p2)
+            assert sweep_to_jsonl(cfg1, str(p1)) == sweep_to_jsonl(replace(cfg1, jobs=2),
+                                                                   str(p2))
             assert p1.read_bytes() == p2.read_bytes()
-            assert render(d1.records, cfg1) == render(d2.records, cfg2)
         # one task per denominator, largest first, holding its fluxes p/q
         assert [[q for q, _ in run] for run in tasks] == \
             [list(range(6, 0, -1))] * 3 + [list(range(30, 0, -1))]
@@ -185,7 +178,7 @@ class TestBuildDiagram:
                    for run in tasks for q, ps in run)
 
     def test_pool_runs_at_most_two_denominators_a_job_ahead(self, monkeypatch):
-        # at jobs=2 the first yielded flux leaves four denominators
+        # at jobs=2 the first yielded denominator leaves four others
         # submitted ahead of it; the rest are submitted one per
         # denominator taken, in order, so finished ones never pile up
         submitted = []
@@ -197,14 +190,14 @@ class TestBuildDiagram:
 
         monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
         cfg = ButterflyConfig(q_max=12, computed_q_max=0, jobs=2)
-        results = iter_flux_results(cfg)
-        (recs, failure), = itertools.islice(results, 1)
-        assert (recs[0].p, recs[0].q, failure) == (1, 12, None)
+        tables = butterfly._denominators(cfg)
+        first = next(tables)
+        assert (first.q, first.ps, first.failures) == (12, [1, 5, 7, 11], [])
         assert submitted == [12, 11, 10, 9, 8]
-        rest = list(results)
+        rest = list(tables)
         assert submitted == list(range(12, 0, -1))
-        assert [recs for recs, _ in [(recs, failure)] + rest] == \
-            [recs for recs, _ in iter_flux_results(replace(cfg, jobs=1))]
+        assert [butterfly._records(d) for d in [first] + rest] == \
+            [butterfly._records(d) for d in butterfly._denominators(replace(cfg, jobs=1))]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
@@ -213,18 +206,16 @@ class TestBuildDiagram:
         # flux's records by j
         cfg = ButterflyConfig(q_max=9, resolver="triangular", computed_q_max=5, jobs=jobs)
         seen = []
-        results = list(iter_flux_results(
+        tables = list(butterfly._denominators(
             cfg, progress=lambda done, total: seen.append((done, total))))
         n = len(enumerate_fluxes(9))
         assert seen == [(i, n) for i in range(1, n + 1)]
-        assert all(failure is None for _, failure in results)
-        fluxes = [(recs[0].p, recs[0].q) for recs, _ in results]
+        assert all(not d.failures for d in tables)
+        fluxes = [(p, d.q) for d in tables for p in d.ps]
         assert fluxes == sorted(((f.p, f.q) for f in enumerate_fluxes(9)),
                                 key=lambda f: (-f[1], f[0]))
-        assert all(r[:2] == (p, q) for (p, q), (recs, _) in zip(fluxes, results)
-                   for r in recs)
-        assert all([r.j for r in recs] == list(range(q + 1))
-                   for (_, q), (recs, _) in zip(fluxes, results))
+        assert [r[:2] + (r.j,) for d in tables for r in butterfly._records(d)] == \
+            [(p, q, j) for p, q in fluxes for j in range(q + 1)]
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
     def test_one_edge_call_per_flux_one_batch_per_denominator(self, monkeypatch, resolver):
@@ -249,19 +240,18 @@ class TestBuildDiagram:
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", alone)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
-        entries = butterfly._flux_results(butterfly._denominator_records(
-            (7, list(range(1, 7)), cfg)))
+        table = butterfly._denominator_records((7, list(range(1, 7)), cfg))
         assert calls == {"table": 6, "batch": 1, "alone": 0}
-        assert [failure for _, failure in entries] == [None] * 6
+        assert (table.ps, table.failures) == (list(range(1, 7)), [])
         assert all(r.chern is None and r.chern_source == "unresolved"
-                   for records, _ in entries for r in records if 0 < r.j < 7)
+                   for r in butterfly._records(table) if 0 < r.j < 7)
         records = butterfly.flux_records(3, 7, cfg)  # the one-flux case
         assert calls == {"table": 7, "batch": 2, "alone": 0}
         assert all(r.chern is None for r in records if 0 < r.j < 7)
 
     def test_sweep_is_lazy_by_denominator(self, monkeypatch):
-        # at jobs=1 the phi(q_max) fluxes of q_max come out of the first
-        # worker call, before the second denominator is computed
+        # at jobs=1 the table of q_max, its phi(q_max) fluxes, comes out of
+        # the first worker call, before the second denominator is computed
         calls = []
         worker = butterfly._denominator_records
 
@@ -270,14 +260,13 @@ class TestBuildDiagram:
             return worker(args)
 
         monkeypatch.setattr(butterfly, "_denominator_records", spy)
-        results = iter_flux_results(ButterflyConfig(q_max=12))
-        first = list(itertools.islice(results, 4))  # phi(12) = 4: 1, 5, 7, 11
+        tables = butterfly._denominators(ButterflyConfig(q_max=12))
+        first = next(tables)
         assert calls == [12]
-        assert [(recs[0].p, recs[0].q) for recs, _ in first] == \
-            [(1, 12), (5, 12), (7, 12), (11, 12)]
-        next(results)
+        assert (first.q, first.ps) == (12, [1, 5, 7, 11])  # phi(12) = 4
+        next(tables)
         assert calls == [12, 11]
-        results.close()
+        tables.close()
 
     def test_finished_sweep_leaves_no_model_alive(self):
         # no per-model cache holds a model, or its q x q matrices, past its flux
@@ -378,41 +367,40 @@ class TestColoringErrors:
 
 class TestPersistence:
     def test_jsonl_roundtrip(self, tmp_path):
-        diagram = build_diagram(ButterflyConfig(q_max=4, resolver="chain"))
+        cfg = ButterflyConfig(q_max=4, resolver="chain")
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(diagram.records, path)
-        assert read_records_jsonl(path) == list(diagram.records)
+        sweep_to_jsonl(cfg, str(path))
+        assert read_records_jsonl(path) == list(build_diagram(cfg).records)
 
     def test_jsonl_one_record_per_line(self, tmp_path):
-        diagram = build_diagram(ButterflyConfig(q_max=3))
+        cfg = ButterflyConfig(q_max=3)
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(diagram.records, path)
+        n, _ = sweep_to_jsonl(cfg, str(path))
         lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(diagram.records)
+        assert len(lines) == n == len(build_diagram(cfg).records)
 
 
 def _sweep_lines(cfg, tmp_path):
-    """The bytes of sweep_to_jsonl, which writes each denominator from its
-    columns, after checking that they equal those of write_records_jsonl
-    on build_diagram's records and the json.dumps lines of those
-    records; and the diagram."""
+    """build_diagram's diagram, after checking that sweep_to_jsonl, which
+    writes each denominator from its columns, writes the json.dumps lines
+    of its records."""
     diagram = build_diagram(cfg)
-    swept, written = tmp_path / "swept.jsonl", tmp_path / "written.jsonl"
+    swept = tmp_path / "swept.jsonl"
     n, failures = sweep_to_jsonl(cfg, str(swept))
-    write_records_jsonl(diagram.records, str(written))
-    expected = "".join(_json_lines(diagram.records)).encode()
-    assert swept.read_bytes() == written.read_bytes() == expected
+    assert swept.read_text().splitlines(keepends=True) == _json_lines(diagram.records)
     assert (n, tuple(failures)) == (len(diagram.records), diagram.failures)
     return diagram
 
 
 class TestSweepBytes:
-    """sweep_to_jsonl, write_records_jsonl and json.dumps write the same bytes."""
+    """sweep_to_jsonl writes the json.dumps lines of build_diagram's records."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
     @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                         (PHI_D_SYMMETRIC, (1.0, 0.8, 0.6)),
                                          (0.3, (1.0, 1.0, 1.0)),
+                                         (0.3, (1.0, 0.8, 0.6)),
                                          (math.pi / 2, (1.0, 0.8, 0.6))])
     def test_every_resolver(self, tmp_path, jobs, resolver, phi_d, t):
         # eps_gap 0.02 closes some narrow gaps of every model
@@ -442,19 +430,16 @@ class TestSweepBytes:
         cfg = ButterflyConfig(q_max=9, computed_q_max=0)
         whole, blocks = tmp_path / "whole.jsonl", tmp_path / "blocks.jsonl"
         n, _ = sweep_to_jsonl(cfg, str(whole))
-        writes = []
-        write_columns = butterfly._write_columns
-
-        def spy(fh, columns):
-            writes.append(columns[3])  # the j column
-            write_columns(fh, columns)
-
         monkeypatch.setattr(butterfly, "WRITE_BLOCK", block)
-        monkeypatch.setattr(butterfly, "_write_columns", spy)
         sweep_to_jsonl(cfg, str(blocks))
         assert blocks.read_bytes() == whole.read_bytes()
-        assert sum(map(len, writes)) == n
-        for js in writes:
+        writes = _Sink()
+        for d in butterfly._denominators(cfg):
+            butterfly._write_table(writes, d)
+        assert "".join(writes) == whole.read_text()
+        assert len(whole.read_text().splitlines()) == n
+        for text in writes:
+            js = [json.loads(line)["j"] for line in text.splitlines()]
             q = max(js)
             assert js == list(range(q + 1)) * (len(js) // (q + 1))
             assert len(js) <= max(block, q + 1)
@@ -549,9 +534,8 @@ class TestBlockDecoding:
     def test_roundtrip_across_block_boundaries(self, tmp_path):
         records = _synthetic_records(80)  # 640 lines: two full blocks and a partial one
         assert len(records) > 2 * butterfly.DECODE_BLOCK
+        lines = _json_lines(records)
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(records, path)
-        lines = path.read_text().splitlines(keepends=True)
         # blank and whitespace-only lines around the block edges
         for at in (0, 255, 256, 257, 511, 513, len(lines)):
             lines.insert(at, "\n" if at % 2 else "   \t\n")
@@ -603,109 +587,156 @@ class TestBlockDecoding:
             list(butterfly.decode_records(lines))
         assert got.value.doc == head + "\n"
 
-    def test_one_write_per_flux(self):
-        # the eight records of one flux, as json.dumps(d, sort_keys=True) lines
-        records = _synthetic_records(1)
-        writes = []
-
-        class Sink:
-            def write(self, text):
-                writes.append(text)
-
-        butterfly._write_lines(Sink(), records)
-        assert len(writes) == 1
-        assert writes[0] == "".join(json.dumps(gap_to_dict(r), sort_keys=True) + "\n"
-                                    for r in records)
-
 
 def _json_lines(records) -> list:
     return [json.dumps(gap_to_dict(r), sort_keys=True) + "\n" for r in records]
 
 
-def _written(records) -> list:
-    """The lines of one _write_lines call; a list, so a failing comparison
-    reports the first line that differs."""
+class _Sink(list):
+    """A file that keeps each write."""
+    write = list.append
+
+
+# the tags of a sweep's table, by tag code (butterfly.OUTER, WINDOW, EDGE, GRAY)
+SWEEP_TAGS = ("chain", "window_triangular", "edge_winding", "unresolved")
+
+
+def _table(records, tags=SWEEP_TAGS) -> butterfly.Denominator:
+    """The Denominator table holding ``records``: whole fluxes of one q
+    and one phi_d, each by j = 0..q.  A record's tag code is the index of
+    its source in ``tags``, and a gray record alone has sigma None."""
+    q, phi_d = records[0].q, records[0].phi_d
+    p, qs, phis, js, lo, hi, width, closed, chern, source = zip(*records)
+    shape = (len(records) // (q + 1), q + 1)
+    tag = [tags.index(t) for t in source]
+    assert set(qs) == {q} and set(map(repr, phis)) == {repr(phi_d)}
+    assert list(js) == list(range(q + 1)) * shape[0]
+    assert [c is None for c in chern] == [t == butterfly.GRAY for t in tag]
+    return butterfly.Denominator(
+        q, phi_d, list(p[::q + 1]),
+        *(np.array(x, dtype=dtype).reshape(shape) for x, dtype in [
+            (lo, float), (hi, float), (width, float), (closed, bool),
+            ([c or 0 for c in chern], np.int64), (tag, np.int8)]),
+        tags, [])
+
+
+def _written(*tables) -> list:
+    """The lines _write_table writes for ``tables``; a list, so a failing
+    comparison reports the first line that differs."""
     sink = io.StringIO()
-    butterfly._write_lines(sink, records)
+    for d in tables:
+        butterfly._write_table(sink, d)
     return sink.getvalue().splitlines(keepends=True)
 
 
 # every tag a sweep writes, and the default of an unresolved record
 TAGS = ("window_square", "window_triangular", "chain", "edge_winding", "unresolved")
+ODD_TAG = "\u00e9\"\\"  # a quote, a backslash and non-ASCII text
 
 
 class TestLineWriter:
-    """_write_lines writes json.dumps(gap_to_dict(r), sort_keys=True) + "\n"."""
+    """_write_table writes json.dumps(gap_to_dict(r), sort_keys=True) + "\n"
+    for each record r of a table, which _records gives back."""
 
-    @pytest.mark.parametrize("resolver", butterfly.RESOLVERS)
-    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
-                                         (PHI_D_SYMMETRIC, (1.0, 0.8, 0.6)),
-                                         (0.3, (1.0, 1.0, 1.0)),
-                                         (0.3, (1.0, 0.8, 0.6))])
-    def test_sweep_records(self, resolver, phi_d, t):
-        cfg = ButterflyConfig(q_max=6 if resolver == "computed" else 12, phi_d=phi_d,
-                              t1=t[0], t2=t[1], t3=t[2], resolver=resolver,
-                              computed_q_max=5)
-        records = build_diagram(cfg).records
-        assert records and _written(records) == _json_lines(records)
+    def test_one_write_per_flux(self):
+        # the eight records of one flux, as json.dumps(d, sort_keys=True) lines
+        records = _synthetic_records(1)
+        table = _table(records)
+        writes = _Sink()
+        butterfly._write_table(writes, table)
+        assert writes == ["".join(_json_lines(records))]
+        assert butterfly._records(table) == records
 
     def test_hand_records(self):
+        # sigma None (gray), 0, +/-1 and +/-37, open and closed gaps, every
+        # tag, and each of these values as lo, hi, width and phi_d
         values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1 / 3, -2.5,
                   1.7976931348623157e308, 123456789.123]
-        records = []
-        for k, (chern, closed, source) in enumerate(itertools.product(
-                [None, 0, 1, -1, 37, -37], [False, True], TAGS)):
-            lo, hi, width = (values[(k + i) % len(values)] for i in range(3))
-            phi = values[(k + 3) % len(values)]
-            records.append(GapRecord(k % 7 + 1, 7 + k, phi, k % 8, lo, hi, width,
-                                     closed, chern, source))
+        sigmas = [None, 0, 1, -1, 37, -37]
+        tables, records, k = [], [], 0
+        for i, phi_d in enumerate(values):
+            q = 5 + i % 4
+            tags = tuple(TAGS[(i + m) % 5] for m in range(3)) + (TAGS[(i + 3) % 5],)
+            table = []
+            for p in (1, 2, 4):
+                for j in range(q + 1):
+                    lo, hi, width = (values[(k + m) % len(values)] for m in range(3))
+                    chern = sigmas[k % 6]
+                    source = tags[butterfly.GRAY] if chern is None else tags[k % 3]
+                    table.append(GapRecord(p, q, phi_d, j, lo, hi, width, k % 4 == 1,
+                                           chern, source))
+                    k += 1
+            tables.append(_table(table, tags))
+            records += table
         # the +/-inf ends of the outer gaps, which gap_to_dict writes as null
-        for lo, hi, width in [(-math.inf, -3.0, math.inf), (3.0, math.inf, math.inf),
-                              (-math.inf, math.inf, math.inf)]:
-            records.append(GapRecord(1, 2, -math.pi / 2, 0, lo, hi, width, False, 0,
-                                     "chain"))
-        lines = _written(records)
+        ends = [(-math.inf, -3.0, math.inf), (-math.inf, math.inf, math.inf),
+                (3.0, math.inf, math.inf)]
+        outer = [GapRecord(1, 2, -math.pi / 2, j, lo, hi, width, False, 0, "chain")
+                 for j, (lo, hi, width) in enumerate(ends)]
+        tables.append(_table(outer))
+        records += outer
+        assert {r.chern_source for r in records} == set(TAGS)
+        lines = _written(*tables)
         assert lines == _json_lines(records)
         assert list(butterfly.decode_records(lines)) == records
+        assert [r for d in tables for r in butterfly._records(d)] == records
 
     def test_flux_fragment_follows_each_record(self):
-        # runs of one (p, phi_d, q) share a formatted fragment; 0.0 == -0.0
-        # must not merge a run, nor p and q swapping at one phi_d
-        records = [GapRecord(p, q, phi_d, j, -1.0, 1.0, 2.0, False, 1, "chain")
-                   for p, q, phi_d in [(1, 3, 0.0), (1, 3, -0.0), (1, 3, -0.0),
-                                       (1, 3, 0.0), (3, 1, 0.0), (1, 3, 0.3),
-                                       (1, 3, 0.3), (2, 3, 0.3), (2, 5, 0.3)]
-                   for j in (1, 2)]
-        assert _written(records) == _json_lines(records)
+        # the p, phi_d, q fragment of each table row: phi_d 0.0 and -0.0
+        # each keep their sign, and p and q swapping at one phi_d do not mix
+        tables = [[GapRecord(p, q, phi_d, j, -1.0, 1.0, 2.0, False, 1, "chain")
+                   for p in ps for j in range(q + 1)]
+                  for ps, q, phi_d in [((1, 2), 3, 0.0), ((1, 2), 3, -0.0),
+                                       ((3,), 1, 0.0), ((1,), 3, 0.0), ((1, 2), 3, 0.3),
+                                       ((2,), 5, 0.3)]]
+        records = [r for table in tables for r in table]
+        lines = _written(*map(_table, tables))
+        assert lines == _json_lines(records)
+        assert sum('"phi_d": -0.0,' in line for line in lines) == 8
 
-    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                              st.floats(allow_nan=False), st.floats(allow_nan=False),
-                              st.floats(allow_nan=False),
-                              st.sampled_from([None, 0, 3, -3, 10 ** 20]),
-                              st.booleans(), st.sampled_from(TAGS + ("\u00e9\"\\",))),
-                    max_size=20))
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.lists(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
+                                       st.floats(allow_nan=False),
+                                       st.sampled_from([None, 0, 3, -3, 2 ** 63 - 1]),
+                                       st.booleans(), st.integers(0, 2)),
+                             min_size=4, max_size=4),
+                    min_size=1, max_size=5),
+           st.sampled_from([SWEEP_TAGS, ("window_square", ODD_TAG, "chain", "edge_winding"),
+                            (ODD_TAG, "chain", "edge_winding", "window_square")]))
     @settings(max_examples=200, deadline=None)
-    def test_finite_floats(self, fields):
-        records = [GapRecord(1, 3, phi_d, 1, lo, hi, width, closed, chern, source)
-                   for phi_d, lo, hi, width, chern, closed, source in fields]
-        assert _written(records) == _json_lines(records)
+    def test_finite_floats(self, phi_d, rows, tags):
+        # a finite phi_d; ends and widths that may be infinite; the
+        # largest sigma of the int64 column; tags with a quote, a
+        # backslash and non-ASCII text, as the gray tag too
+        records = [GapRecord(f + 1, 3, phi_d, j, lo, hi, width, closed, chern,
+                             tags[butterfly.GRAY] if chern is None else tags[t])
+                   for f, row in enumerate(rows)
+                   for j, (lo, hi, width, chern, closed, t) in enumerate(row)]
+        table = _table(records, tags)
+        assert _written(table) == _json_lines(records)
+        assert butterfly._records(table) == records
 
     @pytest.mark.parametrize("field", ["phi_d", "lo", "hi", "width"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_json_values_raise(self, field, value):
         # json.dumps writes NaN and an infinite phi_d as NaN and Infinity,
         # which are not JSON; only the +/-inf ends of lo, hi and width map
-        # to null
-        record = GapRecord(1, 3, -math.pi / 2, 1, -1.0, 1.0, 2.0, False, 1,
-                           "chain")._replace(**{field: value})
+        # to null.  A table with one such value writes nothing, not even
+        # its rows before that value.
+        records = [GapRecord(p, 3, -math.pi / 2, j, -1.0, 1.0, 2.0, False, 1, "chain")
+                   for p in (1, 2) for j in range(4)]
+        records[6] = records[6]._replace(**{field: value})
+        if field == "phi_d":
+            records = [r._replace(phi_d=value) for r in records]
         if field != "phi_d" and math.isinf(value):
-            assert _written([record]) == _json_lines([record])
-            assert '": null' in _written([record])[0]
+            assert _written(_table(records)) == _json_lines(records)
+            assert '": null' in _written(_table(records))[6]
             return
-        assert any(s in json.dumps(gap_to_dict(record)) for s in ("NaN", "Infinity"))
+        assert any(s in json.dumps(gap_to_dict(records[6])) for s in ("NaN", "Infinity"))
         sink = io.StringIO()
-        with pytest.raises(ValueError, match="not JSON"):
-            butterfly._write_lines(sink, [_synthetic_records(1)[0], record])
+        with pytest.raises(ValueError, match="^gap record 2/3 j=2 is not JSON"
+                           if field != "phi_d" else "^gap record 1/3 j=0 is not JSON"):
+            butterfly._write_table(sink, _table(records))
         assert sink.getvalue() == ""
 
 

@@ -500,3 +500,20 @@ class TestConfigFile:
         code, out = run(["dioph", "--config", str(cfg), "--p", "2", "--q", "5"], capsys)
         assert code == 0
         assert json.loads(out)["j"] == 1
+
+    @pytest.mark.parametrize("case", ["no_path", "missing_file", "line_without_equals"])
+    def test_unusable_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, case):
+        # no path, a missing file or a line without '=': one error line and
+        # exit 2 before any work, as for every other bad input
+        monkeypatch.setattr(cli, "sweep_to_jsonl", None)
+        cfg, missing = tmp_path / "run.cfg", tmp_path / "missing.cfg"
+        cfg.write_text("# sweep settings\nqmax = 3\nmu-bins 16\n")
+        path, message = {
+            "no_path": ([], "--config needs a path"),
+            "missing_file": ([str(missing)],
+                             f"[Errno 2] No such file or directory: '{missing}'"),
+            "line_without_equals": ([str(cfg)], f"{cfg}:3: expected 'key = value'"),
+        }[case]
+        code = main(["butterfly", "--qmax", "2", "--config", *path])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

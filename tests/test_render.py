@@ -1,5 +1,6 @@
 import colorsys
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,9 +15,9 @@ from hofbutter import (
     build_diagram,
     chern_color,
     sweep_to_jsonl,
-    write_records_jsonl,
 )
 from hofbutter.render import NEUTRAL, SENTINEL, _row_bounds, read_ppm, render, render_jsonl
+from hofbutter.spectrum import gap_to_dict
 
 
 class TestColormap:
@@ -183,6 +184,11 @@ def _stacked_records():
 STACKED_RECORDS = _stacked_records()
 
 
+def _json_text(records) -> str:
+    """The JSON lines of records, as sweep_to_jsonl writes them."""
+    return "".join(json.dumps(gap_to_dict(r), sort_keys=True) + "\n" for r in records)
+
+
 class TestMatchesMaskRasterizer:
     @pytest.mark.parametrize("records, cfg", [
         pytest.param(None, ButterflyConfig(q_max=12, computed_q_max=0,
@@ -208,16 +214,15 @@ class TestMatchesMaskRasterizer:
             records = build_diagram(cfg).records
         expected = mask_render(records, cfg)
         assert render(records, cfg) == expected
-        path = str(tmp_path / "records.jsonl")
-        write_records_jsonl(records, path)
-        assert render_jsonl(path, cfg) == expected
+        path = tmp_path / "records.jsonl"
+        path.write_text(_json_text(records))
+        assert render_jsonl(str(path), cfg) == expected
 
     def test_blank_lines_skipped(self, tmp_path):
         # read_records_jsonl skips blank lines; render_jsonl decodes the same way
         cfg = ButterflyConfig(q_max=3, mu_bins=16, height=12)
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(HAND_RECORDS, path)
-        lines = path.read_text().splitlines(keepends=True)
+        lines = _json_text(HAND_RECORDS).splitlines(keepends=True)
         path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
         assert render_jsonl(str(path), cfg) == render(HAND_RECORDS, cfg)
 
