@@ -15,6 +15,7 @@ exact Streda comparisons between Farey-adjacent fluxes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chern import edge_chern_table
+from .chern import denominator_edge_chern
 # compute_gaps and resolve_in_window, the one-flux and one-gap forms of
 # what the sweep does per table, stay names of this module, where
 # perfbench/tracing.py patches them
@@ -205,9 +206,11 @@ def _denominator_records(args) -> Denominator:
     of all fluxes come from one ``gap_table``, and the resolver's
     window, built once, colors every open interior gap of the table in
     one step: sigma = lo + (s*j - lo) mod q where that lies in the
-    window.  Within ``cfg.reaches_edge(q)`` each flux then hands the
-    open gaps the window leaves gray to one ``edge_chern_table`` call,
-    tagged ``edge_winding``.
+    window.  Within ``cfg.reaches_edge(q)`` the open gaps the window
+    leaves gray, of every flux with one, go to one
+    ``denominator_edge_chern`` call, each flux with its own model, and
+    what it certifies is tagged ``edge_winding``; if the call raises,
+    each flux retries alone, so a failure stays with its own flux.
     """
     q, ps, cfg = args
     models = [HofstadterModel(Flux(p, q), cfg.phi_d, cfg.t1, cfg.t2, cfg.t3)
@@ -243,17 +246,21 @@ def _denominator_records(args) -> Denominator:
         chern[colored] = sigma[colored]
         tag[colored] = WINDOW
     gray = open_gap & (tag == GRAY)
-    if cfg.reaches_edge(q):
-        for f in np.flatnonzero(gray.any(axis=1)).tolist():
-            if f in failures:
-                continue
-            recs = [GapRecord(ps[f], q, cfg.phi_d, j, lo[f, j], hi[f, j], width[f, j], False)
-                    for j in np.flatnonzero(gray[f]).tolist()]
-            try:
-                table = edge_chern_table(models[f], recs)
-            except Exception as exc:  # record, never abort the sweep
-                failures[f] = f"{type(exc).__name__}: {exc}"
-                continue
+    fs = [f for f in np.flatnonzero(gray.any(axis=1)).tolist() if f not in failures]
+    if fs and cfg.reaches_edge(q):
+        gaps = [[GapRecord(ps[f], q, cfg.phi_d, j, lo[f, j], hi[f, j], width[f, j], False)
+                 for j in np.flatnonzero(gray[f]).tolist()] for f in fs]
+        try:
+            tables = denominator_edge_chern([models[f] for f in fs], gaps)
+        except Exception:  # whatever the batch raised, each flux retries alone
+            tables = []
+            for f, recs in zip(fs, gaps):
+                try:
+                    tables.append(denominator_edge_chern([models[f]], [recs])[0])
+                except Exception as exc:  # record, never abort the sweep
+                    failures[f] = f"{type(exc).__name__}: {exc}"
+                    tables.append({})
+        for f, table in zip(fs, tables):
             for j, res in table.items():
                 if res.value is not None:
                     chern[f, j] = res.value
@@ -439,7 +446,11 @@ def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
 
     Every pair of open, resolved gaps with overlapping energy intervals
     where either record's wing claims the other as its continuation
-    must agree on sigma; each violation is reported.  An empty report
+    must agree on sigma; each violation is reported.  Only the pairs
+    whose intervals can overlap reach ``streda_check``: per record of
+    the lower flux, the scan of the upper flux's records (sorted by lo)
+    starts past those that end at or below its lo and stops at the
+    first that starts at or above its hi.  An empty report
     means no detected miscoloring, though wing tips that die between
     two adjacent fluxes can raise alarms even on exact data.
     """
@@ -449,10 +460,16 @@ def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
             by_flux.setdefault((rec.p, rec.q), []).append(rec)
     for recs in by_flux.values():
         recs.sort(key=lambda r: r.lo)
+    # per flux, the running maximum of hi in lo order: the records before
+    # the first whose reach exceeds ra.lo all end at or below ra.lo, so
+    # none of them overlaps ra
+    reach = {f: list(itertools.accumulate((r.hi for r in recs), max))
+             for f, recs in by_flux.items()}
     bad = []
     for fa, fb in _adjacent_flux_pairs(list(by_flux)):
+        recs_b, reach_b = by_flux[fb], reach[fb]
         for ra in by_flux[fa]:
-            for rb in by_flux[fb]:
+            for rb in itertools.islice(recs_b, bisect.bisect_right(reach_b, ra.lo), None):
                 if rb.lo >= ra.hi:  # sorted; nothing further can overlap
                     break
                 if streda_check(ra, rb) is StredaOutcome.INCONSISTENT:

@@ -5,11 +5,13 @@ winding of Hatsugai (PRL 71, 3697 and PRB 48, 11851, 1993): at fixed
 k1 the model is a chain in the row index, the eigenvalues of its
 (q-1)-row Dirichlet cut are edge states, one per gap, and a gap's Chern
 number is the signed count of left-edge states crossing an energy
-inside it as k1 winds.  ``edge_chern_table`` finds every crossing as a
-unit-circle root of one quadratic pencil in z = e^{i k1}, with no k
-grid: roots from companion eigenvalues alone, and a null vector only
-for the roots near the circle, by inverse iteration on the tridiagonal
-pencil (notes/decisions.md, "Edge-state winding").
+inside it as k1 winds.  ``denominator_edge_chern`` finds every crossing
+of every flux of one q as a unit-circle root of one quadratic pencil in
+z = e^{i k1}, with no k grid: roots from companion eigenvalues alone,
+in slices of one byte budget, and a null vector only for the roots near
+the circle, by inverse iteration on the tridiagonal pencil
+(notes/decisions.md, "Edge-state winding"); ``edge_chern_table`` is its
+one-flux case.
 
 The independent oracle is the Fukui-Hatsugai-Suzuki plaquette
 (link-variable) discretization of the Berry curvature over the magnetic
@@ -44,6 +46,7 @@ from .magnetic_algebra import (
     hamiltonian_batch,
     hamiltonian_derivatives,
 )
+from . import spectrum
 from .spectrum import GAP_EPS_DEFAULT, compute_bands, compute_bands_or_dense, compute_gaps
 
 DEGENERACY_TOL = 1e-10
@@ -62,6 +65,7 @@ ON_CIRCLE_TOL = 1e-9     # ||z| - 1| of a root that is a crossing
 OFF_CIRCLE_TOL = 1e-6    # ||z| - 1| of a root that is not
 EDGE_SIDE_TOL = 1e-8     # |log|lambda|| of a crossing's Bloch multiplier
 POLISH_BAND = 1e-3       # ||z| - 1| of the roots that take an inverse-iteration step
+POLISH_VECTORS = 24      # vectors of a chain's length a near root holds while it is polished
 
 
 class GapClosed(Exception):
@@ -372,100 +376,225 @@ def edge_pencil(model: HofstadterModel):
     and columns 1..q-1 of the Bloch Hamiltonian, cut at row 0.  A holds
     the e^{i k1} part, B the rest, both from ``_hopping_terms``.
     """
-    M1, M2, M3 = _hopping_terms(model)
+    return _pencil_of(*_hopping_terms(model))
+
+
+def _pencil_of(M1, M2, M3):
+    """``edge_pencil`` from the hopping matrices of its model."""
     return (M2 + M3)[1:, 1:], (M1 + M1.conj().T)[1:, 1:]
 
 
 def edge_chern_table(model: HofstadterModel, gaps) -> dict[int, EdgeResult]:
-    """Edge-state winding of the open interior gaps among ``gaps``.
+    """Edge-state winding of the open interior gaps among ``gaps``, gap
+    records of this model's flux: ``denominator_edge_chern`` of the one
+    flux."""
+    return denominator_edge_chern([model], [gaps])[0]
 
-    ``gaps`` are gap records of this model's flux.  At each energy E of
-    EDGE_FRACTIONS of a gap, the crossings mu(k1) = E of the Dirichlet
-    chain are the unit-circle roots z of the pencil P(z) = z^2 A +
-    z (B - E) + A^H.  The pencil is mapped through z = (w + a)/(1 +
-    conj(a) w), a = EDGE_SHIFT, whose leading coefficient is invertible
-    at t2 = 0 too, and every gap and energy takes one 2(q-1) companion
-    matrix of one batched ``np.linalg.eigvals``, roots without vectors.
-    Only the roots within POLISH_BAND of the unit circle take a null
-    vector, from inverse iteration on the tridiagonal P(z) itself, and
-    a Newton step (``_polish_roots``).  A crossing with null vector x is
-    a left-edge state when |c_q x_(q-1)| < |c_1 x_1|, c_1 and c_q the
-    bonds to the cut row; the gap's value is the sum of sign(d mu/dk1)
-    over the left-edge crossings.  A value is kept only when every root
-    is within ON_CIRCLE_TOL of the unit circle or OFF_CIRCLE_TOL off it,
-    every crossing has |log|lambda|| >= EDGE_SIDE_TOL and a nonzero
-    slope, the energies agree, and sigma = s*j (mod q).  Every open
-    interior gap is in the table; those that fail have value None and a
-    reason (notes/decisions.md, "Edge-state winding").
+
+def denominator_edge_chern(models, gaps) -> list[dict[int, EdgeResult]]:
+    """Edge-state winding of fluxes p/q that share q, phi_d and the
+    hoppings: per model, the results of the open interior gaps among
+    ``gaps[m]``, gap records of ``models[m]``.
+
+    At each energy E of EDGE_FRACTIONS of a gap, the crossings mu(k1) = E
+    of the Dirichlet chain are the unit-circle roots z of the pencil
+    P(z) = z^2 A + z (B - E) + A^H.  The pencil is mapped through z =
+    (w + a)/(1 + conj(a) w), a = EDGE_SHIFT, whose leading coefficient
+    is invertible at t2 = 0 too, and each flux, gap and energy is one
+    row: a 2(q-1) companion matrix whose roots come from
+    ``np.linalg.eigvals``, without vectors.  Only the roots within
+    POLISH_BAND of the unit circle take a null vector, from inverse
+    iteration on the tridiagonal P(z) itself, and a Newton step
+    (``_polish_roots``).  A crossing with null vector x is a left-edge
+    state when |c_q x_(q-1)| < |c_1 x_1|, c_1 and c_q the bonds to the
+    cut row; the gap's value is the sum of sign(d mu/dk1) over the
+    left-edge crossings.  A value is kept only when every root is within
+    ON_CIRCLE_TOL of the unit circle or OFF_CIRCLE_TOL off it, every
+    crossing has |log|lambda|| >= EDGE_SIDE_TOL and a nonzero slope, the
+    energies agree, and sigma = s*j (mod q).  Every open interior gap is
+    in its flux's table; those that fail have value None and a reason
+    (notes/decisions.md, "Edge-state winding").
+
+    The rows of all fluxes are solved in slices whose working set
+    (``_stack_rows``) fits in EDGE_STACK_BYTES: one batched
+    ``np.linalg.solve`` and one ``np.linalg.eigvals`` per slice, and one
+    ``_polish_roots`` pass per slice for its near roots, in chunks of
+    the same budget.  No row's result depends on the rows beside it, so
+    each flux gets the table it would get alone.  A singular leading
+    coefficient fails its whole slice; the slice's fluxes are then
+    solved apart, and only a flux with a singular one of its own is
+    gray, every gap with the reason "singular pencil".
     """
-    q = model.q
-    recs = [r for r in gaps if 0 < r.j < q and not r.closed]
-    if not recs:
-        return {}
+    q = models[0].q
+    recs = [[r for r in g if 0 < r.j < q and not r.closed] for g in gaps]
+    owner = np.array([m for m, rs in enumerate(recs) for _ in rs], dtype=np.intp)
+    if not owner.size:
+        return [{} for _ in models]
     n = q - 1
-    A, B = edge_pencil(model)
-    AH = A.conj().T
-    M1, M2, _ = _hopping_terms(model)
-    a = EDGE_SHIFT
-    ac = a.conjugate()
-    energies = np.array([[r.lo + f * (r.hi - r.lo) for f in EDGE_FRACTIONS]
-                         for r in recs])
-    BE = B - energies[..., None, None] * np.eye(n)
-    lead = A + ac * BE + ac * ac * AH
-    rhs = np.concatenate([a * a * A + a * BE + AH,
-                          2 * a * A + (1 + abs(a) ** 2) * BE + 2 * ac * AH], axis=-1)
-    companion = np.zeros(energies.shape + (2 * n, 2 * n), dtype=complex)
-    companion[..., :n, n:] = np.eye(n)
-    try:
-        companion[..., n:, :] = -np.linalg.solve(lead, rhs)
-    except np.linalg.LinAlgError:
-        return {r.j: EdgeResult(r.j, None, (), (), 0.0, "singular pencil") for r in recs}
-    w = np.linalg.eigvals(companion)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (w + a) / (1 + ac * w)   # inf for a root at w = -1/conj(a), z = infinity
-        dist = np.abs(np.abs(z) - 1.0)
-    # a root outside POLISH_BAND is off the circle: it has no slope and no side
-    near = np.nonzero(dist < POLISH_BAND)
-    zn, x = _polish_roots(A, B, energies[near[:2]], z[near])
-    dist[near] = np.abs(np.abs(zn) - 1.0)
-    zc = zn[:, None]
-    y = 1j * (zc * (x @ A.T) - np.conj(zc) * (x @ AH.T))
-    slope = np.zeros(dist.shape)
-    slope[near] = (np.conj(x) * y).sum(-1).real / (np.abs(x) ** 2).sum(-1)
-    # log|lambda| of the Bloch multiplier -c_q x_(q-1) / (conj(c_1) x_1)
-    c_q = M1[0, q - 1] + zn * M2[0, q - 1]
-    c_1 = M1[1, 0] + zn * M2[1, 0]
-    log_lam = np.zeros(dist.shape)
-    with np.errstate(divide="ignore"):
-        log_lam[near] = np.log(np.abs(c_q * x[:, n - 1])) - np.log(np.abs(c_1 * x[:, 0]))
-    on = dist <= ON_CIRCLE_TOL
-    left = on & (log_lam < 0)
-    counts = np.where(left, np.sign(slope), 0).sum(-1).astype(int)
-    crossings = left.sum(-1)
-    clear = ((on | (dist >= OFF_CIRCLE_TOL)).all(-1)
-             & (~on | ((np.abs(log_lam) >= EDGE_SIDE_TOL) & (slope != 0))).all(-1))
-    margin = np.where(on, np.abs(log_lam), dist).min(-1)
-    s = model.flux.s
-    out = {}
-    for g, r in enumerate(recs):
+    terms = [_hopping_terms(model) for model in models]
+    pencils = [_pencil_of(*t) for t in terms]
+    A = np.array([P[0] for P in pencils])
+    B = pencils[0][1]  # t1 on both off-diagonals, the same at every p of one q
+    # the coefficients of the bonds c_q = M1[0, q-1] + z M2[0, q-1] and
+    # c_1 = M1[1, 0] + z M2[1, 0] to the cut row, one column per flux
+    bonds = np.array([(M1[0, q - 1], M2[0, q - 1], M1[1, 0], M2[1, 0])
+                      for M1, M2, _ in terms]).T
+    # (sub, main, super) diagonals, row-first: of A one column per flux, of B one
+    diagonals = (tuple(np.diagonal(A, k, axis1=1, axis2=2).T for k in (-1, 0, 1)),
+                 tuple(np.diagonal(B, k)[:, None] for k in (-1, 0, 1)))
+    lo = np.array([r.lo for rs in recs for r in rs])
+    hi = np.array([r.hi for rs in recs for r in rs])
+    energies = lo[:, None] + np.array(EDGE_FRACTIONS) * (hi - lo)[:, None]
+    E = energies.ravel()
+    row_flux = np.repeat(owner, len(EDGE_FRACTIONS))
+    counts = np.zeros(E.shape, dtype=int)
+    crossings = np.zeros(E.shape, dtype=int)
+    clear = np.zeros(E.shape, dtype=bool)
+    margin = np.zeros(E.shape)
+    singular = np.zeros(len(models), dtype=bool)
+    step = _stack_rows(n)
+    for start in range(0, len(E), step):
+        for rows, w in _slice_roots(A, B, E, row_flux, np.arange(start, min(start + step, len(E))),
+                                    singular):
+            counts[rows], crossings[rows], clear[rows], margin[rows] = _winding_rows(
+                w, row_flux[rows], diagonals, bonds, E[rows])
+    counts, crossings, clear, margin = (x.reshape(energies.shape)
+                                        for x in (counts, crossings, clear, margin))
+    out = [{} for _ in models]
+    for g, (m, r) in enumerate((m, r) for m, rs in enumerate(recs) for r in rs):
+        if singular[m]:
+            out[m][r.j] = EdgeResult(r.j, None, (), (), 0.0, "singular pencil")
+            continue
         value = int(counts[g, 0])
         if not clear[g].all():
             reason = "a root or crossing within its threshold"
         elif (counts[g] != value).any():
             reason = f"energies disagree: {counts[g].tolist()}"
-        elif (value - s * r.j) % q:
+        elif (value - models[m].flux.s * r.j) % q:
             reason = f"sigma = {value} fails the residue s*j mod q"
         else:
             reason = ""
-        out[r.j] = EdgeResult(r.j, None if reason else value,
-                              tuple(energies[g].tolist()), tuple(crossings[g].tolist()),
-                              float(margin[g].min()), reason)
+        out[m][r.j] = EdgeResult(r.j, None if reason else value,
+                                 tuple(energies[g].tolist()), tuple(crossings[g].tolist()),
+                                 float(margin[g].min()), reason)
     return out
+
+
+def _stack_rows(n: int) -> int:
+    """Rows of ``denominator_edge_chern`` per slice at q = n + 1: a row
+    holds its companion (2n x 2n), lead (n x n), rhs (n x 2n), gathered
+    A and B - E (n x n each), 16 bytes a complex entry, and a slice
+    stays within EDGE_STACK_BYTES."""
+    return max(1, spectrum.EDGE_STACK_BYTES // (16 * 9 * n * n))
+
+
+def _polish_chunk(n: int) -> int:
+    """Near roots per ``_polish_roots`` pass at q = n + 1: a root holds
+    POLISH_VECTORS complex vectors of n entries at once, and a pass
+    stays within EDGE_STACK_BYTES."""
+    return max(1, spectrum.EDGE_STACK_BYTES // (16 * POLISH_VECTORS * n))
+
+
+def _slice_roots(A, B, E, row_flux, rows, singular) -> list:
+    """[(rows, w)]: the ``_companion_roots`` w of ``rows`` in one batch,
+    or, when a leading coefficient of the batch is singular, one pair
+    per flux of them, solved apart; a flux whose own is singular is
+    marked in ``singular`` and has no pair."""
+    fr = row_flux[rows]
+    try:
+        return [(rows, _companion_roots(A, B, fr, E[rows]))]
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for m in np.unique(fr).tolist():
+        mine = rows[fr == m]
+        try:
+            out.append((mine, _companion_roots(A, B, row_flux[mine], E[mine])))
+        except np.linalg.LinAlgError:
+            singular[m] = True
+    return out
+
+
+def _companion_roots(A, B, fr, E):
+    """The roots w of w^2 L + w M + N = (1 + conj(a) w)^2 P(z), one row
+    per index into the flux stack A of ``fr`` and energy of E, with the
+    one B of all fluxes: the eigenvalues of the companion
+    [[0, I], [-L^-1 N, -L^-1 M]].  Raises LinAlgError when an L is
+    singular."""
+    n = A.shape[-1]
+    a = EDGE_SHIFT
+    ac = a.conjugate()
+    Af = A[fr]
+    BE = B - E[:, None, None] * np.eye(n)
+    AH = Af.conj().swapaxes(-1, -2)
+    lead = Af + ac * BE + ac * ac * AH
+    rhs = np.empty(BE.shape[:-1] + (2 * n,), dtype=complex)
+    rhs[..., :n] = a * a * Af + a * BE + AH
+    rhs[..., n:] = 2 * a * Af + (1 + abs(a) ** 2) * BE + 2 * ac * AH
+    del Af, AH, BE
+    sol = np.linalg.solve(lead, rhs)
+    del lead, rhs
+    companion = np.zeros((len(E), 2 * n, 2 * n), dtype=complex)
+    companion[:, :n, n:] = np.eye(n)
+    np.negative(sol, out=companion[:, n:, :])
+    del sol
+    return np.linalg.eigvals(companion)
+
+
+def _winding_rows(w, fr, diagonals, bonds, E):
+    """Per row of roots w (flux index ``fr``, energy E): the signed count
+    of left-edge crossings, their number, whether every root and crossing
+    clears its threshold, and the least margin.  ``diagonals`` holds the
+    (sub, main, super) diagonals of A, one column per flux, and of B,
+    and ``bonds`` the bond coefficients, one column per flux."""
+    a = EDGE_SHIFT
+    ac = a.conjugate()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (w + a) / (1 + ac * w)   # inf for a root at w = -1/conj(a), z = infinity
+        dist = np.abs(np.abs(z) - 1.0)
+    # a root outside POLISH_BAND is off the circle: it has no slope and no side
+    near = np.nonzero(dist < POLISH_BAND)
+    slope = np.zeros(dist.shape)
+    log_lam = np.zeros(dist.shape)
+    chunk = _polish_chunk(w.shape[-1] // 2)
+    for start in range(0, len(near[0]), chunk):
+        part = tuple(ix[start:start + chunk] for ix in near)
+        f = fr[part[0]]
+        dist[part], slope[part], log_lam[part] = _crossing_terms(
+            tuple(d[:, f] for d in diagonals[0]), diagonals[1], bonds[:, f], E[part[0]],
+            z[part])
+    on = dist <= ON_CIRCLE_TOL
+    left = on & (log_lam < 0)
+    clear = ((on | (dist >= OFF_CIRCLE_TOL)).all(-1)
+             & (~on | ((np.abs(log_lam) >= EDGE_SIDE_TOL) & (slope != 0))).all(-1))
+    return (np.where(left, np.sign(slope), 0).sum(-1).astype(int), left.sum(-1), clear,
+            np.where(on, np.abs(log_lam), dist).min(-1))
+
+
+def _crossing_terms(A, B, bonds, E, z):
+    """(||z| - 1|, d mu/dk1, log|lambda|) of near roots z after
+    ``_polish_roots``, with A and B the diagonals of their pencils and
+    ``bonds`` their bond coefficients, one column per root (B, one
+    column for all).  The slope
+    is Hellmann-Feynman, Re x^H i(z A - A^H / z) x / x^H x at |z| = 1,
+    and lambda = -c_q x_(q-1) / (conj(c_1) x_1) is the Bloch multiplier."""
+    zn, x = _polish_roots(A, B, E, z)
+    AH = tuple(np.conj(d) for d in A[::-1])
+    y = 1j * (zn * _tridiagonal_matvec(*A, x) - np.conj(zn) * _tridiagonal_matvec(*AH, x))
+    slope = _column_sums(np.conj(x) * y).real / _column_sums(np.abs(x) ** 2)
+    c_q = bonds[0] + zn * bonds[1]
+    c_1 = bonds[2] + zn * bonds[3]
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(np.abs(c_q * x[-1])) - np.log(np.abs(c_1 * x[0]))
+    return np.abs(np.abs(zn) - 1.0), slope, log_lam
 
 
 def _polish_roots(A, B, E, z):
     """Roots z of P(z) = z^2 A + z (B - E) + A^H, one energy of E each,
-    after a Newton step, and their unit null vectors, shape (root, row).
+    after a Newton step, and their unit null vectors, row-first.  A and
+    B are the (sub, main, super) diagonals of the roots' pencils,
+    row-first: A of shapes (n-1, m), (n, m) and (n-1, m) for m roots, B
+    of shapes (n-1, 1), (n, 1) and (n-1, 1), one B for all roots.
 
     Each root takes one LU of the tridiagonal P(z), O(q).  The start
     vector solves U x = (1, ..., 1), the first step of LAPACK's inverse
@@ -474,7 +603,9 @@ def _polish_roots(A, B, E, z):
     off the circle for crossings on it; the step leaves those of the
     reference set within 6e-13.  The roots it leaves between
     ON_CIRCLE_TOL and OFF_CIRCLE_TOL, slow crossings in narrow gaps,
-    take a second step from a fresh LU.
+    take a second step from a fresh LU.  Every sum over the rows runs
+    row by row (``_column_sums``), so a root's result does not depend on
+    the roots beside it.
     """
     lu = _pencil_lu(A, B, E, z)
     x = _unit(_back_substitute(lu, np.ones_like(lu[2])))
@@ -482,9 +613,10 @@ def _polish_roots(A, B, E, z):
     dist = np.abs(np.abs(z) - 1.0)
     again = (dist > ON_CIRCLE_TOL) & (dist < OFF_CIRCLE_TOL)
     if again.any():
-        z[again], x[:, again] = _newton_step(A, B, E[again], z[again], x[:, again],
-                                             _pencil_lu(A, B, E[again], z[again]))
-    return z, x.T
+        A2 = tuple(d[:, again] for d in A)
+        z[again], x[:, again] = _newton_step(A2, B, E[again], z[again], x[:, again],
+                                             _pencil_lu(A2, B, E[again], z[again]))
+    return z, x
 
 
 def _newton_step(A, B, E, z, x, lu):
@@ -494,7 +626,7 @@ def _newton_step(A, B, E, z, x, lu):
     finite, such as the 0/0 of an exact root, keeps its z and x."""
     u = _tridiagonal_solve(lu, _tridiagonal_matvec(*_pencil_diagonals(A, B, E, z, True), x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = (np.abs(x) ** 2).sum(0) / (np.conj(x) * u).sum(0)
+        step = _column_sums(np.abs(x) ** 2) / _column_sums(np.conj(x) * u)
         u = _unit(u)
     ok = np.isfinite(step) & np.isfinite(u).all(0)
     return np.where(ok, z - step, z), np.where(ok, u, x)
@@ -502,12 +634,11 @@ def _newton_step(A, B, E, z, x, lu):
 
 def _pencil_diagonals(A, B, E, z, derivative=False):
     """(sub, main, super) diagonals of P(z) = z^2 A + z (B - E) + A^H,
-    or of P'(z) = 2 z A + B - E, for roots z with energies E; row-first,
-    shape (row, root)."""
+    or of P'(z) = 2 z A + B - E, for roots z with energies E and the
+    diagonals A and B of their pencils; row-first, shape (row, root)."""
     ca, cb, ch = (2 * z, 1.0, 0.0) if derivative else (z * z, z, 1.0)
-    AH = A.conj().T
-    dl, d, du = (ca * np.diagonal(A, k)[:, None] + cb * np.diagonal(B, k)[:, None]
-                 + ch * np.diagonal(AH, k)[:, None] for k in (-1, 0, 1))
+    AH = tuple(np.conj(d) for d in A[::-1])
+    dl, d, du = (ca * a + cb * b + ch * h for a, b, h in zip(A, B, AH))
     return dl, d - cb * E, du
 
 
@@ -516,7 +647,8 @@ def _pencil_lu(A, B, E, z):
     times (1 + |z|^2) |A| + |z| (|B| + |E|), in max-entry norms: a bound
     on ||P(z)|| that stays positive at an exact root of a 1 x 1 P."""
     r = np.abs(z)
-    norm = (1 + r * r) * np.abs(A).max() + r * (np.abs(B).max() + np.abs(E))
+    a, b = (np.abs(np.concatenate(X)).max(0) for X in (A, B))
+    norm = (1 + r * r) * a + r * (b + np.abs(E))
     return _tridiagonal_lu(*_pencil_diagonals(A, B, E, z), np.finfo(float).eps * norm)
 
 
@@ -584,11 +716,18 @@ def _tridiagonal_matvec(dl, d, du, x):
     return y
 
 
+def _column_sums(v):
+    """v summed over its first axis, row by row, for any number of
+    columns; numpy's sum over axis 0 does so only for two columns or
+    more."""
+    return np.cumsum(v, axis=0)[-1]
+
+
 def _unit(x):
     """The columns of x at unit norm, each scaled by its largest entry
     first, so the norm cannot overflow."""
     x = x / np.abs(x).max(0)
-    return x / np.linalg.norm(x, axis=0)
+    return x / np.sqrt(_column_sums((x.conj() * x).real))
 
 
 def edge_chern(model: HofstadterModel, gaps,

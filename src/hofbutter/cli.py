@@ -83,9 +83,15 @@ def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) 
     """argv with config-file values inserted as flags right after the
     subcommand, so the parser types and checks them and the explicit
     flags that follow win.  A boolean flag is passed when its value is
-    1, true, yes or on; keys the subcommand does not define are ignored.
+    1, true, yes or on.  A key that another subcommand defines is
+    skipped, so one file serves several subcommands; a key that no
+    subcommand defines raises ValueError.
     """
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sp in sub.choices.values() for flag in sp._option_string_actions}
+    for key in values:
+        if "--" + key.replace("_", "-") not in known:
+            raise ValueError(f"config key {key!r} is not a flag of any subcommand")
     at = next((i for i, a in enumerate(argv) if a in sub.choices), None)
     if at is None:
         return argv
@@ -368,11 +374,11 @@ def main(argv=None) -> int:
             if i + 1 == len(argv):
                 raise ValueError("--config needs a path")
             values = _load_config_file(argv[i + 1])
+            del argv[i:i + 2]
+            argv = _with_file_flags(parser, argv, values)
         except (OSError, ValueError) as exc:  # one error line, as for any bad input
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        del argv[i:i + 2]
-        argv = _with_file_flags(parser, argv, values)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -38,11 +38,12 @@ GAP_EPS_DEFAULT = 1e-8
 CONTAINMENT_REL_TOL = 1e-9
 EDGE_GRID = 256  # samples of y = q k2 that locate the peaks before bisection
 REFINE_ROUNDS, REFINE_POINTS = 14, 7  # shrinking grids of compute_bands_dense
-# bytes of the largest stacks (J at the edges, H at the probes) that
-# denominator_bands diagonalizes in one call: one call per q up to q = 66
-# (46 with probes), and a q_max 128 sweep's peak RSS stays near that of
-# one flux at a time (notes/decisions.md)
-EDGE_STACK_BYTES = 1 << 22
+# bytes of the largest stacks that one batched call of a sweep's stages
+# holds: J at the edges and H at the probes in denominator_bands, one call
+# per q up to q = 52 (36 with probes), and the edge-winding companions and
+# polish in chern.denominator_edge_chern; a q_max 128 sweep's peak RSS
+# stays near that of one flux at a time (notes/decisions.md)
+EDGE_STACK_BYTES = 1 << 21
 # (k1s, k2s) of two generic momenta at which denominator_bands checks searched
 # edges; plain literals, as an rng here would import numpy.random
 _PROBE_K = ((-1.5146502, -0.9436313), (-1.1435780, -2.6196691))

@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 from hofbutter import (
     ButterflyConfig,
+    ButterflyDiagram,
     Flux,
     GapRecord,
     HofstadterModel,
     PHI_D_SYMMETRIC,
+    StredaOutcome,
     build_diagram,
     detect_coloring_errors,
     enumerate_fluxes,
     read_records_jsonl,
     resolve_in_window,
     solve_residue,
+    streda_check,
     sweep_to_jsonl,
 )
 from hofbutter import butterfly, chern
@@ -218,15 +221,18 @@ class TestBuildDiagram:
             [(p, q, j) for p, q in fluxes for j in range(q + 1)]
 
     @pytest.mark.parametrize("resolver", ["computed", "triangular"])
-    def test_one_edge_call_per_flux_one_batch_per_denominator(self, monkeypatch, resolver):
-        # a denominator's fluxes share one denominator_bands call; each
-        # flux takes one edge_chern_table call, and none a compute_bands
-        calls = {"table": 0, "batch": 0, "alone": 0}
+    def test_one_edge_call_one_batch_per_denominator(self, monkeypatch, resolver):
+        # a denominator's fluxes share one denominator_bands call and one
+        # denominator_edge_chern call, which gets every flux with a gray gap,
+        # each with its own model and gaps; none takes a compute_bands
+        calls = {"table": [], "batch": 0, "alone": 0}
         denominator_bands = butterfly.denominator_bands
 
-        def certifies_nothing(model, gaps):
-            calls["table"] += 1
-            return {}
+        def certifies_nothing(models, gaps):
+            calls["table"].append([(m.flux.p, m.q) for m in models])
+            assert all({(r.p, r.q) for r in g} == {(m.flux.p, m.q)}
+                       for m, g in zip(models, gaps))
+            return [{} for _ in models]
 
         def batch(models):
             calls["batch"] += 1
@@ -235,19 +241,23 @@ class TestBuildDiagram:
         def alone(model):
             calls["alone"] += 1
 
-        monkeypatch.setattr(butterfly, "edge_chern_table", certifies_nothing)
+        monkeypatch.setattr(butterfly, "denominator_edge_chern", certifies_nothing)
         monkeypatch.setattr(butterfly, "denominator_bands", batch)
         for module in (butterfly, chern):
             monkeypatch.setattr(module, "compute_bands", alone)
         cfg = ButterflyConfig(resolver=resolver, computed_q_max=7)
         table = butterfly._denominator_records((7, list(range(1, 7)), cfg))
-        assert calls == {"table": 6, "batch": 1, "alone": 0}
+        sevenths = [(p, 7) for p in range(1, 7)]
+        assert calls == {"table": [sevenths], "batch": 1, "alone": 0}
         assert (table.ps, table.failures) == (list(range(1, 7)), [])
         assert all(r.chern is None and r.chern_source == "unresolved"
                    for r in butterfly._records(table) if 0 < r.j < 7)
         records = butterfly.flux_records(3, 7, cfg)  # the one-flux case
-        assert calls == {"table": 7, "batch": 2, "alone": 0}
+        assert calls == {"table": [sevenths, [(3, 7)]], "batch": 2, "alone": 0}
         assert all(r.chern is None for r in records if 0 < r.j < 7)
+        # an even q is window-colored: no flux has a gray gap, and no call runs
+        butterfly._denominator_records((8, [1, 3, 5, 7], replace(cfg, resolver="triangular")))
+        assert len(calls["table"]) == 2
 
     def test_sweep_is_lazy_by_denominator(self, monkeypatch):
         # at jobs=1 the table of q_max, its phi(q_max) fluxes, comes out of
@@ -316,23 +326,28 @@ class TestDiagramSymmetry:
                     {j: res.value for j, res in direct.items()}
 
     @pytest.mark.parametrize("phi_d", [PHI_D_SYMMETRIC, 0.3])
-    def test_one_edge_call_per_flux(self, monkeypatch, phi_d):
-        # every flux with an open interior gap takes one call, in the
-        # order of the denominators (largest q first, then p), at the
-        # symmetric phase as elsewhere: no flux borrows its inversion
-        # partner's values
+    def test_one_edge_call_per_denominator(self, monkeypatch, phi_d):
+        # every denominator with an open interior gap takes one call, largest
+        # q first, with each of its fluxes by p and with that flux's own
+        # model, at the symmetric phase as elsewhere; each flux's table is
+        # the one its own model gives alone, so no flux borrows its
+        # inversion partner's values
         calls = []
-        edge_chern_table = butterfly.edge_chern_table
+        stage = butterfly.denominator_edge_chern
 
-        def spy(model, gaps):
-            calls.append((model.flux.p, model.q))
-            return edge_chern_table(model, gaps)
+        def spy(models, gaps):
+            calls.append([(m.flux.p, m.q) for m in models])
+            tables = stage(models, gaps)
+            for m, g, table in zip(models, gaps, tables):
+                assert {(r.p, r.q) for r in g} == {(m.flux.p, m.q)} and m.phi_d == phi_d
+                assert table == chern.edge_chern_table(m, g)
+            return tables
 
-        monkeypatch.setattr(butterfly, "edge_chern_table", spy)
+        monkeypatch.setattr(butterfly, "denominator_edge_chern", spy)
         diagram = build_diagram(ButterflyConfig(q_max=5, phi_d=phi_d, resolver="computed",
                                                 computed_q_max=5))
-        assert calls == sorted(((f.p, f.q) for f in enumerate_fluxes(5) if f.q > 1),
-                               key=lambda f: (-f[1], f[0]))
+        fluxes = [(f.p, f.q) for f in enumerate_fluxes(5)]
+        assert calls == [sorted(f for f in fluxes if f[1] == q) for q in (5, 4, 3, 2)]
         assert all(r.chern is not None for r in diagram.records if not r.closed)
 
 
@@ -363,6 +378,54 @@ class TestColoringErrors:
         for pair in pairs:
             a, b = pair.rec_a, pair.rec_b
             assert (a.chern - b.chern) % a.q == 0 or (a.chern - b.chern) % b.q == 0
+
+
+    @pytest.mark.parametrize("case", ["square", "triangular", "computed", "synthetic"])
+    def test_report_equals_all_pairs(self, computed_diagram_13, case):
+        # the audit scans only the pairs that can overlap; on window, exact
+        # and made-up records whose hi is not monotone in lo, the report is
+        # that of streda_check over every record pair of every adjacent
+        # flux pair, in the same order
+        if case == "computed":
+            diagram = computed_diagram_13
+        elif case == "synthetic":
+            diagram = _overlapping_records(random.Random(5))
+        else:
+            diagram = build_diagram(ButterflyConfig(q_max=12, resolver=case, computed_q_max=7))
+        reference = _all_pairs_audit(diagram)
+        assert reference
+        assert detect_coloring_errors(diagram) == reference
+
+
+def _all_pairs_audit(diagram) -> list:
+    """detect_coloring_errors without its overlap scan: streda_check on
+    every pair of open, resolved records of each adjacent flux pair, each
+    flux's records sorted by lo."""
+    by_flux = {}
+    for rec in diagram.records:
+        if not rec.closed and rec.chern is not None:
+            by_flux.setdefault((rec.p, rec.q), []).append(rec)
+    for recs in by_flux.values():
+        recs.sort(key=lambda r: r.lo)
+    return [butterfly.InconsistentPair(ra, rb)
+            for fa, fb in butterfly._adjacent_flux_pairs(list(by_flux))
+            for ra in by_flux[fa] for rb in by_flux[fb]
+            if streda_check(ra, rb) is StredaOutcome.INCONSISTENT]
+
+
+def _overlapping_records(rng) -> ButterflyDiagram:
+    """Made-up records of the fluxes with q <= 5: random, overlapping
+    intervals, so hi is not monotone in lo order, random sigma in -3..3,
+    some gray or closed."""
+    records = []
+    for f in enumerate_fluxes(5):
+        for j in range(f.q + 1):
+            lo = rng.uniform(-3.0, 3.0)
+            hi = lo + rng.choice([rng.uniform(0.01, 0.3), rng.uniform(1.0, 4.0)])
+            chern = None if rng.random() < 0.1 else rng.randint(-3, 3)
+            records.append(GapRecord(f.p, f.q, PHI_D_SYMMETRIC, j, lo, hi, hi - lo,
+                                     rng.random() < 0.05, chern))
+    return ButterflyDiagram(ButterflyConfig(q_max=5), tuple(records), ())
 
 
 class TestPersistence:
@@ -466,10 +529,11 @@ class TestSweepBytes:
     def test_fallbacks_and_failures(self, tmp_path, monkeypatch, jobs):
         # the batch of q = 7 raises, so its fluxes retry alone, and 3/7
         # fails there; 2/5 fails its own edge check and takes the dense
-        # scan; 1/5 fails in the edge winding
+        # scan; 1/5 fails in the edge winding, so the winding of q = 5
+        # raises and each of its fluxes retries alone
         denominator_bands, compute_bands = butterfly.denominator_bands, butterfly.compute_bands
-        compute_bands_dense, edge_chern_table = \
-            butterfly.compute_bands_dense, butterfly.edge_chern_table
+        compute_bands_dense, denominator_edge_chern = \
+            butterfly.compute_bands_dense, butterfly.denominator_edge_chern
 
         def batch(models):
             q = models[0].q
@@ -485,15 +549,15 @@ class TestSweepBytes:
                 raise np.linalg.LinAlgError("forced flux failure")
             return compute_bands(model)
 
-        def edge(model, gaps):
-            if (model.flux.p, model.q) == (1, 5):
+        def edge(models, gaps):
+            if any((m.flux.p, m.q) == (1, 5) for m in models):
                 raise RuntimeError("forced edge failure")
-            return edge_chern_table(model, gaps)
+            return denominator_edge_chern(models, gaps)
 
         dense = []
         monkeypatch.setattr(butterfly, "denominator_bands", batch)
         monkeypatch.setattr(butterfly, "compute_bands", alone)
-        monkeypatch.setattr(butterfly, "edge_chern_table", edge)
+        monkeypatch.setattr(butterfly, "denominator_edge_chern", edge)
         monkeypatch.setattr(butterfly, "compute_bands_dense",
                             lambda model: dense.append(model.flux) or
                             compute_bands_dense(model, grid=16))
@@ -508,6 +572,29 @@ class TestSweepBytes:
                    if r.q in (5, 7) and not r.closed)
         if jobs == 1:  # once in build_diagram, once in sweep_to_jsonl
             assert [(f.p, f.q) for f in dense] == [(2, 5)] * 2
+
+    def test_singular_pencil_stays_with_its_flux(self, tmp_path, monkeypatch):
+        # without the disk automorphism the leading coefficient is A, and
+        # 3/7 with no t2 term has a singular one: its open gaps stay gray
+        # with no failure, and its neighbours, which share its batch, keep
+        # the records they have without it
+        monkeypatch.setattr(chern, "EDGE_SHIFT", 0j)
+        cfg = ButterflyConfig(q_max=8, computed_q_max=7)
+        plain = _sweep_lines(cfg, tmp_path)
+        hopping_terms = chern._hopping_terms
+
+        def no_t2(model):
+            M1, M2, M3 = hopping_terms(model)
+            return (M1, M2, 0 * M3) if (model.flux.p, model.q) == (3, 7) else (M1, M2, M3)
+
+        monkeypatch.setattr(chern, "_hopping_terms", no_t2)
+        forced = _sweep_lines(cfg, tmp_path)
+        assert forced.failures == plain.failures == ()
+        gray = [r for r in forced.records_for(3, 7) if 0 < r.j < 7 and not r.closed]
+        assert gray and all(r.chern_source == "unresolved" for r in gray)
+        assert [r for r in forced.records if (r.p, r.q) != (3, 7)] == \
+            [r for r in plain.records if (r.p, r.q) != (3, 7)]
+        assert all(r.chern is not None for r in plain.records if r.q == 7 and not r.closed)
 
 
 def _synthetic_records(n_fluxes: int) -> list:

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hofbutter import chern
+from hofbutter import chern, spectrum
 from hofbutter import (
     Flux,
     GapClosed,
@@ -426,6 +427,64 @@ class TestEdgeWinding:
         assert table and all(r.value is None and r.reason == "singular pencil"
                              for r in table.values())
 
+    def test_singular_pencil_stays_with_its_flux(self, monkeypatch):
+        # without the disk automorphism the leading coefficient is A; 3/7
+        # with no t2 term has a singular one, which fails the batched solve
+        # of every slice it is in: only 3/7 is gray, and its neighbours get
+        # their own tables, at one slice per denominator and at one row each
+        monkeypatch.setattr(chern, "EDGE_SHIFT", 0j)
+        models = [HofstadterModel(Flux(p, 7), PHI_D_SYMMETRIC) for p in range(1, 7)]
+        gaps = [compute_gaps(compute_bands_or_dense(m)) for m in models]
+        alone = [chern.edge_chern_table(m, g) for m, g in zip(models, gaps)]
+        hopping_terms = chern._hopping_terms
+
+        def no_t2(model):
+            M1, M2, M3 = hopping_terms(model)
+            return (M1, M2, 0 * M3) if model.flux.p == 3 else (M1, M2, M3)
+
+        monkeypatch.setattr(chern, "_hopping_terms", no_t2)
+        for budget in (spectrum.EDGE_STACK_BYTES, 1):
+            monkeypatch.setattr(spectrum, "EDGE_STACK_BYTES", budget)
+            tables = chern.denominator_edge_chern(models, gaps)
+            assert sorted(tables[2]) == sorted(alone[2]) and all(
+                r == chern.EdgeResult(j, None, (), (), 0.0, "singular pencil")
+                for j, r in tables[2].items())
+            assert tables[:2] + tables[3:] == alone[:2] + alone[3:]
+            assert all(r.value is not None for t in alone for r in t.values())
+
+    @pytest.mark.parametrize("phi_d,t", [(PHI_D_SYMMETRIC, (1.0, 1.0, 1.0)),
+                                         (0.3, (1.0, 0.8, 0.6))])
+    def test_one_matrix_per_slice(self, monkeypatch, phi_d, t):
+        # a budget of one byte leaves one companion per slice and one root
+        # per polish pass; every result is the same, field by field, as is
+        # each flux's table alone
+        for q in (5, 9, 12):
+            models = [HofstadterModel(Flux(p, q), phi_d, *t)
+                      for p in range(1, q) if math.gcd(p, q) == 1]
+            gaps = [compute_gaps(compute_bands_or_dense(m)) for m in models]
+            tables = chern.denominator_edge_chern(models, gaps)
+            assert tables == [chern.edge_chern_table(m, g) for m, g in zip(models, gaps)]
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "EDGE_STACK_BYTES", 1)
+                assert chern.denominator_edge_chern(models, gaps) == tables
+
+    def test_large_table_stays_within_the_budget(self):
+        # the 2/31 table holds 84 companions of 60 x 60 and 1,853 near roots;
+        # solved in slices, its peak stays within twice the byte budget (it
+        # was 18.9 MB as one stack)
+        model = HofstadterModel(Flux(2, 31), PHI_D_SYMMETRIC)
+        gaps = compute_gaps(compute_bands_or_dense(model))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = chern.edge_chern_table(model, gaps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # gap 3, 2.5e-8 wide, is one of the narrow gaps that stay gray
+        assert len(table) == 28 and [j for j, r in table.items() if r.value is None] == [3]
+        assert peak <= 2 * spectrum.EDGE_STACK_BYTES
+
     def test_exact_roots_keep_their_place(self, monkeypatch):
         # roots polished once are exact to the last bit, so P(z) is singular;
         # the pivot floor factors it and a second polish keeps every value
@@ -457,7 +516,8 @@ class TestEdgeWinding:
     def test_exact_root_of_a_one_row_pencil(self, b, root):
         # P(z) = z^2 + b z + 1 is exactly 0 at the root; at the double root
         # z = 1 also P'(z) = 0, and the 0/0 correction is skipped
-        A, B = np.array([[1.0 + 0j]]), np.array([[b + 0j]])
+        none = np.zeros((0, 1), complex)
+        A, B = (none, np.ones((1, 1), complex), none), (none, np.full((1, 1), b + 0j), none)
         with np.errstate(all="raise"):
             z, x = chern._polish_roots(A, B, np.zeros(1), np.array([root + 0j]))
         assert abs(z[0] - root) <= 1e-14 and np.allclose(np.abs(x), 1.0)

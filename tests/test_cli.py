@@ -501,19 +501,36 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["j"] == 1
 
-    @pytest.mark.parametrize("case", ["no_path", "missing_file", "line_without_equals"])
+    @pytest.mark.parametrize("case", ["no_path", "missing_file", "line_without_equals",
+                                      "unknown_key"])
     def test_unusable_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, case):
-        # no path, a missing file or a line without '=': one error line and
-        # exit 2 before any work, as for every other bad input
+        # no path, a missing file, a line without '=' or a key that no
+        # subcommand defines: one error line and exit 2 before any work, as
+        # for every other bad input
         monkeypatch.setattr(cli, "sweep_to_jsonl", None)
-        cfg, missing = tmp_path / "run.cfg", tmp_path / "missing.cfg"
+        cfg, missing, typo = tmp_path / "run.cfg", tmp_path / "missing.cfg", tmp_path / "typo.cfg"
         cfg.write_text("# sweep settings\nqmax = 3\nmu-bins 16\n")
+        typo.write_text("qmax = 3\nmu_binz = 16\n")
         path, message = {
             "no_path": ([], "--config needs a path"),
             "missing_file": ([str(missing)],
                              f"[Errno 2] No such file or directory: '{missing}'"),
             "line_without_equals": ([str(cfg)], f"{cfg}:3: expected 'key = value'"),
+            "unknown_key": ([str(typo)], "config key 'mu_binz' is not a flag of any subcommand"),
         }[case]
         code = main(["butterfly", "--qmax", "2", "--config", *path])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_misspelled_key_is_refused(self, tmp_path, capsys):
+        # jj is no flag of any subcommand: dioph prints nothing and exits 2,
+        # where j = 1 selects one gap and qmax, a butterfly flag, is skipped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jj = 1\nqmax = 3\n")
+        code = main(["dioph", "--config", str(cfg), "--p", "2", "--q", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: config key 'jj' is not a flag of any subcommand\n"
+        cfg.write_text("j = 1\nqmax = 3\n")
+        code, out = run(["dioph", "--config", str(cfg), "--p", "2", "--q", "5"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 1
