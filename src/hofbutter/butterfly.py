@@ -9,8 +9,12 @@ edges from one batched eigensolve, and come out as one table of columns
 order the tables are computed (q_max down to 1, then p, then j), and
 ``sweep_to_jsonl`` writes each table through the one JSON-line encoder,
 ``_write_table``; ``GapRecord`` tuples are built only where an API
-returns records.  Diagrams can be audited for wing-coloring errors by
-exact Streda comparisons between Farey-adjacent fluxes.
+returns records.  The lines are read back a block at a time
+(``decode_blocks``, one ``json.loads`` per DECODE_BLOCK lines):
+``read_records_jsonl`` builds each block's records in one pass, and
+``render.render_jsonl`` paints straight from the decoded values.
+Diagrams can be audited for wing-coloring errors by exact Streda
+comparisons between Farey-adjacent fluxes.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -56,7 +60,7 @@ from .spectrum import (
 )
 
 RESOLVERS = ("square", "triangular", "chain", "computed")
-DECODE_BLOCK = 256  # JSON lines per json.loads in decode_records
+DECODE_BLOCK = 256  # JSON lines per json.loads in decode_blocks
 WRITE_BLOCK = 2048  # JSON lines per write of a sweep, at most (one flux at least)
 
 # one JSON line: gap_to_dict's keys sorted, as json.dumps(sort_keys=True) writes them
@@ -348,6 +352,9 @@ def _in_order(fn, tasks: list, jobs: int):
     if jobs == 1:
         yield from map(fn, tasks)
         return
+    # imported here, so a process that sweeps at jobs=1 never loads
+    # concurrent.futures and multiprocessing (about 1 MB resident)
+    from concurrent.futures import ProcessPoolExecutor
     todo = iter(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         ahead = deque(pool.submit(fn, task) for task in itertools.islice(todo, 2 * jobs))
@@ -478,7 +485,7 @@ def detect_coloring_errors(diagram: ButterflyDiagram) -> list[InconsistentPair]:
 
 
 def _decode_block(lines: list) -> list:
-    """The records of non-blank JSON lines, from one json.loads of their
+    """The dicts of non-blank JSON lines, from one json.loads of their
     joined array.  On a parse error or an item count other than the
     line count, each line is decoded alone, so malformed input raises
     the JSONDecodeError of its first bad line."""
@@ -488,25 +495,58 @@ def _decode_block(lines: list) -> list:
         dicts = None
     if dicts is None or len(dicts) != len(lines):
         dicts = [json.loads(line) for line in lines]
-    return [gap_from_dict(d) for d in dicts]
+    return dicts
 
 
-def decode_records(lines):
-    """Gap records of JSON lines, lazily; blank lines are skipped.
-
-    ``lines`` is read one line at a time and decoded DECODE_BLOCK
-    non-blank lines per ``_decode_block``."""
+def decode_blocks(lines):
+    """The decoded dicts of JSON lines, lazily, one list per
+    DECODE_BLOCK non-blank lines (``_decode_block``); blank lines are
+    skipped.  ``lines`` is read one line at a time.  Every reader of a
+    sweep's JSON lines decodes them here: ``decode_records``,
+    ``read_records_jsonl`` and ``render.render_jsonl``."""
     block = []
     for line in lines:
         if line.strip():
             block.append(line)
             if len(block) == DECODE_BLOCK:
-                yield from _decode_block(block)
+                yield _decode_block(block)
                 block = []
     if block:
-        yield from _decode_block(block)
+        yield _decode_block(block)
+
+
+# a record's fields from its decoded line, and a GapRecord of them:
+# GapRecord._make without its Python-level length check, which a row of
+# ten fields always passes
+_FIELDS = operator.itemgetter("p", "q", "phi_d", "j", "lo", "hi", "width",
+                              "closed", "chern", "source")
+_GAP_RECORD = functools.partial(tuple.__new__, GapRecord)
+
+
+def _block_records(dicts: list) -> list[GapRecord]:
+    """The ``GapRecord``s of a decoded block, equal field for field to
+    ``gap_from_dict`` of each dict: one pass in C over the ten fields of
+    every dict, then ``gap_from_dict`` again for the rows whose lo, hi
+    or width is null, which it turns into -inf, inf and inf."""
+    records = list(map(_GAP_RECORD, map(_FIELDS, dicts)))
+    for i, rec in enumerate(records):
+        if rec.lo is None or rec.hi is None or rec.width is None:
+            records[i] = gap_from_dict(dicts[i])
+    return records
+
+
+def decode_records(lines):
+    """Gap records of JSON lines, lazily; blank lines are skipped.
+    ``lines`` is read one line at a time and decoded a block at a time
+    (``decode_blocks``)."""
+    for dicts in decode_blocks(lines):
+        yield from _block_records(dicts)
 
 
 def read_records_jsonl(path: str) -> list[GapRecord]:
+    """The gap records of a JSON-lines file, built a block at a time."""
+    records = []
     with open(path) as fh:
-        return list(decode_records(fh))
+        for dicts in decode_blocks(fh):
+            records += _block_records(dicts)
+    return records

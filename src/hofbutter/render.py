@@ -12,18 +12,25 @@ pixel-exact in the image.
 from __future__ import annotations
 
 import colorsys
+import itertools
+import math
+import operator
 from array import array
 from fractions import Fraction
 
 import numpy as np
 
-from .butterfly import ButterflyConfig, decode_records
+from .butterfly import ButterflyConfig, decode_blocks
 
 NEUTRAL = (245, 245, 245)   # sigma = 0
 SENTINEL = (128, 128, 128)  # unresolved
 SATURATION = 0.88
 VALUE = 0.95
-PAINT_BLOCK = 1024  # records per slice-end block and per .tolist() gather
+PAINT_BLOCK = 1024  # records per column block of render and per .tolist() gather
+
+# the painted columns (q, p, lo, hi, closed, chern) of a GapRecord and of a decoded line
+_PAINTED = operator.itemgetter(1, 0, 4, 5, 7, 8)
+_PAINTED_KEYS = operator.itemgetter("q", "p", "lo", "hi", "closed", "chern")
 
 
 def chern_color(sigma, period: int) -> tuple:
@@ -66,68 +73,59 @@ def _row_bounds(p: int, q: int, height: int, a: int, b: int):
     return spans
 
 
-def _columns(records, config: ButterflyConfig):
-    """Packed paint columns of the records, the code of each Chern value
-    and the largest |sigma|.
+def _lows(column) -> np.ndarray:
+    """A column of lower gap ends as float64, -inf where it holds None (a
+    JSON null); a NaN end stays NaN."""
+    lows = np.array(column, dtype=float)  # None reads as NaN
+    null = map(operator.is_, column, itertools.repeat(None))
+    lows[np.fromiter(null, bool, len(column))] = -math.inf
+    return lows
 
-    The columns are (q, p, first pixel column, end pixel column, palette
-    code) of every open gap that paints a pixel column, as int32 and
-    uint16 arrays.  The records are streamed once into a block of
-    PAINT_BLOCK open gaps (q, p, lo, hi, code); each full block takes
-    its column slices from one ``searchsorted`` per end and hands the
-    gaps whose slice is not empty to the columns, with the int32 slice
-    ends in place of lo and hi.  Codes count from 0 in order of first
-    use.
+
+def _columns(blocks, config: ButterflyConfig):
+    """Packed paint columns of blocks of records, the code of each Chern
+    value and the largest |sigma|.
+
+    ``blocks`` yields the (q, p, lo, hi, closed, chern) columns of one
+    block of records each, as sequences of the values a record holds or
+    its JSON line decodes to (a null lo or hi reads as -inf or inf).
+    The packed columns are (q, p, first pixel column, end pixel column,
+    palette code) of every open gap that paints a pixel column, as int32
+    and uint16 arrays.  Each block takes its column slices from one
+    ``searchsorted`` per end and hands the open gaps whose slice is not
+    empty to the packed columns, with the int32 slice ends in place of
+    lo and hi.  Codes count from 0 in order of first appearance, and
+    max|sigma| runs over every record, closed ones included.
     """
     columns = (array("i"), array("i"), array("i"), array("i"), array("H"))
-    block = (array("i"), array("i"), array("d"), array("d"), array("H"))
-    qs, ps, los, his, marks = block
     codes, biggest = {}, 1  # chern -> palette code
     width, emax = config.mu_bins, config.energy_clamp
     # strictly increasing and inside (-emax, emax), so the columns inside
     # [lo, hi] are one searchsorted slice, also for ends past the clamp
     centers = -emax + (np.arange(width) + 0.5) * (2.0 * emax / width)
-
-    def flush():
-        q, p, lo, hi, code = map(np.array, block)
-        c0, c1 = centers.searchsorted(lo, "left"), centers.searchsorted(hi, "right")
-        keep = c0 < c1
+    for q, p, lo, hi, closed, chern in blocks:
+        for sigma in dict.fromkeys(chern):
+            if sigma not in codes:
+                codes[sigma] = len(codes)
+                if sigma:
+                    biggest = max(biggest, abs(sigma))
+        n = len(q)
+        # a null hi reads as NaN, which searchsorted places past every
+        # center, as it does inf
+        c0 = centers.searchsorted(_lows(lo), "left")
+        c1 = centers.searchsorted(np.array(hi, dtype=float), "right")
+        keep = (c0 < c1) & ~np.fromiter(closed, bool, n)  # closed gaps stay black
+        code = np.fromiter(map(codes.__getitem__, chern), np.uint16, n)
+        q, p = np.fromiter(q, np.int64, n), np.fromiter(p, np.int64, n)
         for col, values in zip(columns, (q, p, c0, c1, code)):
             col.frombytes(values[keep].astype(col.typecode).tobytes())
-        for buffer in block:
-            del buffer[:]
-
-    for rec in records:
-        if rec.chern:
-            biggest = max(biggest, abs(rec.chern))
-        if rec.closed:
-            continue  # closed gaps stay canvas-black like the bands
-        qs.append(rec.q)
-        ps.append(rec.p)
-        los.append(rec.lo)
-        his.append(rec.hi)
-        marks.append(codes.setdefault(rec.chern, len(codes)))
-        if len(qs) == PAINT_BLOCK:
-            flush()
-    flush()
     return tuple(np.frombuffer(col, dtype=col.typecode) for col in columns), codes, biggest
 
 
-def render(records, config: ButterflyConfig) -> bytearray:
-    """Rasterize gap records into PPM (P6) bytes in one pass.
-
-    Low-q rows win contested pixels, so the wide low-denominator wings
-    dominate visually; equal q overwrites (rows of equal q never
-    overlap in a sweep).  The result depends on the records and the
-    config, not on the record order.  The palette period depends on the
-    largest |sigma| of all records, painted or not, so the records are
-    streamed into packed columns first (``_columns``) and painted after
-    the last one, when the palette is fixed: in stable descending-q
-    order, each record's RGB straight into the pixels of the PPM
-    buffer.  The last write to a pixel comes from the lowest q and,
-    among equal q, from the later record, whatever the record order.
-    """
-    columns, codes, biggest = _columns(records, config)
+def _image(blocks, config: ButterflyConfig) -> bytearray:
+    """PPM (P6) bytes of blocks of record columns (see ``_columns``),
+    painted after the last block, when the palette is fixed."""
+    columns, codes, biggest = _columns(blocks, config)
     period = config.colormap_period or 2 * biggest + 1
     rgb = [np.array(chern_color(sigma, period), dtype=np.uint8) for sigma in codes]
     height = config.height
@@ -146,11 +144,35 @@ def render(records, config: ButterflyConfig) -> bytearray:
     return data
 
 
+def render(records, config: ButterflyConfig) -> bytearray:
+    """Rasterize gap records into PPM (P6) bytes in one pass.
+
+    Low-q rows win contested pixels, so the wide low-denominator wings
+    dominate visually; equal q overwrites (rows of equal q never
+    overlap in a sweep).  The result depends on the records and the
+    config, not on the record order.  The palette period depends on the
+    largest |sigma| of all records, painted or not, so the records are
+    streamed PAINT_BLOCK at a time into packed columns first
+    (``_columns``, each block's columns by ``zip``) and painted after
+    the last one, when the palette is fixed: in stable descending-q
+    order, each record's RGB straight into the pixels of the PPM
+    buffer.  The last write to a pixel comes from the lowest q and,
+    among equal q, from the later record, whatever the record order.
+    """
+    records = iter(records)
+    blocks = iter(lambda: list(itertools.islice(records, PAINT_BLOCK)), [])
+    return _image((zip(*map(_PAINTED, block)) for block in blocks), config)
+
+
 def render_jsonl(path: str, config: ButterflyConfig) -> bytearray:
-    """Stream a JSON-lines record file into an image without
-    materializing the records; each line is decoded once."""
+    """Stream a JSON-lines record file into an image without building
+    its records: each block of lines that ``decode_blocks`` decodes
+    gives its six painted columns straight from the decoded values, and
+    the columns go to the painter of ``render``.  Each line is decoded
+    once."""
     with open(path) as fh:
-        return render(decode_records(fh), config)
+        return _image((zip(*map(_PAINTED_KEYS, dicts)) for dicts in decode_blocks(fh)),
+                      config)
 
 
 def _ppm_buffer(height: int, width: int):

@@ -1,8 +1,12 @@
+import concurrent.futures
 import gc
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +34,7 @@ from hofbutter import (
     sweep_to_jsonl,
 )
 from hofbutter import butterfly, chern
+from hofbutter.render import read_ppm, render, render_jsonl
 from hofbutter.spectrum import BandOverlapError, gap_to_dict
 
 
@@ -163,7 +168,7 @@ class TestBuildDiagram:
                 tasks[-1].append(task[:2])
                 return super().submit(fn, task, **kwargs)
 
-        monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         mixed = ButterflyConfig(q_max=30, resolver="triangular", computed_q_max=7)
         for cfg1 in [ButterflyConfig(q_max=6, resolver="computed", computed_q_max=6),
                      ButterflyConfig(q_max=6, resolver="computed", phi_d=math.pi / 2,
@@ -191,7 +196,7 @@ class TestBuildDiagram:
                 submitted.append(task[0])
                 return super().submit(fn, task, **kwargs)
 
-        monkeypatch.setattr(butterfly, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = ButterflyConfig(q_max=12, computed_q_max=0, jobs=2)
         tables = butterfly._denominators(cfg)
         first = next(tables)
@@ -201,6 +206,21 @@ class TestBuildDiagram:
         assert submitted == list(range(12, 0, -1))
         assert [butterfly._records(d) for d in [first] + rest] == \
             [butterfly._records(d) for d in butterfly._denominators(replace(cfg, jobs=1))]
+
+    def test_no_process_pool_at_jobs_1(self):
+        # the pool is imported where a jobs > 1 sweep starts one, so a
+        # fresh interpreter that imports the package and sweeps at jobs=1
+        # never loads concurrent.futures or multiprocessing
+        src = os.path.dirname(os.path.dirname(butterfly.__file__))
+        code = ("import sys, hofbutter\n"
+                "pool = ('concurrent.futures', 'multiprocessing')\n"
+                "print(sorted(m for m in pool if m in sys.modules))\n"
+                "hofbutter.build_diagram(hofbutter.ButterflyConfig(q_max=4))\n"
+                "print(sorted(m for m in pool if m in sys.modules))\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout == "[]\n[]\n"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_once_per_flux_in_order(self, jobs):
@@ -630,9 +650,19 @@ class TestBlockDecoding:
         assert decoded == records
         assert [tuple(map(repr, r)) for r in decoded] == [tuple(map(repr, r)) for r in records]
         path.write_text("".join(lines))
-        assert read_records_jsonl(path) == records
+        read = read_records_jsonl(path)
+        assert read == records
+        assert [tuple(map(repr, r)) for r in read] == [tuple(map(repr, r)) for r in records]
         assert math.isinf(decoded[0].lo) and decoded[0].width == math.inf
         assert any(r.chern is None for r in decoded)
+        # the image from the decoded values equals the image of the
+        # records; in reverse, the first fluxes' narrow outer gaps are
+        # painted last and leave the gray and colored gaps visible
+        cfg = ButterflyConfig(q_max=7, mu_bins=64, height=32)
+        path.write_text("".join(lines[::-1]))
+        image = render(records[::-1], cfg)
+        assert render_jsonl(str(path), cfg) == image
+        assert len(np.unique(read_ppm(image).reshape(-1, 3), axis=0)) > 4
 
     def test_lazy(self):
         lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
@@ -647,6 +677,7 @@ class TestBlockDecoding:
         assert first == butterfly.gap_from_dict(json.loads(lines[0]))
         assert len(consumed) == butterfly.DECODE_BLOCK
 
+    @pytest.mark.parametrize("reader", ["decode_records", "render_jsonl"])
     @pytest.mark.parametrize("at", [0, 255, 256, 300, 639])
     @pytest.mark.parametrize("bad", [
         '{"p": 1, "q": 7',                       # truncated
@@ -654,25 +685,36 @@ class TestBlockDecoding:
         '{"chern": 0 "closed": false}',          # missing comma
         'NaN x',                                 # extra data
     ])
-    def test_malformed_line_raises_the_per_line_error(self, at, bad):
+    def test_malformed_line_raises_the_per_line_error(self, tmp_path, reader, at, bad):
         lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(80)]
         lines[at] = bad + "\n"
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(lines[at])
         with pytest.raises(json.JSONDecodeError) as got:
-            list(butterfly.decode_records(lines))
+            _read(reader, lines, tmp_path)
         assert (got.value.msg, got.value.doc, got.value.pos) == \
             (expected.value.msg, expected.value.doc, expected.value.pos)
         assert str(got.value) == str(expected.value)
 
-    def test_line_split_at_a_comma_raises(self):
+    @pytest.mark.parametrize("reader", ["decode_records", "render_jsonl"])
+    def test_line_split_at_a_comma_raises(self, tmp_path, reader):
         # the joined array parses, but holds one item fewer than the lines
         lines = [json.dumps(gap_to_dict(r)) + "\n" for r in _synthetic_records(4)]
         head, tail = lines[5].split(", ", 1)
         lines[5:6] = [head + "\n", tail]
         with pytest.raises(json.JSONDecodeError) as got:
-            list(butterfly.decode_records(lines))
+            _read(reader, lines, tmp_path)
         assert got.value.doc == head + "\n"
+
+
+def _read(reader: str, lines: list, tmp_path):
+    """The records of JSON lines by decode_records, or their image by
+    render_jsonl of a file holding them: the two readers of decode_blocks."""
+    if reader == "decode_records":
+        return list(butterfly.decode_records(lines))
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(lines))
+    return render_jsonl(str(path), ButterflyConfig(q_max=7, mu_bins=16, height=8))
 
 
 def _json_lines(records) -> list:

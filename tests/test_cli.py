@@ -7,7 +7,7 @@ import pytest
 
 from hofbutter import (PHI_D_SYMMETRIC, ButterflyConfig, Flux, HofstadterModel, butterfly,
                        build_diagram, chern, cli, spectrum)
-from hofbutter.butterfly import RESOLVERS, decode_records
+from hofbutter.butterfly import RESOLVERS, decode_blocks
 from hofbutter.cli import main
 from hofbutter.render import read_ppm
 
@@ -326,21 +326,31 @@ class TestButterfly:
     @pytest.mark.parametrize("fmt,check", [("ppm", True), ("ppm", False),
                                            ("csv", True), ("csv", False)])
     def test_jsonl_decoded_once(self, tmp_path, capsys, monkeypatch, fmt, check):
-        passes = []
+        # every reader decodes through decode_blocks and its one
+        # json.loads site, _decode_block: one call is one pass, and the
+        # lines that pass decodes are those of the file
+        passes, decoded = [], []
+        decode_block = butterfly._decode_block
 
         def spy(lines):
             passes.append(fmt)
-            yield from decode_records(lines)
+            yield from decode_blocks(lines)
 
-        monkeypatch.setattr(butterfly, "decode_records", spy)
+        def counting(lines):
+            decoded.extend(lines)
+            return decode_block(lines)
+
+        monkeypatch.setattr(butterfly, "decode_blocks", spy)
+        monkeypatch.setattr(butterfly, "_decode_block", counting)
         monkeypatch.setattr(importlib.import_module("hofbutter.render"),
-                            "decode_records", spy)
+                            "decode_blocks", spy)
         code = main(["butterfly", "--qmax", "5", "--resolver", "square",
                      "--mu-bins", "64", "--height", "32",
                      "--format", fmt, *(["--check"] if check else []),
                      "--out", str(tmp_path / "bf")])
         assert code == 0
         assert passes == [fmt]
+        assert decoded == (tmp_path / "bf.jsonl").read_text().splitlines(keepends=True)
         assert (tmp_path / f"bf.{fmt}").stat().st_size > 0
         assert ("inconsistent" in capsys.readouterr().out) == check
 

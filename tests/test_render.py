@@ -204,6 +204,9 @@ class TestMatchesMaskRasterizer:
                      id="hand_made"),
         pytest.param(HAND_RECORDS[::-1], ButterflyConfig(q_max=3, mu_bins=16, height=12),
                      id="hand_made_reversed"),
+        pytest.param(HAND_RECORDS + [_gap(1, 2, 1, -1.0, 1.0, 25, closed=True)],
+                     ButterflyConfig(q_max=3, mu_bins=16, height=12),
+                     id="closed_sets_period"),
         pytest.param(STACKED_RECORDS, ButterflyConfig(q_max=5, mu_bins=32, height=40),
                      id="equal_q_stack"),
         pytest.param(STACKED_RECORDS[::-1], ButterflyConfig(q_max=5, mu_bins=32, height=40),
@@ -225,6 +228,19 @@ class TestMatchesMaskRasterizer:
         lines = _json_text(HAND_RECORDS).splitlines(keepends=True)
         path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
         assert render_jsonl(str(path), cfg) == render(HAND_RECORDS, cfg)
+
+    @pytest.mark.parametrize("text", [None, "", "\n \n\t\n"])
+    def test_empty_input_is_a_black_canvas(self, text, tmp_path):
+        # no record, no block: the all-black PPM of the config, from the
+        # records and from an empty file or one of blank lines
+        cfg = ButterflyConfig(q_max=3, mu_bins=16, height=12)
+        black = b"P6\n16 12\n255\n" + bytes(16 * 12 * 3)
+        if text is None:
+            assert render([], cfg) == black
+        else:
+            path = tmp_path / "records.jsonl"
+            path.write_text(text)
+            assert render_jsonl(str(path), cfg) == black
 
     @pytest.mark.parametrize("reorder", ["shuffled", "reversed"])
     def test_record_order_does_not_matter(self, reorder):
