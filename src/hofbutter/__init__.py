@@ -9,9 +9,7 @@ from .magnetic_algebra import (
     HofstadterModel,
     build_hamiltonian,
     clock_shift,
-    hamiltonian_derivatives,
     inversion_check,
-    magnetic_symmetry_residual,
     modular_inverse,
 )
 from .spectrum import (
@@ -39,7 +37,6 @@ from .chern import (
     WindingFailure,
     band_chern_fhs,
     band_chern_transport,
-    berry_curvature,
     certify_gap,
     chern_bound,
     edge_chern,

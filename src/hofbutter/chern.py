@@ -26,8 +26,8 @@ cut at a, so one batched elimination per grid level and direction
 at a.  Discrete Kato parallel transport around the 2*pi/q reduced cell
 fixes every band's Chern residue mod q.  Orientation is chosen so that
 FHS and transport agree and the square model reproduces its known
-window; with it the curvature quadrature of ``berry_curvature``
-integrates to the same integers.
+window; the transport holonomy (acceptance criterion 13) and the square
+window (criterion 05) pin it.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ import numpy as np
 from .magnetic_algebra import (
     HofstadterModel,
     _hopping_terms,
-    _symmetry_unitaries,
     build_hamiltonian,
+    clock_shift,
     hamiltonian_batch,
-    hamiltonian_derivatives,
 )
 from . import spectrum
 from .spectrum import GAP_EPS_DEFAULT, compute_bands, compute_bands_or_dense, compute_gaps
@@ -73,11 +72,7 @@ class GapClosed(Exception):
 
 
 class GridDegeneracy(Exception):
-    """Eigenvalue collision on the integration grid; carries the momentum."""
-
-    def __init__(self, message, k=None):
-        super().__init__(message)
-        self.k = k
+    """Eigenvalue collision on the integration grid or the transport path."""
 
 
 class QuantizationFailure(Exception):
@@ -132,34 +127,6 @@ class TransportResult:
     steps: int
 
 
-def berry_curvature(model: HofstadterModel, n: int, k) -> float:
-    """Adiabatic curvature of band n (1-based) at momentum k.
-
-    Evaluated through the spectral sum with analytic dH/dk; no finite
-    differencing of H.  Signals near-degeneracy when a neighboring
-    level approaches closer than DEGENERACY_TOL.
-    """
-    q = model.q
-    if not 1 <= n <= q:
-        raise ValueError(f"band index {n} outside 1..{q}")
-    if q == 1:
-        return 0.0
-    evs, vecs = np.linalg.eigh(build_hamiltonian(model, k))
-    i = n - 1
-    near = min(abs(evs[i] - evs[m]) for m in range(q) if m != i)
-    if near < DEGENERACY_TOL:
-        raise GridDegeneracy(f"band {n} within {near:.2e} of a neighbor at k={k}", k=k)
-    d1, d2 = hamiltonian_derivatives(model, k)
-    g1 = vecs.conj().T @ d1 @ vecs
-    g2 = vecs.conj().T @ d2 @ vecs
-    total = 0.0
-    for m in range(q):
-        if m == i:
-            continue
-        total += 2.0 * np.imag(g1[m, i] * g2[i, m]) / (evs[i] - evs[m]) ** 2
-    return float(total)
-
-
 def _grid_eigensystem(model: HofstadterModel, n_grid: int):
     """Eigendecomposition of H on the offset n_grid x n_grid magnetic-BZ grid."""
     q = model.q
@@ -178,7 +145,8 @@ def _overlap_links(model: HofstadterModel, vecs: np.ndarray):
     the eigenvectors and the two results.
     """
     n = vecs.shape[0]
-    _, Ss = _symmetry_unitaries(model.flux)
+    S, _ = clock_shift(model.flux)
+    Ss = np.linalg.matrix_power(S, model.flux.s)
     o1 = np.empty_like(vecs)
     o2 = np.empty_like(vecs)
     for i in range(n):
@@ -192,9 +160,9 @@ def _overlap_links(model: HofstadterModel, vecs: np.ndarray):
 def _field_strength(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Plaquette field strength from the two link-variable arrays.
 
-    Orientation matches the curvature sign of ``berry_curvature`` and
-    the transport holonomy (k2 edge first), so band sums land on the
-    same integers as the spectral-sum quadrature.
+    Orientation matches the transport holonomy (k2 edge first), so
+    band sums land on the integers whose residues transport gives
+    (criterion 13) and on the square model's window (criterion 05).
     """
     n = u1.shape[0]
     plaq = (u2 * u1[:, np.r_[1:n, 0]]
@@ -779,7 +747,7 @@ def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
 
     def loop_phase(m: int) -> float:
         evs0, vecs0 = np.linalg.eigh(build_hamiltonian(model, (0.0, 0.0)))
-        _check_isolated(evs0, n, (0.0, 0.0))
+        _check_isolated(evs0, n)
         psi0 = vecs0[:, n - 1]
         psi = psi0.copy()
         for a, b in zip(corners[:-1], corners[1:]):
@@ -788,7 +756,7 @@ def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
             k2s = a[1] + ts * (b[1] - a[1])
             evs, vecs = np.linalg.eigh(hamiltonian_batch(model, k1s, k2s))
             for i in range(m):
-                _check_isolated(evs[i], n, (k1s[i], k2s[i]))
+                _check_isolated(evs[i], n)
                 v = vecs[i, :, n - 1]
                 amp = v.conj() @ psi
                 if abs(amp) < 0.5:
@@ -812,7 +780,7 @@ def _transport(model: HofstadterModel, n: int, steps: int) -> TransportResult:
     return TransportResult(phase, residue, residual, m)
 
 
-def _check_isolated(evs, n, k):
+def _check_isolated(evs, n):
     i = n - 1
     dist = math.inf
     if i > 0:
@@ -820,7 +788,7 @@ def _check_isolated(evs, n, k):
     if i < len(evs) - 1:
         dist = min(dist, evs[i + 1] - evs[i])
     if dist < DEGENERACY_TOL:
-        raise GridDegeneracy(f"band {n} degenerate along path (gap {dist:.2e})", k=k)
+        raise GridDegeneracy(f"band {n} degenerate along path (gap {dist:.2e})")
 
 
 def _circle_dist(a: float, b: float) -> float:

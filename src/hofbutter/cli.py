@@ -83,9 +83,10 @@ def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) 
     """argv with config-file values inserted as flags right after the
     subcommand, so the parser types and checks them and the explicit
     flags that follow win.  A boolean flag is passed when its value is
-    1, true, yes or on.  A key that another subcommand defines is
-    skipped, so one file serves several subcommands; a key that no
-    subcommand defines raises ValueError.
+    1, true, yes or on, left out when it is 0, false, no or off, and any
+    other value raises ValueError.  A key that another subcommand
+    defines is skipped, so one file serves several subcommands; a key
+    that no subcommand defines raises ValueError.
     """
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = {flag for sp in sub.choices.values() for flag in sp._option_string_actions}
@@ -106,6 +107,8 @@ def _with_file_flags(parser: argparse.ArgumentParser, argv: list, values: dict) 
             flags.append(f"{flag}={raw}")
         elif raw.lower() in ("1", "true", "yes", "on"):
             flags.append(flag)
+        elif raw.lower() not in ("0", "false", "no", "off"):
+            raise ValueError(f"config key {key!r} needs a boolean, got {raw!r}")
     return argv[:at + 1] + flags + argv[at + 1:]
 
 

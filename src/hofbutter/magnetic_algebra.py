@@ -238,40 +238,6 @@ def jacobi_batch(model, k1, k2) -> np.ndarray:
     return J[0] if single else J
 
 
-def hamiltonian_derivatives(model: HofstadterModel, k) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dH/dk1, dH/dk2); the hoppings carry explicit k-phases."""
-    k1, k2 = k
-    M1, M2, M3 = _hopping_terms(model)
-    A1 = 1j * (np.exp(1j * (k1 + k2)) * M2 + np.exp(1j * k1) * M3)
-    A2 = 1j * (np.exp(1j * k2) * M1 + np.exp(1j * (k1 + k2)) * M2)
-    return A1 + A1.conj().T, A2 + A2.conj().T
-
-
-def _symmetry_unitaries(flux: Flux) -> tuple[np.ndarray, np.ndarray]:
-    """T^s and S^s implementing the 2*pi/q magnetic translations."""
-    S, T = clock_shift(flux)
-    return (np.linalg.matrix_power(T, flux.s),
-            np.linalg.matrix_power(S, flux.s))
-
-
-def magnetic_symmetry_residual(model: HofstadterModel, k) -> tuple[float, float]:
-    """Deviation from the magnetic-translation identities.
-
-    r1 compares H(k1, k2) with T^s' H(k1 - 2*pi/q, k2) T^s and r2 the
-    analogous S^s conjugation shifting k2; both vanish identically for
-    this Hamiltonian class.
-    """
-    k1, k2 = k
-    q = model.q
-    Ts, Ss = _symmetry_unitaries(model.flux)
-    H = build_hamiltonian(model, (k1, k2))
-    H1 = build_hamiltonian(model, (k1 - 2.0 * math.pi / q, k2))
-    H2 = build_hamiltonian(model, (k1, k2 + 2.0 * math.pi / q))
-    r1 = np.abs(H - Ts.conj().T @ H1 @ Ts).max()
-    r2 = np.abs(H - Ss.conj().T @ H2 @ Ss).max()
-    return float(r1), float(r2)
-
-
 def _is_half_pi(phi: float) -> bool:
     r = phi % (2 * math.pi)
     return min(abs(r - math.pi / 2), abs(r - 3 * math.pi / 2)) < 1e-9

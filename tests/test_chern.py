@@ -10,12 +10,10 @@ from hofbutter import chern, spectrum
 from hofbutter import (
     Flux,
     GapClosed,
-    GridDegeneracy,
     HofstadterModel,
     PHI_D_SYMMETRIC,
     band_chern_fhs,
     band_chern_transport,
-    berry_curvature,
     certify_gap,
     chern_bound,
     compute_bands,
@@ -30,7 +28,7 @@ PI = math.pi
 SQUARE_13 = HofstadterModel(Flux(1, 3), t3=0.0)
 
 # frozen ground truth at phi_d = -pi/2, cross-checked by three independent
-# routes: plaquette sums, direct curvature quadrature, and wing continuity
+# routes: FHS plaquette sums, edge-state winding and Streda wing continuity
 TRIANGULAR_TABLES = {
     (2, 5): {1: -2, 2: 1, 3: -1, 4: 2},
     (3, 7): {1: -2, 2: -4, 3: 1, 4: -1, 5: 4, 6: 2},
@@ -41,34 +39,6 @@ TRIANGULAR_TABLES = {
     (6, 13): {1: -2, 2: -4, 3: -6, 4: -8, 5: 3, 6: 1,
               7: -1, 8: -3, 9: 8, 10: 6, 11: 4, 12: 2},
 }
-
-
-class TestBerryCurvature:
-    def test_q1_vanishes(self):
-        assert berry_curvature(HofstadterModel(Flux(1, 1), 0.3), 1, (0.2, 0.1)) == 0.0
-
-    def test_band_sum_vanishes_pointwise(self):
-        rng = np.random.default_rng(11)
-        model = HofstadterModel(Flux(2, 5), PHI_D_SYMMETRIC)
-        for _ in range(20):
-            k = tuple(rng.uniform(-PI, PI, 2))
-            total = sum(berry_curvature(model, n, k) for n in range(1, 6))
-            assert abs(total) <= 1e-10
-
-    def test_signals_degeneracy(self):
-        # square q=2 bands touch at E=0 where both cosines vanish
-        model = HofstadterModel(Flux(1, 2), t3=0.0)
-        with pytest.raises(GridDegeneracy):
-            berry_curvature(model, 1, (PI / 2, PI / 2))
-
-    def test_square_13_band1_integral(self):
-        # midpoint quadrature of the curvature over the magnetic BZ
-        n = 48
-        k1s = -PI + (np.arange(n) + 0.5) * (2 * PI / n)
-        k2s = -PI / 3 + (np.arange(n) + 0.5) * (2 * PI / (3 * n))
-        total = sum(berry_curvature(SQUARE_13, 1, (a, b)) for a in k1s for b in k2s)
-        total *= (2 * PI / n) * (2 * PI / (3 * n)) / (2 * PI)
-        assert abs(total - 1.0) <= 1e-3
 
 
 class TestBandChernFHS:

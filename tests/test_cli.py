@@ -512,25 +512,40 @@ class TestConfigFile:
         assert json.loads(out)["j"] == 1
 
     @pytest.mark.parametrize("case", ["no_path", "missing_file", "line_without_equals",
-                                      "unknown_key"])
+                                      "unknown_key", "bad_boolean"])
     def test_unusable_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, case):
-        # no path, a missing file, a line without '=' or a key that no
-        # subcommand defines: one error line and exit 2 before any work, as
-        # for every other bad input
+        # no path, a missing file, a line without '=', a key that no
+        # subcommand defines or a boolean flag with a value that is neither
+        # on nor off: one error line and exit 2 before any work, as for
+        # every other bad input
         monkeypatch.setattr(cli, "sweep_to_jsonl", None)
         cfg, missing, typo = tmp_path / "run.cfg", tmp_path / "missing.cfg", tmp_path / "typo.cfg"
+        badbool = tmp_path / "badbool.cfg"
         cfg.write_text("# sweep settings\nqmax = 3\nmu-bins 16\n")
         typo.write_text("qmax = 3\nmu_binz = 16\n")
+        badbool.write_text("check = ture\n")
         path, message = {
             "no_path": ([], "--config needs a path"),
             "missing_file": ([str(missing)],
                              f"[Errno 2] No such file or directory: '{missing}'"),
             "line_without_equals": ([str(cfg)], f"{cfg}:3: expected 'key = value'"),
             "unknown_key": ([str(typo)], "config key 'mu_binz' is not a flag of any subcommand"),
+            "bad_boolean": ([str(badbool)], "config key 'check' needs a boolean, got 'ture'"),
         }[case]
         code = main(["butterfly", "--qmax", "2", "--config", *path])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("raw, audited", [("yes", True), ("On", True),
+                                              ("off", False), ("FALSE", False)])
+    def test_boolean_values(self, tmp_path, capsys, raw, audited):
+        # a boolean key turns its flag on or leaves it off, in any letter case
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"check = {raw}\n")
+        code = main(["butterfly", "--qmax", "5", "--resolver", "square", "--config", str(cfg),
+                     "--out", str(tmp_path / "bf")])
+        assert code == 0
+        assert ("inconsistent pairs" in capsys.readouterr().err) == audited
 
     def test_misspelled_key_is_refused(self, tmp_path, capsys):
         # jj is no flag of any subcommand: dioph prints nothing and exits 2,
