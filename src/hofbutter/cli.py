@@ -311,7 +311,11 @@ def cmd_butterfly(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hofbutter",
-        description="Hofstadter spectra, gap Chern numbers and colored butterflies")
+        description="Hofstadter spectra, gap Chern numbers and colored butterflies",
+        epilog="--config PATH (or --config=PATH), anywhere on the command line, "
+               "reads flags from a file of 'key = value' lines ('#' starts a "
+               "comment; a boolean flag takes on/off, yes/no, true/false or 1/0); "
+               "flags given on the command line win over the file's values")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,13 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        i = argv.index("--config")
+    # --config PATH or --config=PATH, taken out of argv before the parser
+    # sees it (the file's flags go right after the subcommand)
+    at = next((i for i, a in enumerate(argv)
+               if a == "--config" or a.startswith("--config=")), None)
+    if at is not None:
+        _, eq, path = argv.pop(at).partition("=")
         try:
-            if i + 1 == len(argv):
+            if not eq and at < len(argv):
+                path = argv.pop(at)
+            if not path:
                 raise ValueError("--config needs a path")
-            values = _load_config_file(argv[i + 1])
-            del argv[i:i + 2]
+            values = _load_config_file(path)
             argv = _with_file_flags(parser, argv, values)
         except (OSError, ValueError) as exc:  # one error line, as for any bad input
             print(f"error: {exc}", file=sys.stderr)

@@ -124,23 +124,35 @@ def _columns(blocks, config: ButterflyConfig):
 
 def _image(blocks, config: ButterflyConfig) -> bytearray:
     """PPM (P6) bytes of blocks of record columns (see ``_columns``),
-    painted after the last block, when the palette is fixed."""
+    painted after the last block, when the palette is fixed.
+
+    Each palette code has one RGB byte row, its color tiled across the
+    canvas, and a gap's pixel columns [a, b) are the bytes [3a, 3b) of
+    a row of the (height, 3 width) byte view of the PPM buffer.  So
+    each pixel row of a gap is one contiguous copy from its code's
+    row, where a 3-byte RGB value broadcast over a (rows, cols, 3)
+    block runs as an inner loop three bytes long."""
     columns, codes, biggest = _columns(blocks, config)
     period = config.colormap_period or 2 * biggest + 1
-    rgb = [np.array(chern_color(sigma, period), dtype=np.uint8) for sigma in codes]
-    height = config.height
-    data, pixels = _ppm_buffer(height, config.mu_bins)
-    order = np.argsort(-columns[0], kind="stable")
+    width, height = config.mu_bins, config.height
+    rows = [np.tile(np.array(chern_color(sigma, period), dtype=np.uint8), width)
+            for sigma in codes]
+    data, flat = _ppm_buffer(height, width)
+    q, p, a, b, code = columns
+    order = np.argsort(-q, kind="stable")
+    columns = q, p, 3 * a, 3 * b, code  # pixel columns [a, b) as bytes [3a, 3b)
     scale = Fraction(config.row_scale * height).limit_denominator(10**6) / config.q_max
     num, den = scale.numerator, scale.denominator
-    spans = {}  # (p, q) -> row spans
+    spans = {}  # (p, q) -> row slices
     for start in range(0, len(order), PAINT_BLOCK):
         block = order[start:start + PAINT_BLOCK]
         for q, p, a, b, code in zip(*(col[block].tolist() for col in columns)):
-            if (p, q) not in spans:
-                spans[p, q] = _row_bounds(p, q, height, num, den)
-            for y0, y1 in spans[p, q]:
-                pixels[y0:y1 + 1, a:b] = rgb[code]
+            ys = spans.get((p, q))
+            if ys is None:
+                ys = spans[p, q] = [slice(y0, y1 + 1)
+                                    for y0, y1 in _row_bounds(p, q, height, num, den)]
+            for y in ys:
+                flat[y, a:b] = rows[code][a:b]
     return data
 
 
@@ -155,9 +167,10 @@ def render(records, config: ButterflyConfig) -> bytearray:
     streamed PAINT_BLOCK at a time into packed columns first
     (``_columns``, each block's columns by ``zip``) and painted after
     the last one, when the palette is fixed: in stable descending-q
-    order, each record's RGB straight into the pixels of the PPM
-    buffer.  The last write to a pixel comes from the lowest q and,
-    among equal q, from the later record, whatever the record order.
+    order, each pixel row of a record one contiguous copy from its
+    color's RGB byte row into the PPM buffer.  The last write to a
+    pixel comes from the lowest q and, among equal q, from the later
+    record, whatever the record order.
     """
     records = iter(records)
     blocks = iter(lambda: list(itertools.islice(records, PAINT_BLOCK)), [])
@@ -177,12 +190,12 @@ def render_jsonl(path: str, config: ButterflyConfig) -> bytearray:
 
 def _ppm_buffer(height: int, width: int):
     """A zeroed binary PPM (P6), header then pixels, and a writable
-    (H, W, 3) uint8 view of its pixels."""
+    (H, 3 W) uint8 view of its pixels, one row of RGB bytes a pixel row."""
     header = b"P6\n%d %d\n255\n" % (width, height)
     data = bytearray(len(header) + height * width * 3)
     data[:len(header)] = header
     pixels = np.frombuffer(data, dtype=np.uint8, offset=len(header))
-    return data, pixels.reshape(height, width, 3)
+    return data, pixels.reshape(height, 3 * width)
 
 
 def read_ppm(data: bytes) -> np.ndarray:

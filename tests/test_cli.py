@@ -510,29 +510,41 @@ class TestConfigFile:
         code, out = run(["dioph", "--config", str(cfg), "--p", "2", "--q", "5"], capsys)
         assert code == 0
         assert json.loads(out)["j"] == 1
+        # --config=PATH reads the same file, after the subcommand or before it
+        for argv in (["dioph", f"--config={cfg}", "--p", "2", "--q", "5"],
+                     [f"--config={cfg}", "dioph", "--p", "2", "--q", "5"]):
+            assert run(argv, capsys) == (0, out)
 
     @pytest.mark.parametrize("case", ["no_path", "missing_file", "line_without_equals",
-                                      "unknown_key", "bad_boolean"])
+                                      "unknown_key", "bad_boolean", "empty_path",
+                                      "no_path_equals", "missing_file_equals",
+                                      "unknown_key_equals"])
     def test_unusable_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, case):
-        # no path, a missing file, a line without '=', a key that no
-        # subcommand defines or a boolean flag with a value that is neither
-        # on nor off: one error line and exit 2 before any work, as for
-        # every other bad input
+        # no path, an empty one, a missing file, a line without '=', a key
+        # that no subcommand defines or a boolean flag with a value that is
+        # neither on nor off, given as --config PATH or --config=PATH: one
+        # error line and exit 2 before any work, as for every other bad input
         monkeypatch.setattr(cli, "sweep_to_jsonl", None)
         cfg, missing, typo = tmp_path / "run.cfg", tmp_path / "missing.cfg", tmp_path / "typo.cfg"
         badbool = tmp_path / "badbool.cfg"
         cfg.write_text("# sweep settings\nqmax = 3\nmu-bins 16\n")
         typo.write_text("qmax = 3\nmu_binz = 16\n")
         badbool.write_text("check = ture\n")
-        path, message = {
-            "no_path": ([], "--config needs a path"),
-            "missing_file": ([str(missing)],
-                             f"[Errno 2] No such file or directory: '{missing}'"),
-            "line_without_equals": ([str(cfg)], f"{cfg}:3: expected 'key = value'"),
-            "unknown_key": ([str(typo)], "config key 'mu_binz' is not a flag of any subcommand"),
-            "bad_boolean": ([str(badbool)], "config key 'check' needs a boolean, got 'ture'"),
+        no_file = f"[Errno 2] No such file or directory: '{missing}'"
+        unknown = "config key 'mu_binz' is not a flag of any subcommand"
+        flags, message = {
+            "no_path": (["--config"], "--config needs a path"),
+            "missing_file": (["--config", str(missing)], no_file),
+            "line_without_equals": (["--config", str(cfg)], f"{cfg}:3: expected 'key = value'"),
+            "unknown_key": (["--config", str(typo)], unknown),
+            "bad_boolean": (["--config", str(badbool)],
+                            "config key 'check' needs a boolean, got 'ture'"),
+            "empty_path": (["--config", ""], "--config needs a path"),
+            "no_path_equals": (["--config="], "--config needs a path"),
+            "missing_file_equals": ([f"--config={missing}"], no_file),
+            "unknown_key_equals": ([f"--config={typo}"], unknown),
         }[case]
-        code = main(["butterfly", "--qmax", "2", "--config", *path])
+        code = main(["butterfly", "--qmax", "2", *flags])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -546,6 +558,13 @@ class TestConfigFile:
                      "--out", str(tmp_path / "bf")])
         assert code == 0
         assert ("inconsistent pairs" in capsys.readouterr().err) == audited
+
+    def test_help_names_the_config_flag(self, capsys):
+        # --config is not a parser flag, so the top-level help says how to use it
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--config PATH (or --config=PATH)" in " ".join(capsys.readouterr().out.split())
 
     def test_misspelled_key_is_refused(self, tmp_path, capsys):
         # jj is no flag of any subcommand: dioph prints nothing and exits 2,

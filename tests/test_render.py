@@ -169,6 +169,15 @@ HAND_RECORDS = [
 ]
 
 
+# one-column gaps at the first and the last of the 16 pixel columns above
+EDGE_COLUMN_RECORDS = [
+    _gap(1, 2, 1, -5.7, -5.55, 1),               # column 0 alone
+    _gap(1, 2, 2, 5.6, 5.7, -1),                 # column 15 alone
+    _gap(1, 3, 0, -math.inf, -5.625, 2),         # column 0, hi on its center
+    _gap(1, 3, 3, 5.625, math.inf, -2),          # column 15, lo on its center
+]
+
+
 def _stacked_records():
     """Forty-one q = 3 gaps over the same pixels in seeded order, and a
     q = 5 gap whose rows meet those of q = 3 and of q = 2: only a stable
@@ -209,6 +218,13 @@ class TestMatchesMaskRasterizer:
                      id="closed_sets_period"),
         pytest.param(STACKED_RECORDS, ButterflyConfig(q_max=5, mu_bins=32, height=40),
                      id="equal_q_stack"),
+        # rows 174.6/q pixels thick and 96/q apart, so every row overlaps
+        # its neighbours of its own and of other q, on an odd canvas width
+        pytest.param(None, ButterflyConfig(q_max=5, mu_bins=333, height=97, row_scale=9.0),
+                     id="odd_width_thick_rows"),
+        pytest.param(None, ButterflyConfig(q_max=3, mu_bins=2, height=1), id="minimal_canvas"),
+        pytest.param(EDGE_COLUMN_RECORDS, ButterflyConfig(q_max=3, mu_bins=16, height=12),
+                     id="one_column_at_edges"),
         pytest.param(STACKED_RECORDS[::-1], ButterflyConfig(q_max=5, mu_bins=32, height=40),
                      id="equal_q_stack_reversed"),
     ])
@@ -258,10 +274,12 @@ class TestMatchesMaskRasterizer:
 
 def test_render_jsonl_memory_peak(tmp_path):
     """The Python-level peak of render_jsonl on the q_max 40 sweep at
-    phi_d = -pi/2, 3.46 MB: the 3 MB PPM buffer, the packed columns and
-    the per-block temporaries.  A uint16 code canvas (2 MB), an
-    owner-sized buffer (4 MB) or a second copy of the image (3 MB)
-    would not fit under the bound, the peak plus 10 %."""
+    phi_d = -pi/2, 3.61-3.64 MB: the 3 MB PPM buffer, the packed
+    columns, the per-block temporaries and one RGB byte row per palette
+    code, 3 x 1024 bytes each (41 codes, 0.12 MB).  A uint16 code canvas
+    (2 MB), an owner-sized buffer (4 MB), a second copy of the image
+    (3 MB) or a byte row per record would not fit under the bound,
+    3.8 MB, the peak plus 4-5 %."""
     cfg = ButterflyConfig(q_max=40, phi_d=PHI_D_SYMMETRIC, computed_q_max=0)
     path = str(tmp_path / "records.jsonl")
     sweep_to_jsonl(cfg, path)
